@@ -9,6 +9,7 @@
 #include "common/metrics.h"
 #include "common/timer.h"
 #include "common/trace.h"
+#include "core/filter_refine.h"
 #include "index/prefix_filter.h"
 #include "text/vector_store.h"
 
@@ -44,20 +45,6 @@ struct ShardOutput {
   std::vector<double> scores;
   double seconds_verify = 0.0;
   size_t verify_batches = 0;
-};
-
-// Outcome category of one bucket (mirrors filter_refine.cc). kSkipped is
-// the preallocated default, so a bucket a stop request prevented from
-// scoring stays in a well-defined state.
-enum class Decision : uint8_t {
-  kSkipped = 0,
-  kShedByCap,
-  kPrunedByUpperBound,
-  kAcceptedByLowerBound,
-  kRefinedLink,
-  kRefinedNoLink,
-  kDegradedLink,
-  kDegradedNoLink,
 };
 
 }  // namespace
@@ -222,9 +209,9 @@ std::vector<std::pair<int32_t, int32_t>> EdgeJoinLink(
   s.group_pairs = buckets.size();
   s.seconds_bucket = timer.ElapsedSeconds();
 
-  // Stage 3 (score): buckets are independent, so score them in parallel
-  // into preallocated decision slots and aggregate serially in bucket
-  // order (mirrors filter_refine.cc).
+  // Stage 3 (score): buckets are independent, so decide them in parallel
+  // through the shared ladder (DecideGraphRung) into preallocated rung
+  // slots and aggregate serially in bucket order.
   timer.Reset();
   GL_TRACE_SPAN("edge_join.score");
   struct BucketRef {
@@ -247,7 +234,7 @@ std::vector<std::pair<int32_t, int32_t>> EdgeJoinLink(
     return graph;
   };
 
-  std::vector<Decision> decisions(bucket_refs.size(), Decision::kSkipped);
+  std::vector<LinkRung> rungs(bucket_refs.size(), LinkRung::kSkipped);
 
   // Candidate budget (and the candidates.oversized fault): keep the best
   // buckets by UB score — deterministic, it depends only on the buckets.
@@ -261,94 +248,39 @@ std::vector<std::pair<int32_t, int32_t>> EdgeJoinLink(
       ub[i] = UpperBoundMeasure(build_graph(i), dataset.GroupSize(g1),
                                 dataset.GroupSize(g2));
     });
-    std::vector<size_t> order(bucket_refs.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::nth_element(order.begin(), order.begin() + static_cast<ptrdiff_t>(cap),
-                     order.end(), [&](size_t a, size_t b) {
-                       if (ub[a] != ub[b]) return ub[a] > ub[b];
-                       return a < b;
-                     });
-    keep.assign(bucket_refs.size(), 0);
-    for (size_t k = 0; k < cap; ++k) keep[order[k]] = 1;
+    keep = KeepHighestUpperBounds(ub, cap);
     for (size_t i = 0; i < keep.size(); ++i) {
-      if (!keep[i]) decisions[i] = Decision::kShedByCap;
+      if (!keep[i]) rungs[i] = LinkRung::kShedByCap;
     }
     ctx->NoteDegraded();
   }
 
+  const FilterRefineConfig ladder{config.theta, config.group_threshold,
+                                  config.use_upper_bound_filter,
+                                  config.use_lower_bound_accept};
   ParallelFor(
       pool, bucket_refs.size(),
       [&](size_t i) {
         if (!keep.empty() && !keep[i]) return;  // Stays kShedByCap.
         const auto& [g1, g2] = bucket_refs[i].groups;
-        const int32_t size_left = dataset.GroupSize(g1);
-        const int32_t size_right = dataset.GroupSize(g2);
-        const BipartiteGraph graph = build_graph(i);
-        if (config.use_upper_bound_filter &&
-            UpperBoundMeasure(graph, size_left, size_right) < config.group_threshold) {
-          decisions[i] = Decision::kPrunedByUpperBound;
-          return;
-        }
-        if (config.use_lower_bound_accept &&
-            GreedyLowerBound(graph, size_left, size_right) >= config.group_threshold) {
-          decisions[i] = Decision::kAcceptedByLowerBound;
-          return;
-        }
-        // Matcher budget: bounds-only decision on oversized pairs (LB is a
-        // sound lower bound on BM, so this only ever under-links).
-        const int64_t matcher_cost =
-            static_cast<int64_t>(size_left) * static_cast<int64_t>(size_right);
-        if (ctx != nullptr && ctx->ExceedsMatcherBudget(matcher_cost)) {
-          decisions[i] =
-              GreedyLowerBound(graph, size_left, size_right) >= config.group_threshold
-                  ? Decision::kDegradedLink
-                  : Decision::kDegradedNoLink;
-          return;
-        }
-        decisions[i] =
-            BmMeasure(graph, size_left, size_right, ctx).value >= config.group_threshold
-                ? Decision::kRefinedLink
-                : Decision::kRefinedNoLink;
+        rungs[i] = DecideGraphRung(build_graph(i), dataset.GroupSize(g1),
+                                   dataset.GroupSize(g2), ladder, ctx);
       },
       ctx);
 
+  FilterRefineStats counts;
   std::vector<std::pair<int32_t, int32_t>> linked;
   for (size_t i = 0; i < bucket_refs.size(); ++i) {
-    bool link = false;
-    switch (decisions[i]) {
-      case Decision::kSkipped:
-        ++s.skipped;
-        break;
-      case Decision::kShedByCap:
-        ++s.shed_candidates;
-        break;
-      case Decision::kPrunedByUpperBound:
-        ++s.pruned_by_upper_bound;
-        break;
-      case Decision::kAcceptedByLowerBound:
-        ++s.accepted_by_lower_bound;
-        link = true;
-        break;
-      case Decision::kRefinedLink:
-        ++s.refined;
-        link = true;
-        break;
-      case Decision::kRefinedNoLink:
-        ++s.refined;
-        break;
-      case Decision::kDegradedLink:
-        ++s.degraded_refines;
-        link = true;
-        break;
-      case Decision::kDegradedNoLink:
-        ++s.degraded_refines;
-        break;
-    }
-    if (link) {
-      linked.push_back(bucket_refs[i].groups);
-      ++s.linked;
-    }
+    CountRung(rungs[i], &counts);
+    if (RungLinks(rungs[i])) linked.push_back(bucket_refs[i].groups);
   }
+  s.pruned_by_upper_bound = counts.pruned_by_upper_bound;
+  s.accepted_by_lower_bound = counts.accepted_by_lower_bound;
+  s.refined = counts.refined;
+  s.linked = counts.linked;
+  s.shed_candidates = counts.shed_candidates;
+  s.degraded_refines = counts.degraded_refines;
+  s.skipped = counts.skipped;
   if (ctx != nullptr && (s.skipped > 0 || s.degraded_refines > 0)) {
     ctx->NoteDegraded();
   }

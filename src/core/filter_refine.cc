@@ -1,10 +1,10 @@
 #include "core/filter_refine.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/timer.h"
 #include "text/simd_kernels.h"
 
 namespace grouplink {
@@ -32,19 +32,26 @@ std::vector<uint32_t> GroupTokenUnion(const Group& group, const VectorStore& sto
 // absorbs the different summation orders of the two computations.
 constexpr double kBoundSlack = 1e-9;
 
-// Outcome category of one candidate pair. kSkipped is the preallocated
-// default, so a pair a stop request prevented from running stays in a
-// well-defined state.
-enum class Decision : uint8_t {
-  kSkipped = 0,
-  kShedByCap,
-  kEmptyGraph,
-  kPrunedByUpperBound,
-  kAcceptedByLowerBound,
-  kRefinedLink,
-  kRefinedNoLink,
-  kDegradedLink,
-  kDegradedNoLink,
+// Stopwatch that charges elapsed time to one phase field of `timing` and
+// reads no clock at all when `timing` is null.
+class PhaseTimer {
+ public:
+  explicit PhaseTimer(FilterRefineStats* timing) : timing_(timing) {
+    if (timing_ != nullptr) start_ = Clock::now();
+  }
+
+  // Adds the time since construction or the last Charge to `phase`.
+  void Charge(double FilterRefineStats::*phase) {
+    if (timing_ == nullptr) return;
+    const Clock::time_point now = Clock::now();
+    timing_->*phase += std::chrono::duration<double>(now - start_).count();
+    start_ = now;
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  FilterRefineStats* timing_;
+  Clock::time_point start_;
 };
 
 // Batched-scoring context of one FilterRefineLink call: the engine's
@@ -68,15 +75,14 @@ BipartiteGraph BuildGraph(const Dataset& dataset, const RecordSimFn& sim,
   return BuildSimilarityGraph(dataset, g1, g2, sim, theta);
 }
 
-// Scores one candidate pair; phase timers are optional (serial path only).
-Decision DecidePair(const Dataset& dataset, const RecordSimFn& sim, int32_t g1,
+// Scores one candidate pair: the zero-overlap precheck and the graph
+// build, then the shared ladder. Phase timers are optional (serial path
+// only).
+LinkRung DecidePair(const Dataset& dataset, const RecordSimFn& sim, int32_t g1,
                     int32_t g2, const FilterRefineConfig& config,
                     FilterRefineStats* timing, const ExecutionContext* ctx,
                     const BatchContext& batch) {
-  const int32_t size_left = dataset.GroupSize(g1);
-  const int32_t size_right = dataset.GroupSize(g2);
-
-  WallTimer timer;
+  PhaseTimer timer(timing);
   // Zero-overlap precheck (store path): groups sharing no weighted token
   // cannot produce a single edge, so the pair classifies as an empty
   // graph without touching a record pair — the exact outcome the full
@@ -85,58 +91,21 @@ Decision DecidePair(const Dataset& dataset, const RecordSimFn& sim, int32_t g1,
     const std::vector<uint32_t>& ta = batch.group_tokens[static_cast<size_t>(g1)];
     const std::vector<uint32_t>& tb = batch.group_tokens[static_cast<size_t>(g2)];
     if (SortedIntersectCount(ta.data(), ta.size(), tb.data(), tb.size()) == 0) {
-      if (timing != nullptr) timing->seconds_graphs += timer.ElapsedSeconds();
-      return Decision::kEmptyGraph;
+      timer.Charge(&FilterRefineStats::seconds_graphs);
+      return LinkRung::kEmptyGraph;
     }
   }
   const BipartiteGraph graph =
       BuildGraph(dataset, sim, g1, g2, config.theta, batch);
-  if (timing != nullptr) timing->seconds_graphs += timer.ElapsedSeconds();
-
-  if (graph.edges().empty()) return Decision::kEmptyGraph;
-
-  timer.Reset();
-  if (config.use_upper_bound_filter &&
-      UpperBoundMeasure(graph, size_left, size_right) < config.group_threshold) {
-    if (timing != nullptr) timing->seconds_bounds += timer.ElapsedSeconds();
-    return Decision::kPrunedByUpperBound;
-  }
-  if (config.use_lower_bound_accept &&
-      GreedyLowerBound(graph, size_left, size_right) >= config.group_threshold) {
-    if (timing != nullptr) timing->seconds_bounds += timer.ElapsedSeconds();
-    return Decision::kAcceptedByLowerBound;
-  }
-  if (timing != nullptr) timing->seconds_bounds += timer.ElapsedSeconds();
-
-  timer.Reset();
-  // Matcher budget: on oversized pairs decide from the sound greedy lower
-  // bound instead of running Hungarian. LB <= BM, so a degraded accept is
-  // always a true link and a degraded reject can only under-link —
-  // subset-safe, and deterministic (the cost depends only on the pair).
-  const int64_t matcher_cost =
-      static_cast<int64_t>(size_left) * static_cast<int64_t>(size_right);
-  if (ctx != nullptr && ctx->ExceedsMatcherBudget(matcher_cost)) {
-    const bool link =
-        GreedyLowerBound(graph, size_left, size_right) >= config.group_threshold;
-    if (timing != nullptr) timing->seconds_refine += timer.ElapsedSeconds();
-    return link ? Decision::kDegradedLink : Decision::kDegradedNoLink;
-  }
-  const double refined = BmMeasure(graph, size_left, size_right, ctx).value;
-  // Even a stop-degraded partial matching weighs at most the optimum, so
-  // the upper bound must dominate the refined value unconditionally.
-  GL_DCHECK_LE(refined,
-               UpperBoundMeasure(graph, size_left, size_right) + kBoundSlack)
-      << "upper bound does not dominate refined BM for pair (" << g1 << ", "
-      << g2 << ")";
-  const bool link = refined >= config.group_threshold;
-  if (timing != nullptr) timing->seconds_refine += timer.ElapsedSeconds();
-  return link ? Decision::kRefinedLink : Decision::kRefinedNoLink;
+  timer.Charge(&FilterRefineStats::seconds_graphs);
+  return DecideGraphRung(graph, dataset.GroupSize(g1), dataset.GroupSize(g2),
+                         config, ctx, timing);
 }
 
-// Deterministic candidate cap: keeps the `cap` pairs with the highest
-// upper-bound score (ties to the lower index), sheds the rest. Returns
-// the kept flags. The UB pass itself is not stop-checked so the kept set
-// depends only on the candidates, never on timing or thread count.
+// Deterministic candidate cap: the kept flags of KeepHighestUpperBounds
+// over every candidate's upper bound. The UB pass itself is not
+// stop-checked so the kept set depends only on the candidates, never on
+// timing or thread count.
 std::vector<char> CapCandidatesByUpperBound(
     const Dataset& dataset, const RecordSimFn& sim,
     const std::vector<std::pair<int32_t, int32_t>>& candidates, double theta,
@@ -149,16 +118,7 @@ std::vector<char> CapCandidatesByUpperBound(
       ub[i] = UpperBoundMeasure(graph, dataset.GroupSize(g1), dataset.GroupSize(g2));
     }
   });
-  std::vector<size_t> order(candidates.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::nth_element(order.begin(), order.begin() + static_cast<ptrdiff_t>(cap),
-                   order.end(), [&](size_t a, size_t b) {
-                     if (ub[a] != ub[b]) return ub[a] > ub[b];
-                     return a < b;
-                   });
-  std::vector<char> keep(candidates.size(), 0);
-  for (size_t k = 0; k < cap; ++k) keep[order[k]] = 1;
-  return keep;
+  return KeepHighestUpperBounds(ub, cap);
 }
 
 }  // namespace
@@ -174,7 +134,7 @@ std::vector<std::pair<int32_t, int32_t>> FilterRefineLink(
   s.candidates = candidates.size();
 
   const bool parallel = pool != nullptr && pool->num_threads() > 1;
-  std::vector<Decision> decisions(candidates.size(), Decision::kSkipped);
+  std::vector<LinkRung> rungs(candidates.size(), LinkRung::kSkipped);
 
   // Batched-scoring setup: per-group token unions for the zero-overlap
   // precheck (independent per group, so the build parallelizes).
@@ -196,7 +156,7 @@ std::vector<std::pair<int32_t, int32_t>> FilterRefineLink(
     keep = CapCandidatesByUpperBound(dataset, sim, candidates, config.theta, cap,
                                      parallel ? pool : nullptr, batch);
     for (size_t i = 0; i < keep.size(); ++i) {
-      if (!keep[i]) decisions[i] = Decision::kShedByCap;
+      if (!keep[i]) rungs[i] = LinkRung::kShedByCap;
     }
     ctx->NoteDegraded();
   }
@@ -205,51 +165,16 @@ std::vector<std::pair<int32_t, int32_t>> FilterRefineLink(
       parallel ? pool : nullptr, candidates.size(),
       [&](size_t i) {
         if (!keep.empty() && !keep[i]) return;  // Stays kShedByCap.
-        decisions[i] = DecidePair(dataset, sim, candidates[i].first,
-                                  candidates[i].second, config,
-                                  parallel ? nullptr : &s, ctx, batch);
+        rungs[i] = DecidePair(dataset, sim, candidates[i].first,
+                              candidates[i].second, config,
+                              parallel ? nullptr : &s, ctx, batch);
       },
       ctx);
 
   std::vector<std::pair<int32_t, int32_t>> linked;
   for (size_t i = 0; i < candidates.size(); ++i) {
-    bool link = false;
-    switch (decisions[i]) {
-      case Decision::kSkipped:
-        ++s.skipped;
-        break;
-      case Decision::kShedByCap:
-        ++s.shed_candidates;
-        break;
-      case Decision::kEmptyGraph:
-        ++s.empty_graphs;
-        break;
-      case Decision::kPrunedByUpperBound:
-        ++s.pruned_by_upper_bound;
-        break;
-      case Decision::kAcceptedByLowerBound:
-        ++s.accepted_by_lower_bound;
-        link = true;
-        break;
-      case Decision::kRefinedLink:
-        ++s.refined;
-        link = true;
-        break;
-      case Decision::kRefinedNoLink:
-        ++s.refined;
-        break;
-      case Decision::kDegradedLink:
-        ++s.degraded_refines;
-        link = true;
-        break;
-      case Decision::kDegradedNoLink:
-        ++s.degraded_refines;
-        break;
-    }
-    if (link) {
-      linked.push_back(candidates[i]);
-      ++s.linked;
-    }
+    CountRung(rungs[i], &s);
+    if (RungLinks(rungs[i])) linked.push_back(candidates[i]);
   }
   if (ctx != nullptr && (s.skipped > 0 || s.degraded_refines > 0)) {
     ctx->NoteDegraded();
@@ -279,29 +204,98 @@ std::vector<std::pair<int32_t, int32_t>> FilterRefineLink(
   return linked;
 }
 
-bool DecideGraphLinked(const BipartiteGraph& graph, int32_t size_left,
-                       int32_t size_right, const FilterRefineConfig& config,
-                       const ExecutionContext* ctx) {
-  // Keep this ladder in lockstep with DecidePair above: the streaming and
-  // serving paths decide single pairs through here, and the equivalence
-  // tests hold their links bit-equal to the batch pipeline's.
-  if (graph.edges().empty()) return false;
+std::vector<char> KeepHighestUpperBounds(const std::vector<double>& ub,
+                                         size_t cap) {
+  std::vector<size_t> order(ub.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::nth_element(order.begin(), order.begin() + static_cast<ptrdiff_t>(cap),
+                   order.end(), [&](size_t a, size_t b) {
+                     if (ub[a] != ub[b]) return ub[a] > ub[b];
+                     return a < b;
+                   });
+  std::vector<char> keep(ub.size(), 0);
+  for (size_t k = 0; k < cap; ++k) keep[order[k]] = 1;
+  return keep;
+}
+
+void CountRung(LinkRung rung, FilterRefineStats* stats) {
+  switch (rung) {
+    case LinkRung::kSkipped:
+      ++stats->skipped;
+      break;
+    case LinkRung::kShedByCap:
+      ++stats->shed_candidates;
+      break;
+    case LinkRung::kEmptyGraph:
+      ++stats->empty_graphs;
+      break;
+    case LinkRung::kPrunedByUpperBound:
+      ++stats->pruned_by_upper_bound;
+      break;
+    case LinkRung::kAcceptedByLowerBound:
+      ++stats->accepted_by_lower_bound;
+      break;
+    case LinkRung::kRefinedLink:
+    case LinkRung::kRefinedNoLink:
+      ++stats->refined;
+      break;
+    case LinkRung::kDegradedLink:
+    case LinkRung::kDegradedNoLink:
+      ++stats->degraded_refines;
+      break;
+  }
+  if (RungLinks(rung)) ++stats->linked;
+}
+
+LinkRung DecideGraphRung(const BipartiteGraph& graph, int32_t size_left,
+                         int32_t size_right, const FilterRefineConfig& config,
+                         const ExecutionContext* ctx, FilterRefineStats* timing) {
+  if (graph.edges().empty()) return LinkRung::kEmptyGraph;
+
+  PhaseTimer timer(timing);
   if (config.use_upper_bound_filter &&
       UpperBoundMeasure(graph, size_left, size_right) < config.group_threshold) {
-    return false;
+    timer.Charge(&FilterRefineStats::seconds_bounds);
+    return LinkRung::kPrunedByUpperBound;
   }
   if (config.use_lower_bound_accept &&
       GreedyLowerBound(graph, size_left, size_right) >= config.group_threshold) {
-    return true;
+    timer.Charge(&FilterRefineStats::seconds_bounds);
+    return LinkRung::kAcceptedByLowerBound;
   }
+  timer.Charge(&FilterRefineStats::seconds_bounds);
+
+  // Matcher budget: on oversized pairs decide from the sound greedy lower
+  // bound instead of running Hungarian. LB <= BM, so a degraded accept is
+  // always a true link and a degraded reject can only under-link —
+  // subset-safe, and deterministic (the cost depends only on the pair).
   const int64_t matcher_cost =
       static_cast<int64_t>(size_left) * static_cast<int64_t>(size_right);
   if (ctx != nullptr && ctx->ExceedsMatcherBudget(matcher_cost)) {
-    ctx->NoteDegraded();
-    return GreedyLowerBound(graph, size_left, size_right) >= config.group_threshold;
+    const bool link =
+        GreedyLowerBound(graph, size_left, size_right) >= config.group_threshold;
+    timer.Charge(&FilterRefineStats::seconds_refine);
+    return link ? LinkRung::kDegradedLink : LinkRung::kDegradedNoLink;
   }
-  return BmMeasure(graph, size_left, size_right, ctx).value >=
-         config.group_threshold;
+  const double refined = BmMeasure(graph, size_left, size_right, ctx).value;
+  // Even a stop-degraded partial matching weighs at most the optimum, so
+  // the upper bound must dominate the refined value unconditionally.
+  GL_DCHECK_LE(refined,
+               UpperBoundMeasure(graph, size_left, size_right) + kBoundSlack)
+      << "upper bound does not dominate refined BM";
+  timer.Charge(&FilterRefineStats::seconds_refine);
+  return refined >= config.group_threshold ? LinkRung::kRefinedLink
+                                           : LinkRung::kRefinedNoLink;
+}
+
+bool DecideGraphLinked(const BipartiteGraph& graph, int32_t size_left,
+                       int32_t size_right, const FilterRefineConfig& config,
+                       const ExecutionContext* ctx) {
+  const LinkRung rung = DecideGraphRung(graph, size_left, size_right, config, ctx);
+  if (rung == LinkRung::kDegradedLink || rung == LinkRung::kDegradedNoLink) {
+    ctx->NoteDegraded();
+  }
+  return RungLinks(rung);
 }
 
 std::vector<std::pair<int32_t, int32_t>> BruteForceBmLink(

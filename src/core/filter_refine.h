@@ -89,19 +89,61 @@ struct FilterRefineStats {
     ThreadPool* pool = nullptr, ExecutionContext* ctx = nullptr,
     const VectorStore* store = nullptr);
 
-/// Single-pair link decision on a prebuilt θ-thresholded similarity
-/// graph: the exact decision ladder of the pipeline's per-pair scoring —
-/// empty graph -> no link, UB < Θ -> prune, LB >= Θ -> accept, matcher
-/// budget trip -> decide from the sound LB (marking `ctx` degraded),
-/// otherwise exact BM >= Θ. This is the one definition of "do these two
-/// groups link" shared by the streaming arrival path
-/// (IncrementalLinker::DecideLink) and the serving read path
-/// (CorpusSnapshot::LinkQuery); FilterRefineLink's batch loop keeps its
-/// own stats-annotated copy of the same ladder, which the streaming ==
-/// batch equivalence suite holds bit-equal to this one.
+/// The rung of the filter-and-refine ladder that decided one candidate
+/// pair. kSkipped is the default of a preallocated slot, so a pair a stop
+/// request kept from being scored stays well defined; kShedByCap marks a
+/// pair the candidate cap dropped before scoring. DecideGraphRung returns
+/// every other rung.
+enum class LinkRung : uint8_t {
+  kSkipped = 0,
+  kShedByCap,
+  kEmptyGraph,
+  kPrunedByUpperBound,
+  kAcceptedByLowerBound,
+  kRefinedLink,
+  kRefinedNoLink,
+  kDegradedLink,
+  kDegradedNoLink,
+};
+
+/// Whether a pair decided at `rung` links.
+constexpr bool RungLinks(LinkRung rung) {
+  return rung == LinkRung::kAcceptedByLowerBound ||
+         rung == LinkRung::kRefinedLink || rung == LinkRung::kDegradedLink;
+}
+
+/// Adds one decided pair to the per-rung counters of `stats` (skipped,
+/// shed_candidates, empty_graphs, pruned_by_upper_bound,
+/// accepted_by_lower_bound, refined, degraded_refines, and linked).
+void CountRung(LinkRung rung, FilterRefineStats* stats);
+
+/// The candidate cap of the batch strategies: keeps the `cap` pairs with
+/// the highest upper-bound score `ub` (ties to the lower index) and
+/// returns per-pair keep flags. Deterministic: it depends on the scores
+/// alone, never on timing or thread count.
+[[nodiscard]] std::vector<char> KeepHighestUpperBounds(const std::vector<double>& ub,
+                                                       size_t cap);
+
+/// The one link decision of the system, on a prebuilt θ-thresholded
+/// similarity graph: empty graph -> no link, UB < Θ -> prune, LB >= Θ ->
+/// accept, matcher budget trip -> decide from the sound LB (a degraded
+/// rung), otherwise exact BM >= Θ. Every entry point decides through it:
+/// the batch per-pair pipeline (FilterRefineLink), the edge join's bucket
+/// scoring, the streaming arrival path and the link-query pipeline.
 ///
 /// `size_left` / `size_right` are the group sizes |g1| / |g2| (the graph
-/// only has cross edges, so isolated records are invisible to it).
+/// only has cross edges, so isolated records are invisible to it). With
+/// a non-null `timing`, the time spent in the bounds and in the refine
+/// step is added to its seconds_bounds / seconds_refine; with a null one
+/// no clock is read. The caller records a degraded rung on its context.
+[[nodiscard]] LinkRung DecideGraphRung(const BipartiteGraph& graph,
+                                       int32_t size_left, int32_t size_right,
+                                       const FilterRefineConfig& config,
+                                       const ExecutionContext* ctx = nullptr,
+                                       FilterRefineStats* timing = nullptr);
+
+/// RungLinks(DecideGraphRung(...)), marking `ctx` degraded when the
+/// matcher budget decided the pair.
 [[nodiscard]] bool DecideGraphLinked(const BipartiteGraph& graph,
                                      int32_t size_left, int32_t size_right,
                                      const FilterRefineConfig& config,

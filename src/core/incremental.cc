@@ -456,9 +456,9 @@ std::vector<int32_t> IncrementalLinker::CandidateGroups(
 bool IncrementalLinker::DecideLink(int32_t g1, int32_t g2,
                                    const ExecutionContext* ctx) const {
   // Builds the θ-thresholded graph, then decides through the shared
-  // DecideGraphLinked ladder (filter_refine.h) — the same decision order
-  // as the engine's DecidePair, so arrival decisions agree bitwise with
-  // the batch scoring of the same pair.
+  // ladder (DecideGraphLinked, filter_refine.h) that the engine's batch
+  // scoring also uses, so arrival decisions agree bitwise with the batch
+  // scoring of the same pair.
   const std::vector<int32_t>& left = group_records_[static_cast<size_t>(g1)];
   const std::vector<int32_t>& right = group_records_[static_cast<size_t>(g2)];
   const int32_t size_left = static_cast<int32_t>(left.size());
@@ -472,14 +472,7 @@ bool IncrementalLinker::DecideLink(int32_t g1, int32_t g2,
       }
     }
   }
-  FilterRefineConfig fr_config;
-  fr_config.theta = config_.theta;
-  fr_config.group_threshold = config_.group_threshold;
-  fr_config.use_upper_bound_filter =
-      config_.use_filter_refine && config_.use_upper_bound_filter;
-  fr_config.use_lower_bound_accept =
-      config_.use_filter_refine && config_.use_lower_bound_accept;
-  return DecideGraphLinked(graph, size_left, size_right, fr_config, ctx);
+  return DecideGraphLinked(graph, size_left, size_right, config_.Ladder(), ctx);
 }
 
 void IncrementalLinker::RemoveGroup(int32_t group) {
@@ -605,13 +598,6 @@ void IncrementalLinker::Refresh() {
 
   // Rescore through the engine's own filter-and-refine code on a
   // group-view dataset (records are reached by id via the sim callback).
-  FilterRefineConfig fr_config;
-  fr_config.theta = config_.theta;
-  fr_config.group_threshold = config_.group_threshold;
-  fr_config.use_upper_bound_filter =
-      config_.use_filter_refine && config_.use_upper_bound_filter;
-  fr_config.use_lower_bound_accept =
-      config_.use_filter_refine && config_.use_lower_bound_accept;
   const Dataset view = GroupView();
   // Refresh gets its own context (the deadline clock restarts here): a
   // degraded refresh still leaves a consistent, subset-valid link set,
@@ -624,7 +610,7 @@ void IncrementalLinker::Refresh() {
   ctx.SetMaxMatcherCost(config_.max_matcher_cost);
   linked_pairs_ = FilterRefineLink(
       view, [this](int32_t a, int32_t b) { return RecordSimilarity(a, b); },
-      candidates, fr_config, /*stats=*/nullptr, pool(), &ctx);
+      candidates, config_.Ladder(), /*stats=*/nullptr, pool(), &ctx);
   RebuildClusters();
 
   ++epoch_;

@@ -327,12 +327,13 @@ LinkageResult LinkageEngine::RunInternal(const RecordSimFn& sim,
   if (config_.use_edge_join && config_.measure == GroupMeasureKind::kBm) {
     // Global edge join replaces both candidate generation and per-pair
     // graph construction.
+    const FilterRefineConfig ladder = config_.Ladder();
     EdgeJoinConfig ej_config;
     ej_config.theta = config_.theta;
     ej_config.group_threshold = config_.group_threshold;
     ej_config.join_jaccard = config_.join_jaccard;
-    ej_config.use_upper_bound_filter = config_.use_upper_bound_filter;
-    ej_config.use_lower_bound_accept = config_.use_lower_bound_accept;
+    ej_config.use_upper_bound_filter = ladder.use_upper_bound_filter;
+    ej_config.use_lower_bound_accept = ladder.use_lower_bound_accept;
     ej_config.num_threads = config_.num_threads;
     EdgeJoinStats ej_stats;
     result.linked_pairs = EdgeJoinLink(
@@ -355,20 +356,13 @@ LinkageResult LinkageEngine::RunInternal(const RecordSimFn& sim,
       CandidatesStageFromStats(cand_stats, timer.ElapsedSeconds()));
 
   timer.Reset();
-  FilterRefineConfig fr_config;
-  fr_config.theta = config_.theta;
-  fr_config.group_threshold = config_.group_threshold;
-  fr_config.use_upper_bound_filter =
-      config_.use_filter_refine && config_.use_upper_bound_filter;
-  fr_config.use_lower_bound_accept =
-      config_.use_filter_refine && config_.use_lower_bound_accept;
-
   FilterRefineStats fr_stats;
   {
     GL_TRACE_SPAN("linkage.score");
     if (config_.measure == GroupMeasureKind::kBm) {
-      result.linked_pairs = FilterRefineLink(*dataset_, sim, candidates, fr_config,
-                                             &fr_stats, pool(), &ctx, store);
+      result.linked_pairs = FilterRefineLink(*dataset_, sim, candidates,
+                                             config_.Ladder(), &fr_stats, pool(),
+                                             &ctx, store);
     } else {
       // Baseline measures: direct evaluation per candidate. The binary
       // Jaccard baseline builds its graph at the (stricter) equality cutoff.

@@ -76,7 +76,8 @@ struct LinkageConfig {
   /// the S-curve midpoint near Jaccard 0.25 (1/16)^(1/2).
   int32_t minhash_bands = 16;
   int32_t minhash_rows = 2;
-  /// Use the filter-and-refine pipeline when measure == kBm.
+  /// Use the filter-and-refine pipeline when measure == kBm. Off, every
+  /// strategy decides BM >= Θ exactly (both bound switches read as off).
   bool use_filter_refine = true;
   /// Individual bound switches (ablations; both on by default).
   bool use_upper_bound_filter = true;
@@ -124,6 +125,13 @@ struct LinkageConfig {
   /// calls this; call it directly to fail fast when configs come from
   /// user input.
   Status Validate() const;
+
+  /// The filter-and-refine ladder every strategy decides pairs with: θ, Θ
+  /// and each bound switch ANDed with use_filter_refine.
+  FilterRefineConfig Ladder() const {
+    return {theta, group_threshold, use_filter_refine && use_upper_bound_filter,
+            use_filter_refine && use_lower_bound_accept};
+  }
 };
 
 /// Output of LinkageEngine::Run.

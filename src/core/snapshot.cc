@@ -112,7 +112,7 @@ Result<std::shared_ptr<const CorpusSnapshot>> CorpusSnapshot::FromParts(
   return std::shared_ptr<const CorpusSnapshot>(std::move(snapshot));
 }
 
-std::vector<int32_t> CorpusSnapshot::CandidateGroupsForProbe(
+Result<std::vector<int32_t>> CorpusSnapshot::CandidateGroups(
     const std::vector<std::vector<int32_t>>& probe_token_ids) const {
   std::vector<int32_t> groups;
   for (const std::vector<int32_t>& ids : probe_token_ids) {
@@ -130,10 +130,18 @@ std::vector<int32_t> CorpusSnapshot::CandidateGroupsForProbe(
 CorpusSnapshot::QueryResult CorpusSnapshot::LinkQuery(
     const GroupArrival& group, const QueryOptions& options) const {
   GL_CHECK_EQ(seal_, kSealed) << "LinkQuery on an unsealed snapshot";
-  GL_CHECK(!group.record_texts.empty()) << "groups must have records";
+  // Reads from RAM cannot fail, so the Result always holds an answer.
+  return RunLinkQuery(*this, group, options).value();
+}
 
-  QueryResult result;
-  result.epoch = epoch_;
+Result<CorpusSnapshot::QueryResult> RunLinkQuery(
+    const QueryCorpus& corpus, const GroupArrival& group,
+    const CorpusSnapshot::QueryOptions& options) {
+  GL_CHECK(!group.record_texts.empty()) << "groups must have records";
+  const LinkageConfig& config = corpus.engine_config();
+
+  CorpusSnapshot::QueryResult result;
+  result.epoch = corpus.epoch();
 
   // Probe preparation mirrors the arrival path (AddGroups phases A-C) on
   // the frozen epoch: tokenize, map tokens into the index id space for
@@ -141,17 +149,19 @@ CorpusSnapshot::QueryResult CorpusSnapshot::LinkQuery(
   // the index has never seen cannot match any posting (an arrival would
   // have absorbed them with empty postings), so dropping them here yields
   // the identical candidate set.
+  const Vocabulary& index_vocab = corpus.index_vocab();
+  const Vocabulary& epoch_vocab = corpus.epoch_vocab();
   const size_t probe_size = group.record_texts.size();
   std::vector<std::vector<int32_t>> probe_ids(probe_size);
   std::vector<SparseVector> probe_vectors(probe_size);
-  const TfIdfVectorizer vectorizer(&epoch_vocab_);
+  const TfIdfVectorizer vectorizer(&epoch_vocab);
   for (size_t i = 0; i < probe_size; ++i) {
     const std::vector<std::string> raw = Tokenize(group.record_texts[i]);
     const std::vector<std::string> set = ToTokenSet(raw);
     for (const std::string& token : set) {
-      const int32_t id = index_vocab_.GetId(token);
+      const int32_t id = index_vocab.GetId(token);
       if (id != Vocabulary::kUnknownToken) probe_ids[i].push_back(id);
-      if (epoch_vocab_.GetId(token) == Vocabulary::kUnknownToken) {
+      if (epoch_vocab.GetId(token) == Vocabulary::kUnknownToken) {
         ++result.oov_tokens;
       }
     }
@@ -165,7 +175,8 @@ CorpusSnapshot::QueryResult CorpusSnapshot::LinkQuery(
   ctx.SetMaxCandidatePairs(options.max_candidate_pairs);
   ctx.SetMaxMatcherCost(options.max_matcher_cost);
 
-  std::vector<int32_t> candidates = CandidateGroupsForProbe(probe_ids);
+  GL_ASSIGN_OR_RETURN(std::vector<int32_t> candidates,
+                      corpus.CandidateGroups(probe_ids));
   const size_t cap = ctx.EffectiveCandidateCap(candidates.size());
   if (cap < candidates.size()) {
     candidates.resize(cap);
@@ -173,15 +184,9 @@ CorpusSnapshot::QueryResult CorpusSnapshot::LinkQuery(
   }
   result.candidates = candidates.size();
 
-  FilterRefineConfig fr_config;
-  fr_config.theta = config_.theta;
-  fr_config.group_threshold = config_.group_threshold;
-  fr_config.use_upper_bound_filter =
-      config_.use_filter_refine && config_.use_upper_bound_filter;
-  fr_config.use_lower_bound_accept =
-      config_.use_filter_refine && config_.use_lower_bound_accept;
-
+  const FilterRefineConfig ladder = config.Ladder();
   const int32_t size_right = static_cast<int32_t>(probe_size);
+  SparseVector scratch;
   for (const int32_t g : candidates) {
     if (ctx.StopRequested()) {
       ctx.NoteDegraded();
@@ -189,21 +194,21 @@ CorpusSnapshot::QueryResult CorpusSnapshot::LinkQuery(
     }
     // The corpus group is the left side, the probe the right — the same
     // orientation as the arrival path's DecideLink(other, new_group).
-    const std::vector<int32_t>& left = group_records_[static_cast<size_t>(g)];
+    const std::vector<int32_t>& left = corpus.GroupRecords(g);
     const int32_t size_left = static_cast<int32_t>(left.size());
     BipartiteGraph graph(size_left, size_right);
     for (size_t i = 0; i < left.size(); ++i) {
-      const SparseVector& corpus_vector =
-          record_vectors_[static_cast<size_t>(left[i])];
+      GL_ASSIGN_OR_RETURN(const SparseVector* corpus_vector,
+                          corpus.RecordVector(left[i], &scratch));
       for (size_t j = 0; j < probe_size; ++j) {
         const double s =
-            PrenormalizedCosineSimilarity(corpus_vector, probe_vectors[j]);
-        if (s >= config_.theta) {
+            PrenormalizedCosineSimilarity(*corpus_vector, probe_vectors[j]);
+        if (s >= config.theta) {
           graph.AddEdge(static_cast<int32_t>(i), static_cast<int32_t>(j), s);
         }
       }
     }
-    if (DecideGraphLinked(graph, size_left, size_right, fr_config, &ctx)) {
+    if (DecideGraphLinked(graph, size_left, size_right, ladder, &ctx)) {
       result.linked_to.push_back(g);
     }
   }
@@ -227,6 +232,11 @@ bool CorpusSnapshot::CheckConsistency() const {
   if (alive != num_alive_groups_) return false;
   for (const int32_t g : record_group_) {
     if (g < 0 || static_cast<size_t>(g) >= n_groups) return false;
+  }
+  for (const std::vector<int32_t>& records : group_records_) {
+    for (const int32_t r : records) {
+      if (r < 0 || static_cast<size_t>(r) >= n_records) return false;
+    }
   }
   std::pair<int32_t, int32_t> prev{-1, -1};
   for (const auto& pair : linked_pairs_) {

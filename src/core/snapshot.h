@@ -16,6 +16,39 @@
 
 namespace grouplink {
 
+/// The read surface of one frozen epoch that the link-query pipeline
+/// (RunLinkQuery) reads: the engine config, the two vocabularies,
+/// candidate generation over the token index, group membership and the
+/// per-record TF-IDF vectors. CorpusSnapshot serves it from RAM; the
+/// storage tier's StoredCorpus serves it through a buffer pool, so the
+/// page format stays behind this interface. Implementations are
+/// immutable: every method is safe to call from any number of threads.
+class QueryCorpus {
+ public:
+  [[nodiscard]] virtual const LinkageConfig& engine_config() const = 0;
+  [[nodiscard]] virtual int64_t epoch() const = 0;
+  /// Maps probe tokens into the token index's id space.
+  [[nodiscard]] virtual const Vocabulary& index_vocab() const = 0;
+  /// The epoch TF-IDF statistics probes are vectorized against.
+  [[nodiscard]] virtual const Vocabulary& epoch_vocab() const = 0;
+  /// Live groups owning a non-tombstoned record that shares an index
+  /// token with any probe record (one sorted index-id list per record).
+  /// Ascending, deduplicated.
+  [[nodiscard]] virtual Result<std::vector<int32_t>> CandidateGroups(
+      const std::vector<std::vector<int32_t>>& probe_token_ids) const = 0;
+  /// Record ids of group `g`.
+  [[nodiscard]] virtual const std::vector<int32_t>& GroupRecords(int32_t g) const = 0;
+  /// TF-IDF vector of record `r`: a pointer into the corpus's own memory,
+  /// or to `*scratch` after decoding into it. Valid until the next call
+  /// with the same scratch.
+  [[nodiscard]] virtual Result<const SparseVector*> RecordVector(
+      int32_t r, SparseVector* scratch) const = 0;
+
+ protected:
+  // Implementations are owned and destroyed as themselves.
+  ~QueryCorpus() = default;
+};
+
 /// An immutable, self-contained freeze of one serving epoch: the corpus
 /// TF-IDF vectors, the token inverted index, group membership and labels,
 /// the link set, and the entity cluster labels — everything LinkQuery
@@ -34,12 +67,13 @@ namespace grouplink {
 /// path under this epoch's frozen statistics — tokenize, vectorize
 /// against the epoch vocabulary (unseen tokens drop out of the vector),
 /// candidates by token blocking over the index, then the shared
-/// filter-and-refine ladder (DecideGraphLinked) per candidate. So a query
+/// filter-and-refine ladder (DecideGraphLinked) per candidate; the
+/// pipeline is RunLinkQuery over this snapshot's QueryCorpus. So a query
 /// against the epoch-k snapshot returns bit-identically the links that
 /// linker.Clone()->AddGroup(G) would have produced at the capture point —
 /// and at a refresh point that equals a batch LinkageEngine run over the
 /// epoch corpus plus G (tested in tests/core_snapshot_test.cc).
-class CorpusSnapshot {
+class CorpusSnapshot final : public QueryCorpus {
  public:
   /// Per-query admission control, mapped onto ExecutionContext: a
   /// deadline, a cooperative cancellation token, and work budgets. Zero
@@ -93,7 +127,7 @@ class CorpusSnapshot {
   }
 
   /// Epoch number this snapshot froze (== linker.epoch() at capture).
-  int64_t epoch() const { return epoch_; }
+  int64_t epoch() const override { return epoch_; }
   /// All links over live groups, (i < j) pairs sorted lexicographically —
   /// at a refresh point, bit-identical to the batch engine's link set on
   /// the epoch corpus.
@@ -118,13 +152,14 @@ class CorpusSnapshot {
   }
   /// The normalized engine configuration this snapshot scores with (same
   /// contract as IncrementalLinker::engine_config).
-  const LinkageConfig& engine_config() const { return config_; }
+  const LinkageConfig& engine_config() const override { return config_; }
 
   /// Structural self-check of the frozen state: the seal sentinel written
-  /// as Capture's last step, cross-array size agreement, sorted (i < j)
-  /// link pairs over live groups. Soak readers call this to prove no
-  /// query ever observes a half-built epoch; any violation would mean the
-  /// publication barrier broke. Cheap enough to run per query batch.
+  /// as Capture's last step, cross-array size agreement, group and record
+  /// ids in range, sorted (i < j) link pairs over live groups. Soak
+  /// readers call this to prove no query ever observes a half-built
+  /// epoch; any violation would mean the publication barrier broke. Cheap
+  /// enough to run per query batch.
   [[nodiscard]] bool CheckConsistency() const;
 
   // --- Storage-tier surface (src/storage/). A snapshot is the unit of
@@ -161,8 +196,8 @@ class CorpusSnapshot {
   /// Read access to the frozen parts, for serialization and for the
   /// warm-restart writer rebuild (IncrementalLinker::FromSnapshot). The
   /// referenced state is immutable for the snapshot's lifetime.
-  const Vocabulary& index_vocab() const { return index_vocab_; }
-  const Vocabulary& epoch_vocab() const { return epoch_vocab_; }
+  const Vocabulary& index_vocab() const override { return index_vocab_; }
+  const Vocabulary& epoch_vocab() const override { return epoch_vocab_; }
   const InvertedIndex& token_index() const { return token_index_; }
   const std::vector<SparseVector>& record_vectors() const {
     return record_vectors_;
@@ -181,13 +216,19 @@ class CorpusSnapshot {
   const std::vector<std::string>& group_labels() const { return group_labels_; }
   const std::vector<char>& group_alive() const { return group_alive_; }
 
+  // QueryCorpus, served from the frozen vectors in RAM (never fails).
+  Result<std::vector<int32_t>> CandidateGroups(
+      const std::vector<std::vector<int32_t>>& probe_token_ids) const override;
+  const std::vector<int32_t>& GroupRecords(int32_t g) const override {
+    return group_records_[static_cast<size_t>(g)];
+  }
+  Result<const SparseVector*> RecordVector(int32_t r,
+                                           SparseVector* /*scratch*/) const override {
+    return &record_vectors_[static_cast<size_t>(r)];
+  }
+
  private:
   CorpusSnapshot() = default;
-
-  /// Candidate groups for the probe's token-id lists: live groups sharing
-  /// at least one index token. Sorted ascending, deduplicated.
-  std::vector<int32_t> CandidateGroupsForProbe(
-      const std::vector<std::vector<int32_t>>& probe_token_ids) const;
 
   // All fields are written once inside Capture and frozen thereafter.
   LinkageConfig config_;
@@ -222,6 +263,17 @@ class CorpusSnapshot {
   uint64_t seal_ = 0;
   static constexpr uint64_t kSealed = 0x5ea1ed5ea1ed5eaULL;
 };
+
+/// The one link-query pipeline, over either QueryCorpus implementation:
+/// tokenize the probe, map it into the index id space, vectorize it
+/// against the epoch vocabulary, take candidates from the token index,
+/// cap them, build each candidate's θ-graph (corpus group left, probe
+/// right) and decide it with DecideGraphLinked, under an admission
+/// context built from `options`. Fails only when `corpus` fails to read.
+/// Empty record_texts is invalid (GL_CHECK).
+[[nodiscard]] Result<CorpusSnapshot::QueryResult> RunLinkQuery(
+    const QueryCorpus& corpus, const GroupArrival& group,
+    const CorpusSnapshot::QueryOptions& options);
 
 }  // namespace grouplink
 

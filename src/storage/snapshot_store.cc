@@ -325,15 +325,8 @@ Result<std::shared_ptr<const CorpusSnapshot>> SnapshotStore::Load(
     }
   }
 
-  // Group structure: every referenced record must exist (FromParts'
+  // Group structure (DecodeMeta range-checked its record ids; FromParts'
   // CheckConsistency covers the remaining invariants).
-  for (const std::vector<int32_t>& records : meta.group_records) {
-    for (const int32_t r : records) {
-      if (static_cast<size_t>(r) >= n_records) {
-        return Status::DataLoss("group references a record out of range");
-      }
-    }
-  }
   parts.record_group = std::move(meta.record_group);
   parts.group_records = std::move(meta.group_records);
   parts.group_labels = std::move(meta.group_labels);

@@ -48,8 +48,7 @@ Status ReadBitmap(ByteReader& reader, size_t count, std::vector<char>* out) {
 }  // namespace
 
 std::vector<uint8_t> EncodeHeaderPayload(const StoreInfo& info) {
-  std::vector<uint8_t> payload;
-  payload.insert(payload.end(), kFileMagic, kFileMagic + sizeof(kFileMagic));
+  std::vector<uint8_t> payload(kFileMagic, kFileMagic + sizeof(kFileMagic));
   PutFixed32(payload, kFormatVersion);
   PutFixed32(payload, info.page_bytes);
   PutFixed64(payload, info.num_pages);
@@ -274,6 +273,9 @@ Status DecodeMeta(const std::vector<uint8_t>& bytes, MetaData* out) {
   out->group_records.resize(n_groups);
   for (size_t g = 0; g < n_groups; ++g) {
     GL_RETURN_IF_ERROR(reader.ReadDeltaVarints(&out->group_records[g]));
+    for (const int32_t r : out->group_records[g]) {
+      if (r >= out->num_records) return BadStore("group_records out of range");
+    }
   }
   GL_ASSIGN_OR_RETURN(const int64_t n_pairs, reader.ReadCount());
   if (static_cast<uint64_t>(n_pairs) > bytes.size()) {

@@ -3,12 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/execution_context.h"
-#include "common/logging.h"
-#include "core/filter_refine.h"
-#include "matching/bipartite_graph.h"
 #include "text/tfidf.h"
-#include "text/tokenizer.h"
 
 namespace grouplink {
 namespace storage {
@@ -64,10 +59,10 @@ Result<std::unique_ptr<StoredCorpus>> StoredCorpus::Open(
 
 Result<std::vector<int32_t>> StoredCorpus::CandidateGroups(
     const std::vector<std::vector<int32_t>>& probe_token_ids) const {
-  // Same candidate set as CorpusSnapshot::CandidateGroupsForProbe: per
-  // probe record, documents sharing any token (tombstones excluded),
-  // mapped to their live groups; the final sort+unique makes per-list
-  // duplicate hits harmless, exactly as in the in-RAM path.
+  // Same candidate set as CorpusSnapshot::CandidateGroups: per probe
+  // record, documents sharing any token (tombstones excluded), mapped to
+  // their live groups; the final sort+unique makes per-list duplicate
+  // hits harmless, exactly as in the in-RAM path.
   std::vector<int32_t> groups;
   std::vector<int32_t> postings;
   for (const std::vector<int32_t>& ids : probe_token_ids) {
@@ -99,106 +94,33 @@ Result<std::vector<int32_t>> StoredCorpus::CandidateGroups(
   return groups;
 }
 
-Result<SparseVector> StoredCorpus::ReadVector(int32_t r) const {
+Result<const SparseVector*> StoredCorpus::RecordVector(int32_t r,
+                                                       SparseVector* scratch) const {
   const size_t index = static_cast<size_t>(r);
   const uint64_t begin = vectors_offsets_[index];
   const size_t n_bytes = static_cast<size_t>(vectors_offsets_[index + 1] - begin);
-  SparseVector vector;
-  if (n_bytes == 0) return vector;  // Tombstoned record: empty vector.
+  scratch->ids.clear();
+  scratch->weights.clear();
+  if (n_bytes == 0) return scratch;  // Tombstoned record: empty vector.
+  // The one paged read per corpus record; weights are the exact stored
+  // bits, so every similarity equals the in-RAM one.
   GL_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
                       vectors_reader_.ReadAt(begin, n_bytes));
   ByteReader reader(bytes.data(), bytes.size());
-  GL_RETURN_IF_ERROR(reader.ReadDeltaVarints(&vector.ids));
-  vector.weights.resize(vector.ids.size());
-  for (double& w : vector.weights) {
+  GL_RETURN_IF_ERROR(reader.ReadDeltaVarints(&scratch->ids));
+  scratch->weights.resize(scratch->ids.size());
+  for (double& w : scratch->weights) {
     GL_ASSIGN_OR_RETURN(w, reader.ReadDouble());
   }
   if (!reader.AtEnd()) {
     return Status::DataLoss("trailing bytes in record vector");
   }
-  return vector;
+  return scratch;
 }
 
 Result<CorpusSnapshot::QueryResult> StoredCorpus::LinkQuery(
     const GroupArrival& group, const CorpusSnapshot::QueryOptions& options) const {
-  GL_CHECK(!group.record_texts.empty()) << "groups must have records";
-
-  CorpusSnapshot::QueryResult result;
-  result.epoch = meta_.epoch;
-
-  // Probe preparation: field-for-field the in-RAM path's (see
-  // CorpusSnapshot::LinkQuery) — tokenize, map into the index id space,
-  // vectorize against the epoch vocabulary.
-  const size_t probe_size = group.record_texts.size();
-  std::vector<std::vector<int32_t>> probe_ids(probe_size);
-  std::vector<SparseVector> probe_vectors(probe_size);
-  const TfIdfVectorizer vectorizer(&epoch_vocab_);
-  for (size_t i = 0; i < probe_size; ++i) {
-    const std::vector<std::string> raw = Tokenize(group.record_texts[i]);
-    const std::vector<std::string> set = ToTokenSet(raw);
-    for (const std::string& token : set) {
-      const int32_t id = index_vocab_.GetId(token);
-      if (id != Vocabulary::kUnknownToken) probe_ids[i].push_back(id);
-      if (epoch_vocab_.GetId(token) == Vocabulary::kUnknownToken) {
-        ++result.oov_tokens;
-      }
-    }
-    std::sort(probe_ids[i].begin(), probe_ids[i].end());
-    probe_vectors[i] = vectorizer.Vectorize(raw);
-  }
-
-  ExecutionContext ctx;
-  if (options.deadline_ms > 0.0) ctx.SetDeadline(options.deadline_ms);
-  ctx.SetCancellation(options.cancellation);
-  ctx.SetMaxCandidatePairs(options.max_candidate_pairs);
-  ctx.SetMaxMatcherCost(options.max_matcher_cost);
-
-  GL_ASSIGN_OR_RETURN(std::vector<int32_t> candidates,
-                      CandidateGroups(probe_ids));
-  const size_t cap = ctx.EffectiveCandidateCap(candidates.size());
-  if (cap < candidates.size()) {
-    candidates.resize(cap);
-    ctx.NoteDegraded();
-  }
-  result.candidates = candidates.size();
-
-  FilterRefineConfig fr_config;
-  fr_config.theta = meta_.config.theta;
-  fr_config.group_threshold = meta_.config.group_threshold;
-  fr_config.use_upper_bound_filter =
-      meta_.config.use_filter_refine && meta_.config.use_upper_bound_filter;
-  fr_config.use_lower_bound_accept =
-      meta_.config.use_filter_refine && meta_.config.use_lower_bound_accept;
-
-  const int32_t size_right = static_cast<int32_t>(probe_size);
-  for (const int32_t g : candidates) {
-    if (ctx.StopRequested()) {
-      ctx.NoteDegraded();
-      break;
-    }
-    const std::vector<int32_t>& left =
-        meta_.group_records[static_cast<size_t>(g)];
-    const int32_t size_left = static_cast<int32_t>(left.size());
-    BipartiteGraph graph(size_left, size_right);
-    for (size_t i = 0; i < left.size(); ++i) {
-      // The one paged read per corpus record; weights are the exact
-      // stored bits, so every similarity below equals the in-RAM one.
-      GL_ASSIGN_OR_RETURN(const SparseVector corpus_vector,
-                          ReadVector(left[i]));
-      for (size_t j = 0; j < probe_size; ++j) {
-        const double s =
-            PrenormalizedCosineSimilarity(corpus_vector, probe_vectors[j]);
-        if (s >= meta_.config.theta) {
-          graph.AddEdge(static_cast<int32_t>(i), static_cast<int32_t>(j), s);
-        }
-      }
-    }
-    if (DecideGraphLinked(graph, size_left, size_right, fr_config, &ctx)) {
-      result.linked_to.push_back(g);
-    }
-  }
-  result.degraded = ctx.degraded();
-  return result;
+  return RunLinkQuery(*this, group, options);
 }
 
 }  // namespace storage

@@ -23,18 +23,20 @@ namespace storage {
 /// resident.
 ///
 /// Decision-procedure contract: LinkQuery here answers bit-identically
-/// to CorpusSnapshot::LinkQuery over the same epoch — same candidates,
-/// same similarity arithmetic (the stored weights are raw IEEE-754
-/// bits), same filter-and-refine ladder. The differential suite
-/// (tests/storage_differential_test.cc) holds both paths to one link
-/// set across thread counts and buffer budgets, down to a
-/// pathologically tiny pool.
+/// to CorpusSnapshot::LinkQuery over the same epoch, by construction:
+/// both run the one pipeline (RunLinkQuery) over the QueryCorpus
+/// interface, and this class only supplies the reads — the same
+/// candidate set, and vectors whose stored weights are the raw IEEE-754
+/// bits of the in-RAM ones. The differential suite
+/// (tests/storage_differential_test.cc) remains the proof, across thread
+/// counts, buffer budgets down to a pathologically tiny pool, and
+/// admission-control options.
 ///
 /// Thread safety: every method is const over immutable resident state;
 /// the buffer pool is internally synchronized. Any number of threads
 /// may query concurrently. Queries pin at most one page at a time, so
 /// even a one-frame pool makes progress.
-class StoredCorpus {
+class StoredCorpus final : public QueryCorpus {
  public:
   /// Opens the store at `path`, loading resident metadata and building
   /// a buffer pool of `options.buffer_pool_pages` frames
@@ -50,29 +52,39 @@ class StoredCorpus {
       const GroupArrival& group,
       const CorpusSnapshot::QueryOptions& options = {}) const;
 
-  [[nodiscard]] int64_t epoch() const { return meta_.epoch; }
+  [[nodiscard]] int64_t epoch() const override { return meta_.epoch; }
   [[nodiscard]] int32_t num_records() const {
     return static_cast<int32_t>(meta_.num_records);
   }
   [[nodiscard]] int32_t num_groups() const {
     return static_cast<int32_t>(meta_.num_groups);
   }
-  [[nodiscard]] const LinkageConfig& engine_config() const { return meta_.config; }
+  [[nodiscard]] const LinkageConfig& engine_config() const override {
+    return meta_.config;
+  }
   /// Buffer-pool counters since Open (per-budget bench rows).
   [[nodiscard]] BufferStats buffer_stats() const { return buffer_->stats(); }
   [[nodiscard]] size_t pool_pages() const { return buffer_->pool_pages(); }
 
+  // QueryCorpus, served through the buffer pool: posting lists are read
+  // page by page, and each record vector is decoded into the caller's
+  // scratch.
+  [[nodiscard]] const Vocabulary& index_vocab() const override {
+    return index_vocab_;
+  }
+  [[nodiscard]] const Vocabulary& epoch_vocab() const override {
+    return epoch_vocab_;
+  }
+  [[nodiscard]] Result<std::vector<int32_t>> CandidateGroups(
+      const std::vector<std::vector<int32_t>>& probe_token_ids) const override;
+  [[nodiscard]] const std::vector<int32_t>& GroupRecords(int32_t g) const override {
+    return meta_.group_records[static_cast<size_t>(g)];
+  }
+  [[nodiscard]] Result<const SparseVector*> RecordVector(
+      int32_t r, SparseVector* scratch) const override;
+
  private:
   StoredCorpus() = default;
-
-  /// Candidate groups of the probe (ascending, deduplicated): live
-  /// groups owning a non-tombstoned record that shares an index token.
-  [[nodiscard]] Result<std::vector<int32_t>> CandidateGroups(
-      const std::vector<std::vector<int32_t>>& probe_token_ids) const;
-
-  /// Reads and decodes record `r`'s TF-IDF vector from the paged
-  /// vectors segment.
-  [[nodiscard]] Result<SparseVector> ReadVector(int32_t r) const;
 
   // Resident metadata (immutable after Open).
   MetaData meta_;

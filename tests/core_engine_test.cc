@@ -208,18 +208,26 @@ TEST(LinkageEngineTest, ClustersAreTransitiveClosureOfLinks) {
 }
 
 TEST(LinkageEngineTest, FilterRefineMatchesExactPipeline) {
+  // Both BM strategies: the per-pair pipeline and the edge join. With
+  // use_filter_refine off, neither bound may decide a single pair.
   const Dataset dataset = GenerateBibliographic(SmallConfig());
-  LinkageConfig with = DefaultLinkage();
-  LinkageConfig without = DefaultLinkage();
-  without.use_filter_refine = false;
-  const auto fast = RunGroupLinkage(dataset, with);
-  const auto slow = RunGroupLinkage(dataset, without);
-  ASSERT_TRUE(fast.ok());
-  ASSERT_TRUE(slow.ok());
-  EXPECT_EQ(fast->linked_pairs, slow->linked_pairs);
-  EXPECT_GT(fast->report().StageCounter("score", "ub_pruned") +
-                fast->report().StageCounter("score", "lb_accepted"),
-            0);
+  for (const bool edge_join : {false, true}) {
+    LinkageConfig with = DefaultLinkage();
+    with.use_edge_join = edge_join;
+    LinkageConfig without = with;
+    without.use_filter_refine = false;
+    const auto fast = RunGroupLinkage(dataset, with);
+    const auto slow = RunGroupLinkage(dataset, without);
+    ASSERT_TRUE(fast.ok());
+    ASSERT_TRUE(slow.ok());
+    const auto bounded = [](const LinkageResult& result) {
+      return result.report().StageCounter("score", "ub_pruned") +
+             result.report().StageCounter("score", "lb_accepted");
+    };
+    EXPECT_EQ(fast->linked_pairs, slow->linked_pairs) << "edge_join=" << edge_join;
+    EXPECT_GT(bounded(*fast), 0) << "edge_join=" << edge_join;
+    EXPECT_EQ(bounded(*slow), 0) << "edge_join=" << edge_join;
+  }
 }
 
 TEST(LinkageEngineTest, CandidateMethodsAgreeOnLinks) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/random.h"
@@ -149,6 +150,58 @@ TEST(FilterRefineTest, NullStatsPointerAccepted) {
   EXPECT_NO_FATAL_FAILURE(FilterRefineLink(
       instance.dataset, instance.SimFn(),
       AllGroupPairs(instance.dataset.num_groups()), config, nullptr));
+}
+
+// A 2x2 θ-graph from (left, right, weight) edges.
+BipartiteGraph Graph2x2(const std::vector<std::tuple<int32_t, int32_t, double>>& edges) {
+  BipartiteGraph graph(2, 2);
+  for (const auto& [left, right, weight] : edges) graph.AddEdge(left, right, weight);
+  return graph;
+}
+
+TEST(DecideGraphRungTest, HandBuiltGraphsReachEveryRung) {
+  const BipartiteGraph empty = Graph2x2({});
+  // One weak edge: UB = 0.5 / 3.
+  const BipartiteGraph weak = Graph2x2({{0, 0, 0.5}});
+  // A perfect matching of weight-1 edges: BM = UB = 1, LB = 2 / 3.
+  const BipartiteGraph perfect = Graph2x2({{0, 0, 1.0}, {1, 1, 1.0}});
+  // One left record similar to both right ones: UB = 1/2, BM = LB = 1/3.
+  const BipartiteGraph star = Graph2x2({{0, 0, 1.0}, {0, 1, 1.0}});
+
+  struct Case {
+    const BipartiteGraph* graph;
+    double group_threshold;
+    bool use_lower_bound_accept;
+    int64_t max_matcher_cost;  // |g1|·|g2| = 4, so 1 trips the budget.
+    LinkRung want;
+  };
+  const std::vector<Case> cases = {
+      {&empty, 0.3, true, 0, LinkRung::kEmptyGraph},
+      {&weak, 0.3, true, 0, LinkRung::kPrunedByUpperBound},
+      {&perfect, 0.5, true, 0, LinkRung::kAcceptedByLowerBound},
+      {&perfect, 0.8, true, 0, LinkRung::kRefinedLink},
+      {&star, 0.4, true, 0, LinkRung::kRefinedNoLink},
+      {&perfect, 0.5, false, 1, LinkRung::kDegradedLink},
+      {&star, 0.4, true, 1, LinkRung::kDegradedNoLink},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    FilterRefineConfig config;
+    config.theta = 0.5;
+    config.group_threshold = c.group_threshold;
+    config.use_lower_bound_accept = c.use_lower_bound_accept;
+    ExecutionContext ctx;
+    ctx.SetMaxMatcherCost(c.max_matcher_cost);
+
+    const LinkRung rung = DecideGraphRung(*c.graph, 2, 2, config, &ctx);
+    EXPECT_EQ(static_cast<int>(rung), static_cast<int>(c.want)) << "case " << i;
+    EXPECT_FALSE(ctx.degraded()) << "case " << i;  // The caller records it.
+    EXPECT_EQ(DecideGraphLinked(*c.graph, 2, 2, config, &ctx), RungLinks(rung))
+        << "case " << i;
+    const bool degraded =
+        rung == LinkRung::kDegradedLink || rung == LinkRung::kDegradedNoLink;
+    EXPECT_EQ(ctx.degraded(), degraded) << "case " << i;
+  }
 }
 
 // Sweep over group thresholds: the linked set shrinks monotonically as Θ

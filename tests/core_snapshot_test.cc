@@ -252,6 +252,41 @@ TEST(CorpusSnapshotTest, UnknownTokensCountAsOovAndDoNotMatch) {
   EXPECT_EQ(query.oov_tokens, 5u);
 }
 
+// The parts of a captured snapshot, field for field.
+CorpusSnapshot::Parts PartsOf(const CorpusSnapshot& snapshot) {
+  CorpusSnapshot::Parts parts;
+  parts.config = snapshot.engine_config();
+  parts.epoch = snapshot.epoch();
+  parts.index_vocab = snapshot.index_vocab();
+  parts.token_index = snapshot.token_index();
+  parts.epoch_vocab = snapshot.epoch_vocab();
+  parts.record_vectors = snapshot.record_vectors();
+  parts.record_group = snapshot.record_group();
+  parts.record_token_ids = snapshot.record_token_ids();
+  parts.group_records = snapshot.group_records();
+  parts.group_labels = snapshot.group_labels();
+  parts.group_alive = snapshot.group_alive();
+  parts.num_alive_groups = snapshot.num_alive_groups();
+  parts.linked_pairs = snapshot.linked_pairs();
+  parts.cluster_labels = snapshot.cluster_labels();
+  return parts;
+}
+
+TEST(CorpusSnapshotTest, FromPartsRejectsGroupRecordOutOfRange) {
+  const Dataset dataset = MakeCorpus(10, 17);
+  auto linker = IncrementalLinker::Create(dataset, TestConfig());
+  ASSERT_TRUE(linker.ok());
+  const auto snapshot = CorpusSnapshot::Capture(*linker);
+  ASSERT_TRUE(CorpusSnapshot::FromParts(PartsOf(*snapshot)).ok());
+
+  // One record id past the end: LinkQuery would read past the vectors.
+  CorpusSnapshot::Parts parts = PartsOf(*snapshot);
+  parts.group_records[0].push_back(snapshot->num_records());
+  const auto rebuilt = CorpusSnapshot::FromParts(std::move(parts));
+  ASSERT_FALSE(rebuilt.ok());
+  EXPECT_EQ(rebuilt.status().code(), StatusCode::kDataLoss);
+}
+
 TEST(CorpusSnapshotTest, RetiredEpochsReportReclamation) {
   const Dataset dataset = MakeCorpus(15, 11);
   auto linker = IncrementalLinker::Create(dataset, TestConfig());

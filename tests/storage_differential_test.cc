@@ -2,7 +2,8 @@
 // disk-backed paged read path (StoredCorpus) must produce link sets
 // bit-identical to the in-RAM snapshot — for writers built at 1/2/7
 // threads, at every buffer budget down to a pathologically tiny
-// one-frame pool, and under concurrent readers. The whole suite is
+// one-frame pool, under admission-control options that degrade the
+// query, and under concurrent readers. The whole suite is
 // registered a second time with GROUPLINK_FORCE_SCALAR=1
 // (storage_differential_force_scalar), proving the identity holds with
 // the SIMD kernels disabled too.
@@ -76,18 +77,37 @@ std::shared_ptr<const CorpusSnapshot> BuildStore(const Dataset& dataset,
 
 void ExpectIdenticalAnswers(const CorpusSnapshot& truth,
                             const StoredCorpus& stored, const Dataset& probes,
+                            const CorpusSnapshot::QueryOptions& options,
                             const std::string& context) {
   for (int32_t g = 0; g < probes.num_groups(); ++g) {
     const GroupArrival probe{"probe", GroupTexts(probes, g)};
-    const auto want = truth.LinkQuery(probe);
-    const auto got = stored.LinkQuery(probe);
+    const auto want = truth.LinkQuery(probe, options);
+    const auto got = stored.LinkQuery(probe, options);
     ASSERT_TRUE(got.ok()) << context << " probe " << g << ": "
                           << got.status().message();
     EXPECT_EQ(got->linked_to, want.linked_to) << context << " probe " << g;
     EXPECT_EQ(got->candidates, want.candidates) << context << " probe " << g;
     EXPECT_EQ(got->oov_tokens, want.oov_tokens) << context << " probe " << g;
     EXPECT_EQ(got->epoch, want.epoch) << context << " probe " << g;
+    EXPECT_EQ(got->degraded, want.degraded) << context << " probe " << g;
   }
+}
+
+// Admission-control settings both paths must degrade under identically:
+// none, candidate caps of 1 and 3, a matcher budget every pair exceeds,
+// and a token cancelled before the query starts.
+std::vector<std::pair<std::string, CorpusSnapshot::QueryOptions>> AdmissionOptions() {
+  std::vector<std::pair<std::string, CorpusSnapshot::QueryOptions>> all(5);
+  all[0].first = "unconstrained";
+  all[1].first = "cap=1";
+  all[1].second.max_candidate_pairs = 1;
+  all[2].first = "cap=3";
+  all[2].second.max_candidate_pairs = 3;
+  all[3].first = "matcher_cost=1";
+  all[3].second.max_matcher_cost = 1;
+  all[4].first = "cancelled";
+  all[4].second.cancellation.Cancel();
+  return all;
 }
 
 TEST(StorageDifferentialTest, PagedPathMatchesInRamAcrossThreadsAndBudgets) {
@@ -107,7 +127,10 @@ TEST(StorageDifferentialTest, PagedPathMatchesInRamAcrossThreadsAndBudgets) {
       EXPECT_EQ((*stored)->num_groups(), truth->num_groups());
       const std::string context = "threads=" + std::to_string(num_threads) +
                                   " pool=" + std::to_string(pool_pages);
-      ExpectIdenticalAnswers(*truth, **stored, probes, context);
+      for (const auto& [name, query_options] : AdmissionOptions()) {
+        ExpectIdenticalAnswers(*truth, **stored, probes, query_options,
+                               context + " " + name);
+      }
       // The paged path must actually have paged: with one frame, every
       // page transition is a miss.
       const BufferStats stats = (*stored)->buffer_stats();
@@ -183,7 +206,7 @@ TEST(StorageDifferentialTest, OneFramePoolNeverExhaustsAndCountsEvictions) {
   options.buffer_pool_pages = 1;
   const auto stored = StoredCorpus::Open(path, options);
   ASSERT_TRUE(stored.ok());
-  ExpectIdenticalAnswers(*truth, **stored, dataset, "pool=1 self-probes");
+  ExpectIdenticalAnswers(*truth, **stored, dataset, {}, "pool=1 self-probes");
   const BufferStats stats = (*stored)->buffer_stats();
   EXPECT_GT(stats.evictions, 0u);
   ASSERT_TRUE(RemoveFile(path).ok());

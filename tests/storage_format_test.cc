@@ -247,6 +247,31 @@ TEST(MetaCodecTest, MetaRoundTripsEveryField) {
   EXPECT_EQ(DecodeMeta(bytes, &decoded).code(), StatusCode::kDataLoss);
 }
 
+TEST(MetaCodecTest, GroupRecordOutOfRangeIsDataLoss) {
+  // A well-formed encoding whose group list names record 9 of 5: the
+  // paged reader would index the vectors directory past its end.
+  MetaData meta;
+  meta.num_records = 5;
+  meta.num_groups = 2;
+  meta.num_alive_groups = 2;
+  meta.record_group = {0, 0, 1, 1, 1};
+  meta.record_removed = {0, 0, 0, 0, 0};
+  meta.group_alive = {1, 1};
+  meta.group_labels = {"a", "b"};
+  meta.group_records = {{0, 1}, {2, 3, 9}};
+  meta.cluster_labels = {0, 1};
+
+  std::vector<uint8_t> bytes;
+  EncodeMeta(meta, bytes);
+  MetaData decoded;
+  EXPECT_EQ(DecodeMeta(bytes, &decoded).code(), StatusCode::kDataLoss);
+
+  meta.group_records[1].back() = 4;  // The same meta, in range, decodes.
+  bytes.clear();
+  EncodeMeta(meta, bytes);
+  EXPECT_TRUE(DecodeMeta(bytes, &decoded).ok());
+}
+
 }  // namespace
 }  // namespace storage
 }  // namespace grouplink
