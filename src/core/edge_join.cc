@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/timer.h"
 #include "common/trace.h"
-#include "core/filter_refine.h"
 #include "index/prefix_filter.h"
 #include "text/vector_store.h"
 
@@ -52,23 +50,16 @@ struct ShardOutput {
 std::vector<std::pair<int32_t, int32_t>> EdgeJoinLink(
     const Dataset& dataset, const std::vector<std::vector<int32_t>>& record_tokens,
     int32_t num_tokens, const std::vector<int32_t>& record_group,
-    const RecordSimFn& sim, const EdgeJoinConfig& config, EdgeJoinStats* stats,
-    ThreadPool* pool, ExecutionContext* ctx, const VectorStore* store) {
-  GL_CHECK_GT(config.theta, 0.0);
+    const RecordSimFn& sim, const FilterRefineConfig& ladder, double join_jaccard,
+    RunReport* report, ThreadPool* pool, ExecutionContext* ctx,
+    const VectorStore* store) {
+  GL_CHECK_GT(ladder.theta, 0.0);
   GL_CHECK_EQ(record_tokens.size(), dataset.records.size());
   GL_CHECK_EQ(record_group.size(), dataset.records.size());
 
-  EdgeJoinStats local_stats;
-  EdgeJoinStats& s = stats != nullptr ? *stats : local_stats;
-  s = EdgeJoinStats();
-
-  std::unique_ptr<ThreadPool> owned_pool;
-  if (pool == nullptr && config.num_threads > 1) {
-    owned_pool = std::make_unique<ThreadPool>(static_cast<size_t>(config.num_threads));
-    pool = owned_pool.get();
-  }
+  RunReport local_report;
+  RunReport& out_report = report != nullptr ? *report : local_report;
   const size_t threads = pool != nullptr ? pool->num_threads() : 1;
-  s.threads_used = static_cast<int32_t>(threads);
 
   // Position of each record within its group (graph node index).
   std::vector<int32_t> local_pos(dataset.records.size(), 0);
@@ -106,6 +97,7 @@ std::vector<std::pair<int32_t, int32_t>> EdgeJoinLink(
                           local_pos[static_cast<size_t>(right_record)], weight}});
   };
 
+  size_t probes_skipped = 0;
   {
     GL_TRACE_SPAN("edge_join.join");
     if (store != nullptr) {
@@ -130,15 +122,15 @@ std::vector<std::pair<int32_t, int32_t>> EdgeJoinLink(
         const int32_t r2 = out.pending_probe;
         const int32_t g2 = record_group[static_cast<size_t>(r2)];
         for (size_t k = 0; k < pending; ++k) {
-          if (out.scores[k] < config.theta) continue;
+          if (out.scores[k] < ladder.theta) continue;
           const int32_t r1 = out.pending[k];
           append_edge(out, r1, r2, record_group[static_cast<size_t>(r1)], g2,
                       out.scores[k]);
         }
         out.pending.clear();
       };
-      s.probes_skipped = PrefixFilterSelfJoinSharded(
-          record_tokens, num_tokens, config.join_jaccard,
+      probes_skipped = PrefixFilterSelfJoinSharded(
+          record_tokens, num_tokens, join_jaccard,
           threads > 1 ? pool : nullptr, num_shards,
           [&](size_t shard, int32_t r1, int32_t r2) {
             ShardOutput& out = shard_outputs[shard];
@@ -159,8 +151,8 @@ std::vector<std::pair<int32_t, int32_t>> EdgeJoinLink(
           ctx, /*shard_done=*/flush);
     } else {
       // Custom similarity: verify inline, one call per candidate pair.
-      s.probes_skipped = PrefixFilterSelfJoinSharded(
-          record_tokens, num_tokens, config.join_jaccard,
+      probes_skipped = PrefixFilterSelfJoinSharded(
+          record_tokens, num_tokens, join_jaccard,
           threads > 1 ? pool : nullptr, num_shards,
           [&](size_t shard, int32_t r1, int32_t r2) {
             ShardOutput& out = shard_outputs[shard];
@@ -170,23 +162,35 @@ std::vector<std::pair<int32_t, int32_t>> EdgeJoinLink(
             if (g1 == g2) return;
             m_sim_evals.Increment();
             const double weight = sim(r1, r2);
-            if (weight < config.theta) return;
+            if (weight < ladder.theta) return;
             append_edge(out, r1, r2, g1, g2, weight);
           },
           ctx);
     }
-    if (s.probes_skipped > 0) TagCurrentSpan("probes_skipped",
-                                             std::to_string(s.probes_skipped));
+    if (probes_skipped > 0) TagCurrentSpan("probes_skipped",
+                                           std::to_string(probes_skipped));
   }
-  s.seconds_join = timer.ElapsedSeconds();
-  // Store path: verify time is what the shard workers measured around the
-  // batched kernel (CPU-seconds; see EdgeJoinStats). Custom-sim path:
-  // folded into the streaming join workers, left at 0.
-  s.seconds_verify = 0.0;
-  s.verify_batches = 0;
-  for (const ShardOutput& out : shard_outputs) {
-    s.seconds_verify += out.seconds_verify;
-    s.verify_batches += out.verify_batches;
+  {
+    StageStats& join = out_report.AddStage("join", timer.ElapsedSeconds());
+    // Store path: verify time is what the shard workers measured around
+    // the batched kernel (CPU-seconds; see EdgeJoinLink). Custom-sim path:
+    // folded into the streaming join workers, left at 0.
+    int64_t record_candidates = 0, edges = 0, verify_batches = 0;
+    double seconds_verify = 0.0;
+    for (const ShardOutput& out : shard_outputs) {
+      record_candidates += static_cast<int64_t>(out.candidates);
+      edges += static_cast<int64_t>(out.edges.size());
+      verify_batches += static_cast<int64_t>(out.verify_batches);
+      seconds_verify += out.seconds_verify;
+    }
+    join.AddCounter("record_candidates", record_candidates)
+        .AddCounter("edges", edges)
+        .AddCounter("threads_used", static_cast<int64_t>(threads));
+    if (probes_skipped > 0) {
+      join.AddCounter("probes_skipped", static_cast<int64_t>(probes_skipped));
+    }
+    join.AddCounter("verify_batches", verify_batches).AddTiming("verify", seconds_verify);
+    MirrorToRegistry(join, "edge_join", {"record_candidates", "edges", "probes_skipped"});
   }
 
   // Deterministic merge: shards cover ascending contiguous probe ranges
@@ -199,15 +203,14 @@ std::vector<std::pair<int32_t, int32_t>> EdgeJoinLink(
   {
     GL_TRACE_SPAN("edge_join.bucket");
     for (const ShardOutput& out : shard_outputs) {
-      s.record_candidates += out.candidates;
-      s.edges += out.edges.size();
       for (const BucketedEdge& bucketed : out.edges) {
         buckets[{bucketed.group_left, bucketed.group_right}].push_back(bucketed.edge);
       }
     }
   }
-  s.group_pairs = buckets.size();
-  s.seconds_bucket = timer.ElapsedSeconds();
+  const auto group_pairs = static_cast<int64_t>(buckets.size());
+  out_report.AddStage("bucket", timer.ElapsedSeconds())
+      .AddCounter("group_pairs", group_pairs);
 
   // Stage 3 (score): buckets are independent, so decide them in parallel
   // through the shared ladder (DecideGraphRung) into preallocated rung
@@ -255,9 +258,6 @@ std::vector<std::pair<int32_t, int32_t>> EdgeJoinLink(
     ctx->NoteDegraded();
   }
 
-  const FilterRefineConfig ladder{config.theta, config.group_threshold,
-                                  config.use_upper_bound_filter,
-                                  config.use_lower_bound_accept};
   ParallelFor(
       pool, bucket_refs.size(),
       [&](size_t i) {
@@ -268,54 +268,27 @@ std::vector<std::pair<int32_t, int32_t>> EdgeJoinLink(
       },
       ctx);
 
-  FilterRefineStats counts;
   std::vector<std::pair<int32_t, int32_t>> linked;
   for (size_t i = 0; i < bucket_refs.size(); ++i) {
-    CountRung(rungs[i], &counts);
     if (RungLinks(rungs[i])) linked.push_back(bucket_refs[i].groups);
   }
-  s.pruned_by_upper_bound = counts.pruned_by_upper_bound;
-  s.accepted_by_lower_bound = counts.accepted_by_lower_bound;
-  s.refined = counts.refined;
-  s.linked = counts.linked;
-  s.shed_candidates = counts.shed_candidates;
-  s.degraded_refines = counts.degraded_refines;
-  s.skipped = counts.skipped;
-  if (ctx != nullptr && (s.skipped > 0 || s.degraded_refines > 0)) {
+  StageStats& score = out_report.AddStage("score");
+  score.AddCounter("group_pairs", group_pairs);
+  AddRungCounters(rungs, &score);
+  const int64_t skipped = score.Counter("skipped");
+  const int64_t shed = score.Counter("shed_candidates");
+  if (ctx != nullptr && (skipped > 0 || score.Counter("degraded_refines") > 0)) {
     ctx->NoteDegraded();
   }
-  if (s.skipped > 0) TagCurrentSpan("buckets_skipped", std::to_string(s.skipped));
-  if (s.shed_candidates > 0) {
-    TagCurrentSpan("buckets_shed", std::to_string(s.shed_candidates));
-  }
-  s.seconds_score = timer.ElapsedSeconds();
+  if (skipped > 0) TagCurrentSpan("buckets_skipped", std::to_string(skipped));
+  if (shed > 0) TagCurrentSpan("buckets_shed", std::to_string(shed));
+  score.seconds = timer.ElapsedSeconds();
+  MirrorToRegistry(score, "edge_join",
+                   {"group_pairs", "ub_pruned", "lb_accepted", "refined", "linked",
+                    "shed_candidates", "degraded_refines", "skipped"});
 
-  // Registry mirror (aggregated once per run) + bucket-size distribution.
-  auto& registry = MetricsRegistry::Default();
-  static Counter& m_candidates = registry.CounterRef("edge_join.record_candidates");
-  static Counter& m_edges = registry.CounterRef("edge_join.edges");
-  static Counter& m_group_pairs = registry.CounterRef("edge_join.group_pairs");
-  static Counter& m_ub = registry.CounterRef("edge_join.ub_pruned");
-  static Counter& m_lb = registry.CounterRef("edge_join.lb_accepted");
-  static Counter& m_refined = registry.CounterRef("edge_join.refined");
-  static Counter& m_linked = registry.CounterRef("edge_join.linked");
-  static Counter& m_probes_skipped = registry.CounterRef("edge_join.probes_skipped");
-  static Counter& m_shed = registry.CounterRef("edge_join.shed_candidates");
-  static Counter& m_degraded = registry.CounterRef("edge_join.degraded_refines");
-  static Counter& m_skipped = registry.CounterRef("edge_join.skipped");
-  static Histogram& m_bucket_size = registry.HistogramRef(
+  static Histogram& m_bucket_size = MetricsRegistry::Default().HistogramRef(
       "edge_join.bucket_size", {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024});
-  m_candidates.Increment(s.record_candidates);
-  m_edges.Increment(s.edges);
-  m_group_pairs.Increment(s.group_pairs);
-  m_ub.Increment(s.pruned_by_upper_bound);
-  m_lb.Increment(s.accepted_by_lower_bound);
-  m_refined.Increment(s.refined);
-  m_linked.Increment(s.linked);
-  m_probes_skipped.Increment(s.probes_skipped);
-  m_shed.Increment(s.shed_candidates);
-  m_degraded.Increment(s.degraded_refines);
-  m_skipped.Increment(s.skipped);
   for (const BucketRef& bucket : bucket_refs) {
     m_bucket_size.Observe(static_cast<double>(bucket.edges->size()));
   }

@@ -7,70 +7,13 @@
 
 #include "common/execution_context.h"
 #include "common/thread_pool.h"
+#include "core/filter_refine.h"
 #include "core/group_measures.h"
+#include "core/run_report.h"
 
 namespace grouplink {
 
 class VectorStore;
-
-/// Configuration of the edge-join evaluation strategy.
-struct EdgeJoinConfig {
-  /// Record-level edge threshold θ (> 0).
-  double theta = 0.4;
-  /// Group-level link threshold Θ.
-  double group_threshold = 0.25;
-  /// Token-Jaccard threshold of the record-pair prefix-filter join that
-  /// generates edge *candidates*. Lower = more candidates verified = more
-  /// recall of true edges; 0.1-0.2 is near-lossless in practice.
-  double join_jaccard = 0.3;
-  /// Bound switches (as in FilterRefineConfig).
-  bool use_upper_bound_filter = true;
-  bool use_lower_bound_accept = true;
-  /// Worker threads (1 = serial). With more than one thread the join
-  /// shards probe documents across a pool, workers verify candidates
-  /// inline into per-shard buffers, and buckets are scored in parallel.
-  /// Output is bit-identical for every setting (see EdgeJoinLink).
-  /// Ignored when a non-null pool is passed to EdgeJoinLink.
-  int32_t num_threads = 1;
-};
-
-/// Counters of one EdgeJoinLink run.
-struct EdgeJoinStats {
-  /// Record pairs produced by the prefix filter (candidates to verify).
-  size_t record_candidates = 0;
-  /// Verified edges (sim >= θ) across group boundaries.
-  size_t edges = 0;
-  /// Group pairs with at least one edge (all others trivially score 0).
-  size_t group_pairs = 0;
-  size_t pruned_by_upper_bound = 0;
-  size_t accepted_by_lower_bound = 0;
-  size_t refined = 0;
-  size_t linked = 0;
-  /// Probe documents the join shed after a deadline/cancellation trip.
-  size_t probes_skipped = 0;
-  /// Buckets shed by the candidate cap (budget or injected oversize),
-  /// decided by UB order, deterministically.
-  size_t shed_candidates = 0;
-  /// Buckets decided by the bounds-only fallback (matcher budget trip).
-  size_t degraded_refines = 0;
-  /// Buckets never scored: the deadline or cancellation tripped first.
-  size_t skipped = 0;
-  /// Batched-verify flushes (store path only; 0 for a custom sim).
-  size_t verify_batches = 0;
-  /// Per-stage wall times. seconds_join is the wall time of the whole
-  /// join+verify stage. With a VectorStore (the default-similarity path)
-  /// seconds_verify is the time the shard workers spent inside batched
-  /// scoring, summed across workers — CPU-seconds, so it can exceed the
-  /// stage wall time on multi-thread runs. With a custom sim the
-  /// verification is folded into seconds_join and seconds_verify stays 0.
-  /// seconds_bucket covers the deterministic shard merge + bucketing.
-  double seconds_join = 0.0;
-  double seconds_verify = 0.0;
-  double seconds_bucket = 0.0;
-  double seconds_score = 0.0;
-  /// Worker threads the run actually used (pool size, or 1).
-  int32_t threads_used = 1;
-};
 
 /// The scalable evaluation strategy of the paper, built on a global
 /// set-similarity join instead of per-group-pair similarity matrices:
@@ -88,16 +31,38 @@ struct EdgeJoinStats {
 /// Total record-similarity evaluations: O(join candidates), instead of
 /// O(Σ |g1|·|g2|) over candidate group pairs for the per-pair pipeline.
 ///
-/// Parallel execution: with `pool` non-null (or config.num_threads > 1,
-/// in which case an internal pool is created), stage 1+2 shard probe
+/// `ladder` decides each bucket (θ is the edge threshold, Θ the link
+/// threshold). `join_jaccard` is the token-Jaccard threshold of the
+/// record-pair prefix-filter join that generates edge *candidates*: lower
+/// means more candidates verified and more recall of true edges; 0.1-0.2
+/// is near-lossless in practice.
+///
+/// The run appends its stages to `report` (null keeps them local):
+///   join:   record_candidates (record pairs the prefix filter produced),
+///           edges (verified cross-group edges, sim >= θ), threads_used,
+///           probes_skipped (only when a stop shed probes),
+///           verify_batches (batched-verify flushes; 0 for a custom sim),
+///           and the `verify` timing;
+///   bucket: group_pairs (group pairs with at least one edge; all others
+///           score 0);
+///   score:  group_pairs, then the rung counters of AddRungCounters.
+/// The join stage's wall time covers the whole join+verify stage. With a
+/// VectorStore the `verify` timing is the time the shard workers spent
+/// inside batched scoring, summed across workers — CPU-seconds, so it can
+/// exceed the stage wall time on multi-thread runs; with a custom sim
+/// verification is folded into the join and `verify` stays 0. Every call
+/// also mirrors the thread-invariant counters into the registry's
+/// edge_join.* (threads_used and verify_batches stay in the report).
+///
+/// Parallel execution: with a non-null `pool`, stage 1+2 shard probe
 /// documents into contiguous ranges, each worker verifying candidates
 /// inline against the (thread-safe) `sim` into a per-shard edge buffer;
 /// buffers are merged in shard order — which reproduces the serial
 /// emission order exactly — before bucketing, and stage 3 scores buckets
 /// with ParallelFor into preallocated decision slots. Every output
-/// (linked pairs, edges, buckets, stats counters) is therefore
-/// bit-identical across thread counts and scheduling orders; the
-/// invariant is covered by unit tests and benchmark E5.
+/// (linked pairs, edges, buckets, counters) is therefore bit-identical
+/// across thread counts and scheduling orders; the invariant is covered
+/// by unit tests and benchmark E5.
 ///
 /// Caveat (documented approximation): an edge whose token Jaccard falls
 /// below `join_jaccard` is invisible to the join even if sim >= θ, so the
@@ -125,8 +90,8 @@ struct EdgeJoinStats {
 [[nodiscard]] std::vector<std::pair<int32_t, int32_t>> EdgeJoinLink(
     const Dataset& dataset, const std::vector<std::vector<int32_t>>& record_tokens,
     int32_t num_tokens, const std::vector<int32_t>& record_group,
-    const RecordSimFn& sim, const EdgeJoinConfig& config,
-    EdgeJoinStats* stats = nullptr, ThreadPool* pool = nullptr,
+    const RecordSimFn& sim, const FilterRefineConfig& ladder, double join_jaccard,
+    RunReport* report = nullptr, ThreadPool* pool = nullptr,
     ExecutionContext* ctx = nullptr, const VectorStore* store = nullptr);
 
 }  // namespace grouplink

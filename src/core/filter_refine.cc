@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string_view>
 
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "text/simd_kernels.h"
 
 namespace grouplink {
@@ -32,25 +32,26 @@ std::vector<uint32_t> GroupTokenUnion(const Group& group, const VectorStore& sto
 // absorbs the different summation orders of the two computations.
 constexpr double kBoundSlack = 1e-9;
 
-// Stopwatch that charges elapsed time to one phase field of `timing` and
-// reads no clock at all when `timing` is null.
+// Stopwatch that adds elapsed time to one named timing of `stage` and
+// reads no clock at all when `stage` is null.
 class PhaseTimer {
  public:
-  explicit PhaseTimer(FilterRefineStats* timing) : timing_(timing) {
-    if (timing_ != nullptr) start_ = Clock::now();
+  explicit PhaseTimer(StageStats* stage) : stage_(stage) {
+    if (stage_ != nullptr) start_ = Clock::now();
   }
 
   // Adds the time since construction or the last Charge to `phase`.
-  void Charge(double FilterRefineStats::*phase) {
-    if (timing_ == nullptr) return;
+  void Charge(std::string_view phase) {
+    if (stage_ == nullptr) return;
     const Clock::time_point now = Clock::now();
-    timing_->*phase += std::chrono::duration<double>(now - start_).count();
+    stage_->AddTiming(phase, stage_->Timing(phase) +
+                                 std::chrono::duration<double>(now - start_).count());
     start_ = now;
   }
 
  private:
   using Clock = std::chrono::steady_clock;
-  FilterRefineStats* timing_;
+  StageStats* stage_;
   Clock::time_point start_;
 };
 
@@ -80,7 +81,7 @@ BipartiteGraph BuildGraph(const Dataset& dataset, const RecordSimFn& sim,
 // only).
 LinkRung DecidePair(const Dataset& dataset, const RecordSimFn& sim, int32_t g1,
                     int32_t g2, const FilterRefineConfig& config,
-                    FilterRefineStats* timing, const ExecutionContext* ctx,
+                    StageStats* timing, const ExecutionContext* ctx,
                     const BatchContext& batch) {
   PhaseTimer timer(timing);
   // Zero-overlap precheck (store path): groups sharing no weighted token
@@ -91,13 +92,13 @@ LinkRung DecidePair(const Dataset& dataset, const RecordSimFn& sim, int32_t g1,
     const std::vector<uint32_t>& ta = batch.group_tokens[static_cast<size_t>(g1)];
     const std::vector<uint32_t>& tb = batch.group_tokens[static_cast<size_t>(g2)];
     if (SortedIntersectCount(ta.data(), ta.size(), tb.data(), tb.size()) == 0) {
-      timer.Charge(&FilterRefineStats::seconds_graphs);
+      timer.Charge("graphs");
       return LinkRung::kEmptyGraph;
     }
   }
   const BipartiteGraph graph =
       BuildGraph(dataset, sim, g1, g2, config.theta, batch);
-  timer.Charge(&FilterRefineStats::seconds_graphs);
+  timer.Charge("graphs");
   return DecideGraphRung(graph, dataset.GroupSize(g1), dataset.GroupSize(g2),
                          config, ctx, timing);
 }
@@ -126,12 +127,12 @@ std::vector<char> CapCandidatesByUpperBound(
 std::vector<std::pair<int32_t, int32_t>> FilterRefineLink(
     const Dataset& dataset, const RecordSimFn& sim,
     const std::vector<std::pair<int32_t, int32_t>>& candidates,
-    const FilterRefineConfig& config, FilterRefineStats* stats, ThreadPool* pool,
+    const FilterRefineConfig& config, StageStats* stage, ThreadPool* pool,
     ExecutionContext* ctx, const VectorStore* store) {
-  FilterRefineStats local_stats;
-  FilterRefineStats& s = stats != nullptr ? *stats : local_stats;
-  s = FilterRefineStats();
-  s.candidates = candidates.size();
+  StageStats local_stage;
+  StageStats& s = stage != nullptr ? *stage : local_stage;
+  s.AddCounter("candidates", static_cast<int64_t>(candidates.size()));
+  s.AddTiming("graphs", 0.0).AddTiming("bounds", 0.0).AddTiming("refine", 0.0);
 
   const bool parallel = pool != nullptr && pool->num_threads() > 1;
   std::vector<LinkRung> rungs(candidates.size(), LinkRung::kSkipped);
@@ -173,34 +174,18 @@ std::vector<std::pair<int32_t, int32_t>> FilterRefineLink(
 
   std::vector<std::pair<int32_t, int32_t>> linked;
   for (size_t i = 0; i < candidates.size(); ++i) {
-    CountRung(rungs[i], &s);
     if (RungLinks(rungs[i])) linked.push_back(candidates[i]);
   }
-  if (ctx != nullptr && (s.skipped > 0 || s.degraded_refines > 0)) {
+  s.AddCounter("empty_graphs",
+               std::count(rungs.begin(), rungs.end(), LinkRung::kEmptyGraph));
+  AddRungCounters(rungs, &s);
+  if (ctx != nullptr && (s.Counter("skipped") > 0 || s.Counter("degraded_refines") > 0)) {
     ctx->NoteDegraded();
   }
-
-  // Registry mirror of the per-run stats (aggregated once per call, so the
-  // cost is independent of candidate count and thread count).
-  auto& registry = MetricsRegistry::Default();
-  static Counter& m_candidates = registry.CounterRef("filter_refine.candidates");
-  static Counter& m_empty = registry.CounterRef("filter_refine.empty_graphs");
-  static Counter& m_ub = registry.CounterRef("filter_refine.ub_pruned");
-  static Counter& m_lb = registry.CounterRef("filter_refine.lb_accepted");
-  static Counter& m_refined = registry.CounterRef("filter_refine.refined");
-  static Counter& m_linked = registry.CounterRef("filter_refine.linked");
-  static Counter& m_shed = registry.CounterRef("filter_refine.shed_candidates");
-  static Counter& m_degraded = registry.CounterRef("filter_refine.degraded_refines");
-  static Counter& m_skipped = registry.CounterRef("filter_refine.skipped");
-  m_candidates.Increment(s.candidates);
-  m_empty.Increment(s.empty_graphs);
-  m_ub.Increment(s.pruned_by_upper_bound);
-  m_lb.Increment(s.accepted_by_lower_bound);
-  m_refined.Increment(s.refined);
-  m_linked.Increment(s.linked);
-  m_shed.Increment(s.shed_candidates);
-  m_degraded.Increment(s.degraded_refines);
-  m_skipped.Increment(s.skipped);
+  // Once per call, so the cost is independent of candidate and thread count.
+  MirrorToRegistry(s, "filter_refine",
+                   {"candidates", "empty_graphs", "ub_pruned", "lb_accepted", "refined",
+                    "linked", "shed_candidates", "degraded_refines", "skipped"});
   return linked;
 }
 
@@ -218,52 +203,47 @@ std::vector<char> KeepHighestUpperBounds(const std::vector<double>& ub,
   return keep;
 }
 
-void CountRung(LinkRung rung, FilterRefineStats* stats) {
-  switch (rung) {
-    case LinkRung::kSkipped:
-      ++stats->skipped;
-      break;
-    case LinkRung::kShedByCap:
-      ++stats->shed_candidates;
-      break;
-    case LinkRung::kEmptyGraph:
-      ++stats->empty_graphs;
-      break;
-    case LinkRung::kPrunedByUpperBound:
-      ++stats->pruned_by_upper_bound;
-      break;
-    case LinkRung::kAcceptedByLowerBound:
-      ++stats->accepted_by_lower_bound;
-      break;
-    case LinkRung::kRefinedLink:
-    case LinkRung::kRefinedNoLink:
-      ++stats->refined;
-      break;
-    case LinkRung::kDegradedLink:
-    case LinkRung::kDegradedNoLink:
-      ++stats->degraded_refines;
-      break;
+void AddRungCounters(const std::vector<LinkRung>& rungs, StageStats* stage) {
+  int64_t count[static_cast<size_t>(LinkRung::kDegradedNoLink) + 1] = {};
+  int64_t linked = 0;
+  for (const LinkRung rung : rungs) {
+    ++count[static_cast<size_t>(rung)];
+    if (RungLinks(rung)) ++linked;
   }
-  if (RungLinks(rung)) ++stats->linked;
+  const auto of = [&count](LinkRung rung) { return count[static_cast<size_t>(rung)]; };
+  stage->AddCounter("ub_pruned", of(LinkRung::kPrunedByUpperBound))
+      .AddCounter("lb_accepted", of(LinkRung::kAcceptedByLowerBound))
+      .AddCounter("refined", of(LinkRung::kRefinedLink) + of(LinkRung::kRefinedNoLink))
+      .AddCounter("linked", linked);
+  // Shed-work counters appear only on degraded runs, so the classic
+  // candidates == empty + ub_pruned + lb_accepted + refined identity (and
+  // the exact JSON shape) of unconstrained runs is untouched.
+  const std::pair<const char*, int64_t> shed_work[] = {
+      {"shed_candidates", of(LinkRung::kShedByCap)},
+      {"degraded_refines", of(LinkRung::kDegradedLink) + of(LinkRung::kDegradedNoLink)},
+      {"skipped", of(LinkRung::kSkipped)}};
+  for (const auto& [key, value] : shed_work) {
+    if (value > 0) stage->AddCounter(key, value);
+  }
 }
 
 LinkRung DecideGraphRung(const BipartiteGraph& graph, int32_t size_left,
                          int32_t size_right, const FilterRefineConfig& config,
-                         const ExecutionContext* ctx, FilterRefineStats* timing) {
+                         const ExecutionContext* ctx, StageStats* stage) {
   if (graph.edges().empty()) return LinkRung::kEmptyGraph;
 
-  PhaseTimer timer(timing);
+  PhaseTimer timer(stage);
   if (config.use_upper_bound_filter &&
       UpperBoundMeasure(graph, size_left, size_right) < config.group_threshold) {
-    timer.Charge(&FilterRefineStats::seconds_bounds);
+    timer.Charge("bounds");
     return LinkRung::kPrunedByUpperBound;
   }
   if (config.use_lower_bound_accept &&
       GreedyLowerBound(graph, size_left, size_right) >= config.group_threshold) {
-    timer.Charge(&FilterRefineStats::seconds_bounds);
+    timer.Charge("bounds");
     return LinkRung::kAcceptedByLowerBound;
   }
-  timer.Charge(&FilterRefineStats::seconds_bounds);
+  timer.Charge("bounds");
 
   // Matcher budget: on oversized pairs decide from the sound greedy lower
   // bound instead of running Hungarian. LB <= BM, so a degraded accept is
@@ -274,7 +254,7 @@ LinkRung DecideGraphRung(const BipartiteGraph& graph, int32_t size_left,
   if (ctx != nullptr && ctx->ExceedsMatcherBudget(matcher_cost)) {
     const bool link =
         GreedyLowerBound(graph, size_left, size_right) >= config.group_threshold;
-    timer.Charge(&FilterRefineStats::seconds_refine);
+    timer.Charge("refine");
     return link ? LinkRung::kDegradedLink : LinkRung::kDegradedNoLink;
   }
   const double refined = BmMeasure(graph, size_left, size_right, ctx).value;
@@ -283,7 +263,7 @@ LinkRung DecideGraphRung(const BipartiteGraph& graph, int32_t size_left,
   GL_DCHECK_LE(refined,
                UpperBoundMeasure(graph, size_left, size_right) + kBoundSlack)
       << "upper bound does not dominate refined BM";
-  timer.Charge(&FilterRefineStats::seconds_refine);
+  timer.Charge("refine");
   return refined >= config.group_threshold ? LinkRung::kRefinedLink
                                            : LinkRung::kRefinedNoLink;
 }
@@ -301,11 +281,11 @@ bool DecideGraphLinked(const BipartiteGraph& graph, int32_t size_left,
 std::vector<std::pair<int32_t, int32_t>> BruteForceBmLink(
     const Dataset& dataset, const RecordSimFn& sim,
     const std::vector<std::pair<int32_t, int32_t>>& candidates,
-    const FilterRefineConfig& config, FilterRefineStats* stats) {
+    const FilterRefineConfig& config, StageStats* stage) {
   FilterRefineConfig no_bounds = config;
   no_bounds.use_upper_bound_filter = false;
   no_bounds.use_lower_bound_accept = false;
-  return FilterRefineLink(dataset, sim, candidates, no_bounds, stats);
+  return FilterRefineLink(dataset, sim, candidates, no_bounds, stage);
 }
 
 }  // namespace grouplink

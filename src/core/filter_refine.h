@@ -8,6 +8,7 @@
 #include "common/execution_context.h"
 #include "common/thread_pool.h"
 #include "core/group_measures.h"
+#include "core/run_report.h"
 
 namespace grouplink {
 
@@ -23,34 +24,6 @@ struct FilterRefineConfig {
   bool use_lower_bound_accept = true;
 };
 
-/// Per-phase counters of one FilterRefineLink run.
-struct FilterRefineStats {
-  /// Candidate group pairs examined.
-  size_t candidates = 0;
-  /// Dropped because the thresholded graph had no edges at all.
-  size_t empty_graphs = 0;
-  /// Pruned by UB < Θ.
-  size_t pruned_by_upper_bound = 0;
-  /// Accepted by LB >= Θ (no exact matching run).
-  size_t accepted_by_lower_bound = 0;
-  /// Survivors sent to the Hungarian refine step.
-  size_t refined = 0;
-  /// Final links emitted.
-  size_t linked = 0;
-  /// Shed by the candidate cap (budget or injected oversize) before any
-  /// scoring; decided by UB order, deterministically.
-  size_t shed_candidates = 0;
-  /// Decided with the bounds-only fallback instead of Hungarian because
-  /// the per-pair matcher budget tripped.
-  size_t degraded_refines = 0;
-  /// Never scored: the deadline or cancellation tripped first.
-  size_t skipped = 0;
-  /// Wall time spent building similarity graphs / in bounds / in refine.
-  double seconds_graphs = 0.0;
-  double seconds_bounds = 0.0;
-  double seconds_refine = 0.0;
-};
-
 /// Decides, for each candidate group pair, whether BM_θ >= Θ, using the
 /// filter-and-refine strategy. With sound bounds (the default) the output
 /// is *identical* to evaluating exact BM on every candidate — that
@@ -60,11 +33,17 @@ struct FilterRefineStats {
 ///
 /// Returns the linked pairs (subset of `candidates`, same order).
 ///
+/// The run writes its counters into `stage` (the engine passes its score
+/// stage; null keeps them local): `candidates`, `empty_graphs`, then the
+/// rung counters of AddRungCounters, plus the `graphs` / `bounds` /
+/// `refine` timings. Every call also mirrors the counters into the
+/// registry's filter_refine.*.
+///
 /// With a non-null `pool`, candidates are scored in parallel (`sim` must
 /// then be thread-safe — the engine's default TF-IDF cosine is, being a
-/// pure read of precomputed vectors). The output and stats counters are
-/// identical to the serial run; the per-phase timing breakdown is only
-/// populated serially.
+/// pure read of precomputed vectors). The output and counters are
+/// identical to the serial run; the timings are only populated serially
+/// and stay 0 otherwise.
 ///
 /// With a non-null `ctx`, the run degrades instead of running unbounded:
 /// a candidate budget keeps only the top pairs by upper-bound score
@@ -80,12 +59,12 @@ struct FilterRefineStats {
 /// record) and a sorted-set-intersection precheck on the groups' token
 /// unions classifies zero-overlap pairs as empty graphs without scoring a
 /// single record pair. Both are exact for the default sim — decisions,
-/// stats, and links are identical to the `sim`-driven path bit for bit.
+/// counters, and links are identical to the `sim`-driven path bit for bit.
 /// Callers overriding `sim` must pass store = nullptr.
 [[nodiscard]] std::vector<std::pair<int32_t, int32_t>> FilterRefineLink(
     const Dataset& dataset, const RecordSimFn& sim,
     const std::vector<std::pair<int32_t, int32_t>>& candidates,
-    const FilterRefineConfig& config, FilterRefineStats* stats = nullptr,
+    const FilterRefineConfig& config, StageStats* stage = nullptr,
     ThreadPool* pool = nullptr, ExecutionContext* ctx = nullptr,
     const VectorStore* store = nullptr);
 
@@ -112,10 +91,12 @@ constexpr bool RungLinks(LinkRung rung) {
          rung == LinkRung::kRefinedLink || rung == LinkRung::kDegradedLink;
 }
 
-/// Adds one decided pair to the per-rung counters of `stats` (skipped,
-/// shed_candidates, empty_graphs, pruned_by_upper_bound,
-/// accepted_by_lower_bound, refined, degraded_refines, and linked).
-void CountRung(LinkRung rung, FilterRefineStats* stats);
+/// Writes the rung counters of one batch run's decided pairs into
+/// `stage`: `ub_pruned`, `lb_accepted`, `refined` and `linked`, then
+/// `shed_candidates`, `degraded_refines` and `skipped` only when non-zero
+/// (a clean run's stage keeps the classic key set). Empty graphs are left
+/// to the caller: the edge join never builds one.
+void AddRungCounters(const std::vector<LinkRung>& rungs, StageStats* stage);
 
 /// The candidate cap of the batch strategies: keeps the `cap` pairs with
 /// the highest upper-bound score `ub` (ties to the lower index) and
@@ -133,14 +114,14 @@ void CountRung(LinkRung rung, FilterRefineStats* stats);
 ///
 /// `size_left` / `size_right` are the group sizes |g1| / |g2| (the graph
 /// only has cross edges, so isolated records are invisible to it). With
-/// a non-null `timing`, the time spent in the bounds and in the refine
-/// step is added to its seconds_bounds / seconds_refine; with a null one
-/// no clock is read. The caller records a degraded rung on its context.
+/// a non-null `stage`, the time spent in the bounds and in the refine
+/// step is added to its `bounds` / `refine` timings; with a null one no
+/// clock is read. The caller records a degraded rung on its context.
 [[nodiscard]] LinkRung DecideGraphRung(const BipartiteGraph& graph,
                                        int32_t size_left, int32_t size_right,
                                        const FilterRefineConfig& config,
                                        const ExecutionContext* ctx = nullptr,
-                                       FilterRefineStats* timing = nullptr);
+                                       StageStats* stage = nullptr);
 
 /// RungLinks(DecideGraphRung(...)), marking `ctx` degraded when the
 /// matcher budget decided the pair.
@@ -154,7 +135,7 @@ void CountRung(LinkRung rung, FilterRefineStats* stats);
 [[nodiscard]] std::vector<std::pair<int32_t, int32_t>> BruteForceBmLink(
     const Dataset& dataset, const RecordSimFn& sim,
     const std::vector<std::pair<int32_t, int32_t>>& candidates,
-    const FilterRefineConfig& config, FilterRefineStats* stats = nullptr);
+    const FilterRefineConfig& config, StageStats* stage = nullptr);
 
 }  // namespace grouplink
 

@@ -63,6 +63,12 @@ Status StreamingConfig::Validate() const {
   return Status::Ok();
 }
 
+bool StreamingConfig::WantsRefresh(int32_t groups_since_refresh,
+                                   double oov_ratio) const {
+  return (refresh_every_n_groups > 0 && groups_since_refresh >= refresh_every_n_groups) ||
+         (refresh_on_oov_ratio > 0.0 && oov_ratio > refresh_on_oov_ratio);
+}
+
 Status ValidateStreamingConfigs(const LinkageConfig& config,
                                 const StreamingConfig& streaming) {
   if (Status s = config.Validate(); !s.ok()) {
@@ -77,9 +83,8 @@ Status ValidateStreamingConfigs(const LinkageConfig& config,
 Result<IncrementalLinker> IncrementalLinker::Create(
     const Dataset& seed, const LinkageConfig& config,
     const StreamingConfig& streaming) {
-  // Validate through the unified entry point first so Create's error
-  // messages name the offending struct; Initialize re-validates the
-  // pieces (harmless) and handles the dataset checks.
+  // Validate through the unified entry point so Create's error messages
+  // name the offending struct; Initialize checks the dataset.
   GL_RETURN_IF_ERROR(ValidateStreamingConfigs(config, streaming));
   IncrementalLinker linker(config, streaming);
   GL_RETURN_IF_ERROR(linker.Initialize(seed));
@@ -91,8 +96,7 @@ std::unique_ptr<IncrementalLinker> IncrementalLinker::Clone() const {
   // deliberate exception: pools are not copyable, and the clone lazily
   // builds its own on first parallel use — so clone and original can run
   // on different threads with zero shared mutable state.
-  auto clone = std::make_unique<IncrementalLinker>(config_, streaming_);
-  clone->initialized_ = initialized_;
+  std::unique_ptr<IncrementalLinker> clone(new IncrementalLinker(config_, streaming_));
   clone->record_raw_tokens_ = record_raw_tokens_;
   clone->record_token_sets_ = record_token_sets_;
   clone->record_vectors_ = record_vectors_;
@@ -122,8 +126,8 @@ Result<std::unique_ptr<IncrementalLinker>> IncrementalLinker::FromSnapshot(
       << "FromSnapshot requires a sealed, consistent snapshot";
   // The snapshot's config is already normalized (it came off a linker);
   // the constructor's normalization is idempotent on it.
-  auto linker = std::make_unique<IncrementalLinker>(snapshot.engine_config(),
-                                                    streaming);
+  std::unique_ptr<IncrementalLinker> linker(
+      new IncrementalLinker(snapshot.engine_config(), streaming));
   const Vocabulary& vocab = snapshot.index_vocab();
   const size_t n = snapshot.record_token_ids().size();
   linker->record_raw_tokens_.resize(n);
@@ -154,7 +158,6 @@ Result<std::unique_ptr<IncrementalLinker>> IncrementalLinker::FromSnapshot(
   linker->epoch_vocab_ = snapshot.epoch_vocab();
   linker->linked_pairs_ = snapshot.linked_pairs();
   linker->epoch_ = snapshot.epoch();
-  linker->initialized_ = true;
   linker->RebuildClusters();
   return linker;
 }
@@ -196,11 +199,8 @@ double IncrementalLinker::RecordSimilarity(int32_t a, int32_t b) const {
 }
 
 Status IncrementalLinker::Initialize(const Dataset& dataset) {
-  GL_CHECK(!initialized_) << "Initialize() must be called exactly once";
   GL_TRACE_SPAN("incremental.initialize");
   GL_RETURN_IF_ERROR(dataset.Validate());
-  GL_RETURN_IF_ERROR(config_.Validate());
-  GL_RETURN_IF_ERROR(streaming_.Validate());
 
   const size_t n = dataset.records.size();
   record_raw_tokens_.resize(n);
@@ -237,7 +237,6 @@ Status IncrementalLinker::Initialize(const Dataset& dataset) {
   group_alive_.assign(num_seed_groups, 1);
   num_alive_groups_ = static_cast<int32_t>(num_seed_groups);
 
-  initialized_ = true;
   Refresh();  // Builds epoch statistics, vectors, and the seed link set.
   return Status::Ok();
 }
@@ -250,7 +249,6 @@ IncrementalLinker::AddResult IncrementalLinker::AddGroup(
 
 std::vector<IncrementalLinker::AddResult> IncrementalLinker::AddGroups(
     const std::vector<GroupArrival>& batch) {
-  GL_CHECK(initialized_) << "call Initialize() before AddGroups()";
   if (batch.empty()) return {};
   GL_TRACE_SPAN("incremental.add_batch");
   WallTimer timer;
@@ -428,7 +426,7 @@ std::vector<IncrementalLinker::AddResult> IncrementalLinker::AddGroups(
   metrics.arrival_seconds.Observe(timer.ElapsedSeconds());
 
   GL_DCHECK_EQ(epoch_, arrival_epoch);
-  if (PolicyWantsRefresh()) {
+  if (streaming_.WantsRefresh(groups_since_refresh_, EpochOovRatio())) {
     for (AddResult& result : results) result.triggered_refresh = true;
     Refresh();
     GL_DCHECK_EQ(epoch_, arrival_epoch + 1);
@@ -476,7 +474,6 @@ bool IncrementalLinker::DecideLink(int32_t g1, int32_t g2,
 }
 
 void IncrementalLinker::RemoveGroup(int32_t group) {
-  GL_CHECK(initialized_);
   GL_CHECK(IsAlive(group)) << "RemoveGroup requires a live group";
   GL_TRACE_SPAN("incremental.remove");
   const size_t g = static_cast<size_t>(group);
@@ -500,7 +497,6 @@ void IncrementalLinker::RemoveGroup(int32_t group) {
 
 IncrementalLinker::AddResult IncrementalLinker::MergeGroups(int32_t into,
                                                             int32_t from) {
-  GL_CHECK(initialized_);
   GL_CHECK(IsAlive(into)) << "MergeGroups requires a live target group";
   GL_CHECK(IsAlive(from)) << "MergeGroups requires a live source group";
   GL_CHECK_NE(into, from);
@@ -548,7 +544,6 @@ IncrementalLinker::AddResult IncrementalLinker::MergeGroups(int32_t into,
 }
 
 void IncrementalLinker::Refresh() {
-  GL_CHECK(initialized_);
   GL_TRACE_SPAN("incremental.refresh");
   WallTimer timer;
   auto& metrics = IncrementalMetrics::Get();
@@ -610,7 +605,7 @@ void IncrementalLinker::Refresh() {
   ctx.SetMaxMatcherCost(config_.max_matcher_cost);
   linked_pairs_ = FilterRefineLink(
       view, [this](int32_t a, int32_t b) { return RecordSimilarity(a, b); },
-      candidates, config_.Ladder(), /*stats=*/nullptr, pool(), &ctx);
+      candidates, config_.Ladder(), /*stage=*/nullptr, pool(), &ctx);
   RebuildClusters();
 
   ++epoch_;
@@ -663,18 +658,6 @@ double IncrementalLinker::EpochOovRatio() const {
   if (tokens_since_refresh_ == 0) return 0.0;
   return static_cast<double>(oov_since_refresh_) /
          static_cast<double>(tokens_since_refresh_);
-}
-
-bool IncrementalLinker::PolicyWantsRefresh() const {
-  if (streaming_.refresh_every_n_groups > 0 &&
-      groups_since_refresh_ >= streaming_.refresh_every_n_groups) {
-    return true;
-  }
-  if (streaming_.refresh_on_oov_ratio > 0.0 &&
-      EpochOovRatio() > streaming_.refresh_on_oov_ratio) {
-    return true;
-  }
-  return false;
 }
 
 }  // namespace grouplink

@@ -10,6 +10,7 @@
 #include "common/timer.h"
 #include "common/trace.h"
 #include "common/union_find.h"
+#include "core/edge_join.h"
 #include "text/tokenizer.h"
 
 namespace grouplink {
@@ -106,9 +107,7 @@ Status LinkageConfig::Validate() const {
 }
 
 LinkageEngine::LinkageEngine(const Dataset* dataset, const LinkageConfig& config)
-    : dataset_(dataset), config_(config) {
-  GL_CHECK(dataset != nullptr);
-}
+    : dataset_(dataset), config_(config) {}
 
 Result<LinkageEngine> LinkageEngine::Create(const Dataset* dataset,
                                             const LinkageConfig& config) {
@@ -121,7 +120,6 @@ Result<LinkageEngine> LinkageEngine::Create(const Dataset* dataset,
 }
 
 Status LinkageEngine::Prepare() {
-  if (prepared_) return Status::Ok();  // Create() already ran the pipeline.
   GL_TRACE_SPAN("linkage.prepare");
   WallTimer prepare_timer;
   GL_RETURN_IF_ERROR(dataset_->Validate());
@@ -166,7 +164,6 @@ Status LinkageEngine::Prepare() {
   // Flat SoA mirror of the vectors for the batched scoring kernels.
   vector_store_ = VectorStore::Build(record_vectors_, vocabulary_.size());
   record_group_ = dataset_->RecordToGroup();
-  prepared_ = true;
   prepare_seconds_ = prepare_timer.ElapsedSeconds();
   return Status::Ok();
 }
@@ -179,7 +176,6 @@ ThreadPool* LinkageEngine::pool() {
 }
 
 double LinkageEngine::DefaultRecordSimilarity(int32_t a, int32_t b) const {
-  GL_CHECK(prepared_);
   // Token-less records carry no evidence of co-reference and score 0 (the
   // mathematical "empty == empty -> 1" convention would link every group
   // containing a blank record); for everything else Vectorize already
@@ -190,52 +186,45 @@ double LinkageEngine::DefaultRecordSimilarity(int32_t a, int32_t b) const {
 }
 
 std::vector<std::pair<int32_t, int32_t>> LinkageEngine::GenerateCandidates(
-    GroupCandidateStats* stats) {
+    size_t* record_pairs) {
   switch (config_.candidates) {
-    case CandidateMethod::kAllPairs: {
-      auto pairs = AllGroupPairs(dataset_->num_groups());
-      stats->group_pairs = pairs.size();
-      return pairs;
-    }
+    case CandidateMethod::kAllPairs:
+      return AllGroupPairs(dataset_->num_groups());
     case CandidateMethod::kRecordJoin:
       return GroupCandidatesFromRecordJoin(
           record_token_ids_, record_group_, static_cast<int32_t>(vocabulary_.size()),
-          dataset_->num_groups(), config_.candidate_jaccard, stats);
+          dataset_->num_groups(), config_.candidate_jaccard, record_pairs);
     case CandidateMethod::kMinHash:
       return GroupCandidatesFromMinHash(
           record_token_ids_, record_group_,
           static_cast<size_t>(std::max(config_.minhash_bands, 1)),
-          static_cast<size_t>(std::max(config_.minhash_rows, 1)), stats);
+          static_cast<size_t>(std::max(config_.minhash_rows, 1)), record_pairs);
     case CandidateMethod::kSortedNeighborhood: {
       std::vector<std::string> labels;
       labels.reserve(dataset_->groups.size());
       for (const Group& group : dataset_->groups) labels.push_back(group.label);
-      auto pairs = SortedNeighborhoodPairs(
+      return SortedNeighborhoodPairs(
           labels, static_cast<size_t>(std::max(config_.neighborhood_window, 0)));
-      stats->group_pairs = pairs.size();
-      return pairs;
     }
     case CandidateMethod::kLabelBlocking: {
       std::vector<std::string> labels;
       labels.reserve(dataset_->groups.size());
       for (const Group& group : dataset_->groups) labels.push_back(group.label);
-      return GroupCandidatesFromLabelBlocking(config_.blocking, labels, stats);
+      return GroupCandidatesFromLabelBlocking(config_.blocking, labels);
     }
     case CandidateMethod::kBlocking: {
       std::vector<std::string> texts;
       texts.reserve(dataset_->records.size());
       for (const Record& record : dataset_->records) texts.push_back(record.text);
       return GroupCandidatesFromBlocking(config_.blocking, texts, record_group_,
-                                         dataset_->num_groups(), stats);
+                                         dataset_->num_groups(), record_pairs);
     }
   }
   return {};
 }
 
 std::vector<ScoredPair> LinkageEngine::ScoreCandidates(GroupMeasureKind measure) {
-  GL_CHECK(prepared_) << "call Prepare() before ScoreCandidates()";
-  GroupCandidateStats candidate_stats;
-  const auto candidates = GenerateCandidates(&candidate_stats);
+  const auto candidates = GenerateCandidates(/*record_pairs=*/nullptr);
   const double edge_threshold = measure == GroupMeasureKind::kBinaryJaccard
                                     ? config_.binary_cutoff
                                     : config_.theta;
@@ -306,7 +295,6 @@ void FinishResilienceFacts(const ExecutionContext& ctx, RunReport* report) {
 
 LinkageResult LinkageEngine::RunInternal(const RecordSimFn& sim,
                                          const VectorStore* store) {
-  GL_CHECK(prepared_) << "call Prepare() before Run()";
   GL_TRACE_SPAN("linkage.run");
   static Counter& runs = MetricsRegistry::Default().CounterRef("engine.runs");
   runs.Increment();
@@ -326,42 +314,34 @@ LinkageResult LinkageEngine::RunInternal(const RecordSimFn& sim,
 
   if (config_.use_edge_join && config_.measure == GroupMeasureKind::kBm) {
     // Global edge join replaces both candidate generation and per-pair
-    // graph construction.
-    const FilterRefineConfig ladder = config_.Ladder();
-    EdgeJoinConfig ej_config;
-    ej_config.theta = config_.theta;
-    ej_config.group_threshold = config_.group_threshold;
-    ej_config.join_jaccard = config_.join_jaccard;
-    ej_config.use_upper_bound_filter = ladder.use_upper_bound_filter;
-    ej_config.use_lower_bound_accept = ladder.use_lower_bound_accept;
-    ej_config.num_threads = config_.num_threads;
-    EdgeJoinStats ej_stats;
+    // graph construction; it appends its join/bucket/score stages.
     result.linked_pairs = EdgeJoinLink(
         *dataset_, record_token_ids_, static_cast<int32_t>(vocabulary_.size()),
-        record_group_, sim, ej_config, &ej_stats, pool(), &ctx, store);
-    AppendEdgeJoinStages(ej_stats, &report);
+        record_group_, sim, config_.Ladder(), config_.join_jaccard, &report,
+        pool(), &ctx, store);
     FinishClustering(result);
     FinishResilienceFacts(ctx, &report);
     return result;
   }
 
   WallTimer timer;
-  GroupCandidateStats cand_stats;
+  size_t record_pairs = 0;
   std::vector<std::pair<int32_t, int32_t>> candidates;
   {
     GL_TRACE_SPAN("linkage.candidates");
-    candidates = GenerateCandidates(&cand_stats);
+    candidates = GenerateCandidates(&record_pairs);
   }
-  report.stages.push_back(
-      CandidatesStageFromStats(cand_stats, timer.ElapsedSeconds()));
+  report.AddStage("candidates", timer.ElapsedSeconds())
+      .AddCounter("record_pairs", static_cast<int64_t>(record_pairs))
+      .AddCounter("group_pairs", static_cast<int64_t>(candidates.size()));
 
   timer.Reset();
-  FilterRefineStats fr_stats;
+  StageStats& score = report.AddStage("score");
   {
     GL_TRACE_SPAN("linkage.score");
     if (config_.measure == GroupMeasureKind::kBm) {
       result.linked_pairs = FilterRefineLink(*dataset_, sim, candidates,
-                                             config_.Ladder(), &fr_stats, pool(),
+                                             config_.Ladder(), &score, pool(),
                                              &ctx, store);
     } else {
       // Baseline measures: direct evaluation per candidate. The binary
@@ -370,15 +350,16 @@ LinkageResult LinkageEngine::RunInternal(const RecordSimFn& sim,
           config_.measure == GroupMeasureKind::kBinaryJaccard
               ? config_.binary_cutoff
               : config_.theta;
-      fr_stats.candidates = candidates.size();
       // Baseline measures have no UB ranking, so the candidate cap sheds
       // the list tail — still deterministic (depends only on the list).
       const size_t cap = ctx.EffectiveCandidateCap(candidates.size());
-      fr_stats.shed_candidates = candidates.size() - cap;
+      const size_t shed = candidates.size() - cap;
+      size_t skipped = 0;
+      int64_t empty_graphs = 0;
       VectorStore::Scratch scratch;
       for (size_t i = 0; i < cap; ++i) {
         if (ctx.StopRequested()) {
-          fr_stats.skipped = cap - i;
+          skipped = cap - i;
           break;
         }
         const auto [g1, g2] = candidates[i];
@@ -388,23 +369,29 @@ LinkageResult LinkageEngine::RunInternal(const RecordSimFn& sim,
                                               edge_threshold)
                 : BuildSimilarityGraph(*dataset_, g1, g2, sim, edge_threshold);
         if (graph.edges().empty()) {
-          ++fr_stats.empty_graphs;
+          ++empty_graphs;
           continue;
         }
-        const double score = EvaluateGroupMeasure(config_.measure, graph,
-                                                  dataset_->GroupSize(g1),
-                                                  dataset_->GroupSize(g2));
-        if (score >= config_.group_threshold) {
+        if (EvaluateGroupMeasure(config_.measure, graph, dataset_->GroupSize(g1),
+                                 dataset_->GroupSize(g2)) >= config_.group_threshold) {
           result.linked_pairs.emplace_back(g1, g2);
-          ++fr_stats.linked;
         }
       }
-      if (fr_stats.shed_candidates > 0 || fr_stats.skipped > 0) {
-        ctx.NoteDegraded();
-      }
+      // The score stage's key set of a BM run, with the bound rungs at 0:
+      // a baseline measure has no bounds.
+      score.AddCounter("candidates", static_cast<int64_t>(candidates.size()))
+          .AddCounter("empty_graphs", empty_graphs)
+          .AddCounter("ub_pruned", 0)
+          .AddCounter("lb_accepted", 0)
+          .AddCounter("refined", 0)
+          .AddCounter("linked", static_cast<int64_t>(result.linked_pairs.size()));
+      if (shed > 0) score.AddCounter("shed_candidates", static_cast<int64_t>(shed));
+      if (skipped > 0) score.AddCounter("skipped", static_cast<int64_t>(skipped));
+      score.AddTiming("graphs", 0.0).AddTiming("bounds", 0.0).AddTiming("refine", 0.0);
+      if (shed > 0 || skipped > 0) ctx.NoteDegraded();
     }
   }
-  report.stages.push_back(ScoreStageFromStats(fr_stats, timer.ElapsedSeconds()));
+  score.seconds = timer.ElapsedSeconds();
   FinishClustering(result);
   FinishResilienceFacts(ctx, &report);
   return result;

@@ -9,7 +9,6 @@
 #include "common/execution_context.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "core/edge_join.h"
 #include "core/filter_refine.h"
 #include "core/group.h"
 #include "core/group_measures.h"
@@ -91,16 +90,16 @@ struct LinkageConfig {
   /// Token-Jaccard threshold of the edge join's prefix filter.
   double join_jaccard = 0.3;
   /// Worker threads (1 = serial). Honored by *both* strategies and by
-  /// Prepare: the per-pair pipeline scores candidate group pairs in
+  /// Create: the per-pair pipeline scores candidate group pairs in
   /// parallel, the edge-join strategy shards its streaming join, verifies
   /// candidates inline per worker, and scores buckets in parallel, and
-  /// Prepare tokenizes + TF-IDF-vectorizes records in parallel. Results
+  /// Create tokenizes + TF-IDF-vectorizes records in parallel. Results
   /// are bit-identical to the serial run in every case.
   int32_t num_threads = 1;
 
   /// Resilience controls (all off by default; see DESIGN.md §8).
   /// Wall-clock deadline of one Run() call, in milliseconds (<= 0 = no
-  /// deadline). The clock starts when Run is entered — Prepare is not
+  /// deadline). The clock starts when Run is entered — Create is not
   /// covered. On expiry the run stops within one task quantum and returns
   /// a valid partial result whose links are a subset of the unconstrained
   /// run's, with report().degraded == true.
@@ -121,7 +120,7 @@ struct LinkageConfig {
   /// Checks every field for consistency: thresholds finite and in range,
   /// positive window/band/row/thread counts, non-negative deadline and
   /// budgets, and join_jaccard <= theta when the edge join is enabled (a
-  /// join threshold above θ would silently drop true edges). Prepare()
+  /// join threshold above θ would silently drop true edges). Create()
   /// calls this; call it directly to fail fast when configs come from
   /// user input.
   Status Validate() const;
@@ -165,7 +164,7 @@ class LinkageResult {
 ///   4. Cluster: union-find over linked pairs -> entity labels.
 ///
 /// With LinkageConfig::num_threads > 1 the engine owns a ThreadPool that
-/// Prepare and Run share; both evaluation strategies (per-pair
+/// Create and Run share; both evaluation strategies (per-pair
 /// filter-refine and the edge join) honor it and produce output identical
 /// to the serial run.
 ///
@@ -182,19 +181,9 @@ class LinkageEngine {
   /// Single-phase init: validates `config` and the dataset, precomputes
   /// token sets and TF-IDF vectors, and returns an engine that is ready
   /// to Run. `dataset` must outlive the engine and is not modified. This
-  /// is the only way to obtain a prepared engine in new code.
+  /// is the only way to obtain an engine.
   [[nodiscard]] static Result<LinkageEngine> Create(const Dataset* dataset,
                                                     const LinkageConfig& config);
-
-  /// Deprecated two-phase construction (constructor + Prepare). The shim
-  /// survives one release for out-of-tree callers; everything in-tree
-  /// goes through Create. `dataset` must outlive the engine.
-  LinkageEngine(const Dataset* dataset, const LinkageConfig& config);
-
-  /// Deprecated: second phase of the two-phase shim. Create() already
-  /// prepared the engine; calling Prepare on a Create()-built engine is
-  /// harmless (idempotent success).
-  Status Prepare();
 
   /// Runs candidate generation, scoring, and clustering. Scoring goes
   /// through the batched SIMD kernels (the engine's VectorStore), which
@@ -208,7 +197,6 @@ class LinkageEngine {
 
   /// Default record similarity: TF-IDF cosine of the two records' texts
   /// (the vectors are unit-length, so this is their dot product).
-  /// Valid only after Prepare().
   double DefaultRecordSimilarity(int32_t a, int32_t b) const;
 
   /// Scores every candidate group pair with `measure` *without*
@@ -222,12 +210,17 @@ class LinkageEngine {
   const LinkageConfig& config() const { return config_; }
 
  private:
+  LinkageEngine(const Dataset* dataset, const LinkageConfig& config);
+  /// Validates the dataset and config, then precomputes token sets and
+  /// TF-IDF vectors (Create's second half).
+  Status Prepare();
   /// Shared implementation of both Run overloads. `store` is the engine's
   /// VectorStore for the default similarity (batched scoring), null for a
   /// caller-supplied sim (per-pair scoring through `sim`).
   LinkageResult RunInternal(const RecordSimFn& sim, const VectorStore* store);
-  std::vector<std::pair<int32_t, int32_t>> GenerateCandidates(
-      GroupCandidateStats* stats);
+  /// Candidate group pairs of the configured method; `record_pairs`
+  /// (nullable) receives the record-level pairs a record join inspected.
+  std::vector<std::pair<int32_t, int32_t>> GenerateCandidates(size_t* record_pairs);
   void FinishClustering(LinkageResult& result) const;
   void FillRunFacts(RunReport& report) const;
   /// The engine's worker pool (null when num_threads <= 1); created once,
@@ -236,7 +229,6 @@ class LinkageEngine {
 
   const Dataset* dataset_;
   LinkageConfig config_;
-  bool prepared_ = false;
   double prepare_seconds_ = 0.0;
   std::unique_ptr<ThreadPool> pool_;
 

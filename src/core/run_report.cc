@@ -141,77 +141,16 @@ std::string RunReport::ToJson(int indent) const {
   return json.str();
 }
 
-StageStats CandidatesStageFromStats(const GroupCandidateStats& stats,
-                                    double seconds) {
-  StageStats stage;
-  stage.name = "candidates";
-  stage.seconds = seconds;
-  stage.AddCounter("record_pairs", static_cast<int64_t>(stats.record_pairs));
-  stage.AddCounter("group_pairs", static_cast<int64_t>(stats.group_pairs));
-  return stage;
-}
-
-StageStats ScoreStageFromStats(const FilterRefineStats& stats, double seconds) {
-  StageStats stage;
-  stage.name = "score";
-  stage.seconds = seconds;
-  stage.AddCounter("candidates", static_cast<int64_t>(stats.candidates));
-  stage.AddCounter("empty_graphs", static_cast<int64_t>(stats.empty_graphs));
-  stage.AddCounter("ub_pruned", static_cast<int64_t>(stats.pruned_by_upper_bound));
-  stage.AddCounter("lb_accepted",
-                   static_cast<int64_t>(stats.accepted_by_lower_bound));
-  stage.AddCounter("refined", static_cast<int64_t>(stats.refined));
-  stage.AddCounter("linked", static_cast<int64_t>(stats.linked));
-  // Shed-work counters appear only on degraded runs, so the classic
-  // candidates == empty + ub_pruned + lb_accepted + refined identity (and
-  // the exact JSON shape) of unconstrained runs is untouched.
-  if (stats.shed_candidates > 0) {
-    stage.AddCounter("shed_candidates", static_cast<int64_t>(stats.shed_candidates));
-  }
-  if (stats.degraded_refines > 0) {
-    stage.AddCounter("degraded_refines",
-                     static_cast<int64_t>(stats.degraded_refines));
-  }
-  if (stats.skipped > 0) {
-    stage.AddCounter("skipped", static_cast<int64_t>(stats.skipped));
-  }
-  stage.AddTiming("graphs", stats.seconds_graphs);
-  stage.AddTiming("bounds", stats.seconds_bounds);
-  stage.AddTiming("refine", stats.seconds_refine);
-  return stage;
-}
-
-void AppendEdgeJoinStages(const EdgeJoinStats& stats, RunReport* report) {
-  StageStats& join = report->AddStage("join", stats.seconds_join);
-  join.AddCounter("record_candidates",
-                  static_cast<int64_t>(stats.record_candidates));
-  join.AddCounter("edges", static_cast<int64_t>(stats.edges));
-  join.AddCounter("threads_used", static_cast<int64_t>(stats.threads_used));
-  if (stats.probes_skipped > 0) {
-    join.AddCounter("probes_skipped", static_cast<int64_t>(stats.probes_skipped));
-  }
-  join.AddCounter("verify_batches", static_cast<int64_t>(stats.verify_batches));
-  join.AddTiming("verify", stats.seconds_verify);
-
-  StageStats& bucket = report->AddStage("bucket", stats.seconds_bucket);
-  bucket.AddCounter("group_pairs", static_cast<int64_t>(stats.group_pairs));
-
-  StageStats& score = report->AddStage("score", stats.seconds_score);
-  score.AddCounter("group_pairs", static_cast<int64_t>(stats.group_pairs));
-  score.AddCounter("ub_pruned", static_cast<int64_t>(stats.pruned_by_upper_bound));
-  score.AddCounter("lb_accepted",
-                   static_cast<int64_t>(stats.accepted_by_lower_bound));
-  score.AddCounter("refined", static_cast<int64_t>(stats.refined));
-  score.AddCounter("linked", static_cast<int64_t>(stats.linked));
-  if (stats.shed_candidates > 0) {
-    score.AddCounter("shed_candidates", static_cast<int64_t>(stats.shed_candidates));
-  }
-  if (stats.degraded_refines > 0) {
-    score.AddCounter("degraded_refines",
-                     static_cast<int64_t>(stats.degraded_refines));
-  }
-  if (stats.skipped > 0) {
-    score.AddCounter("skipped", static_cast<int64_t>(stats.skipped));
+void MirrorToRegistry(const StageStats& stage, std::string_view prefix,
+                      std::initializer_list<std::string_view> keys) {
+  MetricsRegistry& registry = MetricsRegistry::Default();
+  for (const std::string_view key : keys) {
+    for (const auto& [name, value] : stage.counters) {
+      if (name != key) continue;
+      std::string full_name(prefix);
+      full_name.append(".").append(key);
+      registry.CounterRef(full_name).Increment(static_cast<uint64_t>(value));
+    }
   }
 }
 

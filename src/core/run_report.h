@@ -2,14 +2,11 @@
 #define GROUPLINK_CORE_RUN_REPORT_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
-
-#include "core/edge_join.h"
-#include "core/filter_refine.h"
-#include "index/candidates.h"
 
 namespace grouplink {
 
@@ -19,9 +16,9 @@ class JsonWriter;
 /// RunReport: a row of run-level facts (strategy, measure, thread count,
 /// dataset size, links, clusters) plus an ordered list of StageStats —
 /// one entry per pipeline stage — each carrying that stage's wall time
-/// and named counters. The report replaces the old LinkageResult sprawl
-/// of candidate_stats / score_stats / edge_join_stats / seconds_*; those
-/// survive as deprecated accessors reconstructed from the stages here.
+/// and named counters. Each stage is written once, by the code that
+/// counts it, and MirrorToRegistry copies the stage counters the process
+/// registry tracks, so the report and the registry cannot drift apart.
 ///
 /// Stage vocabulary (see DESIGN.md "Observability" for the full catalog):
 ///   per-pair pipeline:  prepare, candidates, score, cluster
@@ -105,13 +102,12 @@ struct RunReport {
   std::string ToJson(int indent = 2) const;
 };
 
-/// Stage builders from the legacy per-subsystem stat structs (the engine
-/// uses these to fill reports; benches never need them directly).
-StageStats CandidatesStageFromStats(const GroupCandidateStats& stats,
-                                    double seconds);
-StageStats ScoreStageFromStats(const FilterRefineStats& stats, double seconds);
-/// Appends the edge-join pipeline's join/bucket/score stages.
-void AppendEdgeJoinStages(const EdgeJoinStats& stats, RunReport* report);
+/// Adds each counter of `stage` named in `keys` to the process registry
+/// counter "<prefix>.<key>". A key the stage does not hold creates no
+/// registry counter, so a shed-work counter appears in the registry once
+/// it first goes non-zero.
+void MirrorToRegistry(const StageStats& stage, std::string_view prefix,
+                      std::initializer_list<std::string_view> keys);
 
 /// The unified experiment file emitted by every bench and consumed by CI:
 ///   {"schema": "grouplink.metrics.v1",

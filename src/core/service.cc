@@ -130,16 +130,8 @@ struct LinkageService::Impl {
   /// public accumulation accessors (the writer's own inline trigger is
   /// disabled in async mode — the policy lives here instead).
   bool PolicyWantsRefresh() const GL_REQUIRES(mu) {
-    const StreamingConfig& policy = config.streaming;
-    if (policy.refresh_every_n_groups > 0 &&
-        linker->groups_since_refresh() >= policy.refresh_every_n_groups) {
-      return true;
-    }
-    if (policy.refresh_on_oov_ratio > 0.0 &&
-        linker->EpochOovRatio() > policy.refresh_on_oov_ratio) {
-      return true;
-    }
-    return false;
+    return config.streaming.WantsRefresh(linker->groups_since_refresh(),
+                                         linker->EpochOovRatio());
   }
 
   void PublishLocked(const IncrementalLinker& source) GL_REQUIRES(mu) {

@@ -29,7 +29,6 @@ struct SnapshotMetrics {
 
 std::shared_ptr<const CorpusSnapshot> CorpusSnapshot::Capture(
     const IncrementalLinker& linker) {
-  GL_CHECK(linker.initialized_) << "Capture requires an initialized linker";
   auto& metrics = SnapshotMetrics::Get();
   // The deleter is how retired epochs report their reclamation: the
   // live gauge tracks epochs still referenced somewhere (current + any

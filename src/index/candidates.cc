@@ -44,18 +44,14 @@ std::vector<std::pair<int32_t, int32_t>> AllGroupPairs(int32_t num_groups) {
 std::vector<std::pair<int32_t, int32_t>> GroupCandidatesFromRecordJoin(
     const std::vector<std::vector<int32_t>>& record_tokens,
     const std::vector<int32_t>& record_group, int32_t num_tokens, int32_t num_groups,
-    double record_threshold, GroupCandidateStats* stats) {
+    double record_threshold, size_t* record_pairs) {
   GL_CHECK_EQ(record_tokens.size(), record_group.size());
-  const auto record_pairs =
-      PrefixFilterSelfJoin(record_tokens, num_tokens, record_threshold);
-  auto group_pairs = LiftToGroupPairs(record_pairs, record_group);
+  const auto pairs = PrefixFilterSelfJoin(record_tokens, num_tokens, record_threshold);
+  if (record_pairs != nullptr) *record_pairs = pairs.size();
+  auto group_pairs = LiftToGroupPairs(pairs, record_group);
   for (const auto& [g1, g2] : group_pairs) {
     GL_CHECK_GE(g1, 0);
     GL_CHECK_LT(g2, num_groups);
-  }
-  if (stats != nullptr) {
-    stats->record_pairs = record_pairs.size();
-    stats->group_pairs = group_pairs.size();
   }
   return group_pairs;
 }
@@ -63,56 +59,38 @@ std::vector<std::pair<int32_t, int32_t>> GroupCandidatesFromRecordJoin(
 std::vector<std::pair<int32_t, int32_t>> GroupCandidatesFromBlocking(
     BlockingScheme scheme, const std::vector<std::string>& record_texts,
     const std::vector<int32_t>& record_group, int32_t num_groups,
-    GroupCandidateStats* stats) {
+    size_t* record_pairs) {
   GL_CHECK_EQ(record_texts.size(), record_group.size());
   if (scheme == BlockingScheme::kNone) {
-    auto pairs = AllGroupPairs(num_groups);
-    if (stats != nullptr) {
-      stats->record_pairs = 0;
-      stats->group_pairs = pairs.size();
-    }
-    return pairs;
+    if (record_pairs != nullptr) *record_pairs = 0;
+    return AllGroupPairs(num_groups);
   }
   Blocker blocker(scheme);
   for (size_t r = 0; r < record_texts.size(); ++r) {
     blocker.Add(static_cast<int32_t>(r), record_texts[r]);
   }
-  const auto record_pairs = blocker.CandidatePairs();
-  auto group_pairs = LiftToGroupPairs(record_pairs, record_group);
-  if (stats != nullptr) {
-    stats->record_pairs = record_pairs.size();
-    stats->group_pairs = group_pairs.size();
-  }
-  return group_pairs;
+  const auto pairs = blocker.CandidatePairs();
+  if (record_pairs != nullptr) *record_pairs = pairs.size();
+  return LiftToGroupPairs(pairs, record_group);
 }
 
 std::vector<std::pair<int32_t, int32_t>> GroupCandidatesFromMinHash(
     const std::vector<std::vector<int32_t>>& record_tokens,
     const std::vector<int32_t>& record_group, size_t bands, size_t rows_per_band,
-    GroupCandidateStats* stats) {
+    size_t* record_pairs) {
   GL_CHECK_EQ(record_tokens.size(), record_group.size());
-  const auto record_pairs = MinHashSelfJoin(record_tokens, bands, rows_per_band);
-  auto group_pairs = LiftToGroupPairs(record_pairs, record_group);
-  if (stats != nullptr) {
-    stats->record_pairs = record_pairs.size();
-    stats->group_pairs = group_pairs.size();
-  }
-  return group_pairs;
+  const auto pairs = MinHashSelfJoin(record_tokens, bands, rows_per_band);
+  if (record_pairs != nullptr) *record_pairs = pairs.size();
+  return LiftToGroupPairs(pairs, record_group);
 }
 
 std::vector<std::pair<int32_t, int32_t>> GroupCandidatesFromLabelBlocking(
-    BlockingScheme scheme, const std::vector<std::string>& group_labels,
-    GroupCandidateStats* stats) {
+    BlockingScheme scheme, const std::vector<std::string>& group_labels) {
   Blocker blocker(scheme);
   for (size_t g = 0; g < group_labels.size(); ++g) {
     blocker.Add(static_cast<int32_t>(g), group_labels[g]);
   }
-  auto pairs = blocker.CandidatePairs();
-  if (stats != nullptr) {
-    stats->record_pairs = 0;
-    stats->group_pairs = pairs.size();
-  }
-  return pairs;
+  return blocker.CandidatePairs();
 }
 
 }  // namespace grouplink

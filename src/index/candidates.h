@@ -15,13 +15,9 @@ namespace grouplink {
 /// a record-level candidate (blocking key or prefix-filter hit) with a
 /// record of the other. A group pair with no record-level hit cannot have
 /// any similarity-graph edge, so its BM score is 0 and it is safe to skip
-/// whenever the group threshold Θ > 0.
-struct GroupCandidateStats {
-  /// Record-level candidate pairs inspected.
-  size_t record_pairs = 0;
-  /// Group pairs produced.
-  size_t group_pairs = 0;
-};
+/// whenever the group threshold Θ > 0. A non-null `record_pairs` receives
+/// the number of record-level candidate pairs the join inspected (0 when
+/// a blocking scheme of kNone skips the join).
 
 /// Every unordered pair (i < j) of `num_groups` groups.
 [[nodiscard]] std::vector<std::pair<int32_t, int32_t>> AllGroupPairs(int32_t num_groups);
@@ -32,13 +28,13 @@ struct GroupCandidateStats {
 [[nodiscard]] std::vector<std::pair<int32_t, int32_t>> GroupCandidatesFromRecordJoin(
     const std::vector<std::vector<int32_t>>& record_tokens,
     const std::vector<int32_t>& record_group, int32_t num_tokens, int32_t num_groups,
-    double record_threshold, GroupCandidateStats* stats = nullptr);
+    double record_threshold, size_t* record_pairs = nullptr);
 
 /// Group candidates via a Blocker over record texts.
 [[nodiscard]] std::vector<std::pair<int32_t, int32_t>> GroupCandidatesFromBlocking(
     BlockingScheme scheme, const std::vector<std::string>& record_texts,
     const std::vector<int32_t>& record_group, int32_t num_groups,
-    GroupCandidateStats* stats = nullptr);
+    size_t* record_pairs = nullptr);
 
 /// Group candidates via a MinHash/LSH self-join over record token sets
 /// (see index/minhash.h). Probabilistic: qualifying pairs can be missed
@@ -47,7 +43,7 @@ struct GroupCandidateStats {
 [[nodiscard]] std::vector<std::pair<int32_t, int32_t>> GroupCandidatesFromMinHash(
     const std::vector<std::vector<int32_t>>& record_tokens,
     const std::vector<int32_t>& record_group, size_t bands, size_t rows_per_band,
-    GroupCandidateStats* stats = nullptr);
+    size_t* record_pairs = nullptr);
 
 /// Group candidates by blocking directly on group labels (author name
 /// variant, household address, ...) — the classic cheap scheme: two groups
@@ -55,8 +51,7 @@ struct GroupCandidateStats {
 /// schemes (kFirstToken) trade recall for far smaller candidate sets;
 /// benchmark E8 quantifies the trade-off.
 [[nodiscard]] std::vector<std::pair<int32_t, int32_t>> GroupCandidatesFromLabelBlocking(
-    BlockingScheme scheme, const std::vector<std::string>& group_labels,
-    GroupCandidateStats* stats = nullptr);
+    BlockingScheme scheme, const std::vector<std::string>& group_labels);
 
 }  // namespace grouplink
 

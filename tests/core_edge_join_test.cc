@@ -164,8 +164,8 @@ TEST(EdgeJoinTest, OutputIdenticalAcrossThreadCounts) {
 
 TEST(EdgeJoinTest, DirectCallHonorsExternalPool) {
   // Tiny hand-built workload so EdgeJoinLink can be exercised directly: a
-  // caller-owned pool must be used (threads_used reports its size, not
-  // config.num_threads) and the output must match the serial call.
+  // caller-owned pool must be used (threads_used reports its size) and the
+  // output must match the serial call.
   Dataset dataset;
   std::vector<std::vector<int32_t>> record_tokens;
   const auto add = [&](const std::string& id,
@@ -193,26 +193,28 @@ TEST(EdgeJoinTest, DirectCallHonorsExternalPool) {
                : 0.0;
   };
 
-  EdgeJoinConfig config;
-  config.theta = 0.5;
-  config.group_threshold = 0.3;
-  config.join_jaccard = 0.5;
+  FilterRefineConfig ladder;
+  ladder.theta = 0.5;
+  ladder.group_threshold = 0.3;
+  const double join_jaccard = 0.5;
 
-  EdgeJoinStats serial_stats;
-  const auto serial =
-      EdgeJoinLink(dataset, record_tokens, 9, record_group, sim, config, &serial_stats);
-  EXPECT_EQ(serial_stats.threads_used, 1);
+  RunReport serial_report;
+  const auto serial = EdgeJoinLink(dataset, record_tokens, 9, record_group, sim,
+                                   ladder, join_jaccard, &serial_report);
+  EXPECT_EQ(serial_report.StageCounter("join", "threads_used"), 1);
 
   ThreadPool pool(3);
-  EdgeJoinStats pooled_stats;
+  RunReport pooled_report;
   const auto pooled = EdgeJoinLink(dataset, record_tokens, 9, record_group, sim,
-                                   config, &pooled_stats, &pool);
-  EXPECT_EQ(pooled_stats.threads_used, 3);
+                                   ladder, join_jaccard, &pooled_report, &pool);
+  EXPECT_EQ(pooled_report.StageCounter("join", "threads_used"), 3);
   EXPECT_EQ(pooled, serial);
   ASSERT_EQ(serial.size(), 1u);
   EXPECT_EQ(serial[0], std::make_pair(0, 1));
-  EXPECT_EQ(pooled_stats.edges, serial_stats.edges);
-  EXPECT_EQ(pooled_stats.group_pairs, serial_stats.group_pairs);
+  EXPECT_EQ(pooled_report.StageCounter("join", "edges"),
+            serial_report.StageCounter("join", "edges"));
+  EXPECT_EQ(pooled_report.StageCounter("bucket", "group_pairs"),
+            serial_report.StageCounter("bucket", "group_pairs"));
 }
 
 TEST(EdgeJoinTest, DirectCallOnTinyDataset) {

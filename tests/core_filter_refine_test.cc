@@ -63,16 +63,16 @@ TEST(FilterRefineTest, EquivalentToBruteForceAcrossSeeds) {
     config.theta = 0.55;
     config.group_threshold = 0.35;
 
-    FilterRefineStats fast_stats;
+    StageStats fast_stage;
     const auto fast = FilterRefineLink(instance.dataset, instance.SimFn(), candidates,
-                                       config, &fast_stats);
-    FilterRefineStats slow_stats;
+                                       config, &fast_stage);
+    StageStats slow_stage;
     const auto slow = BruteForceBmLink(instance.dataset, instance.SimFn(), candidates,
-                                       config, &slow_stats);
+                                       config, &slow_stage);
     EXPECT_EQ(fast, slow) << "seed " << seed;
-    EXPECT_EQ(fast_stats.linked, slow_stats.linked);
-    EXPECT_EQ(slow_stats.pruned_by_upper_bound, 0u);
-    EXPECT_EQ(slow_stats.accepted_by_lower_bound, 0u);
+    EXPECT_EQ(fast_stage.Counter("linked"), slow_stage.Counter("linked"));
+    EXPECT_EQ(slow_stage.Counter("ub_pruned"), 0);
+    EXPECT_EQ(slow_stage.Counter("lb_accepted"), 0);
   }
 }
 
@@ -83,12 +83,13 @@ TEST(FilterRefineTest, StatsPartitionCandidates) {
   FilterRefineConfig config;
   config.theta = 0.5;
   config.group_threshold = 0.4;
-  FilterRefineStats stats;
-  // Stats side channel is the subject under test; the link set is not.
-  (void)FilterRefineLink(instance.dataset, instance.SimFn(), candidates, config, &stats);
-  EXPECT_EQ(stats.candidates, candidates.size());
-  EXPECT_EQ(stats.candidates, stats.empty_graphs + stats.pruned_by_upper_bound +
-                                  stats.accepted_by_lower_bound + stats.refined);
+  StageStats stage;
+  // The stage counters are the subject under test; the link set is not.
+  (void)FilterRefineLink(instance.dataset, instance.SimFn(), candidates, config, &stage);
+  EXPECT_EQ(stage.Counter("candidates"), static_cast<int64_t>(candidates.size()));
+  EXPECT_EQ(stage.Counter("candidates"),
+            stage.Counter("empty_graphs") + stage.Counter("ub_pruned") +
+                stage.Counter("lb_accepted") + stage.Counter("refined"));
 }
 
 TEST(FilterRefineTest, BoundsActuallyPruneAndAccept) {
@@ -98,13 +99,13 @@ TEST(FilterRefineTest, BoundsActuallyPruneAndAccept) {
   FilterRefineConfig config;
   config.theta = 0.5;
   config.group_threshold = 0.4;
-  FilterRefineStats stats;
-  // Stats side channel is the subject under test; the link set is not.
-  (void)FilterRefineLink(instance.dataset, instance.SimFn(), candidates, config, &stats);
+  StageStats stage;
+  // The stage counters are the subject under test; the link set is not.
+  (void)FilterRefineLink(instance.dataset, instance.SimFn(), candidates, config, &stage);
   // On random data at these thresholds both bound paths should fire, and
   // refine should handle strictly fewer pairs than the candidate count.
-  EXPECT_GT(stats.pruned_by_upper_bound + stats.empty_graphs, 0u);
-  EXPECT_LT(stats.refined, stats.candidates);
+  EXPECT_GT(stage.Counter("ub_pruned") + stage.Counter("empty_graphs"), 0);
+  EXPECT_LT(stage.Counter("refined"), stage.Counter("candidates"));
 }
 
 TEST(FilterRefineTest, DisablingBoundsForcesRefine) {
@@ -116,12 +117,13 @@ TEST(FilterRefineTest, DisablingBoundsForcesRefine) {
   config.group_threshold = 0.4;
   config.use_upper_bound_filter = false;
   config.use_lower_bound_accept = false;
-  FilterRefineStats stats;
-  // Stats side channel is the subject under test; the link set is not.
-  (void)FilterRefineLink(instance.dataset, instance.SimFn(), candidates, config, &stats);
-  EXPECT_EQ(stats.pruned_by_upper_bound, 0u);
-  EXPECT_EQ(stats.accepted_by_lower_bound, 0u);
-  EXPECT_EQ(stats.refined + stats.empty_graphs, stats.candidates);
+  StageStats stage;
+  // The stage counters are the subject under test; the link set is not.
+  (void)FilterRefineLink(instance.dataset, instance.SimFn(), candidates, config, &stage);
+  EXPECT_EQ(stage.Counter("ub_pruned"), 0);
+  EXPECT_EQ(stage.Counter("lb_accepted"), 0);
+  EXPECT_EQ(stage.Counter("refined") + stage.Counter("empty_graphs"),
+            stage.Counter("candidates"));
 }
 
 TEST(FilterRefineTest, ThresholdOneOnlyLinksIdenticalGroups) {

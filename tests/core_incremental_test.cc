@@ -35,20 +35,20 @@ std::vector<std::string> GroupTexts(const Dataset& dataset, int32_t group) {
   return texts;
 }
 
-TEST(IncrementalLinkerTest, InitializeReproducesBatchLinks) {
+TEST(IncrementalLinkerTest, CreateReproducesBatchLinks) {
   const Dataset dataset = SeedDataset();
-  IncrementalLinker linker(TestConfig());
-  ASSERT_TRUE(linker.Initialize(dataset).ok());
+  auto linker = IncrementalLinker::Create(dataset, TestConfig());
+  ASSERT_TRUE(linker.ok());
 
   // The comparator must run the *normalized* configuration (token-blocking
   // candidates, BM measure) that the streaming semantics are defined
   // against — engine_config() returns exactly that.
-  const auto batch = RunGroupLinkage(dataset, linker.engine_config());
+  const auto batch = RunGroupLinkage(dataset, linker->engine_config());
   ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(linker.linked_pairs(), batch->linked_pairs);
-  EXPECT_EQ(linker.num_groups(), dataset.num_groups());
-  EXPECT_EQ(linker.num_alive_groups(), dataset.num_groups());
-  EXPECT_EQ(linker.epoch(), 1);
+  EXPECT_EQ(linker->linked_pairs(), batch->linked_pairs);
+  EXPECT_EQ(linker->num_groups(), dataset.num_groups());
+  EXPECT_EQ(linker->num_alive_groups(), dataset.num_groups());
+  EXPECT_EQ(linker->epoch(), 1);
 }
 
 TEST(IncrementalLinkerTest, EngineConfigIsNormalized) {
@@ -57,8 +57,9 @@ TEST(IncrementalLinkerTest, EngineConfigIsNormalized) {
   config.representation = RecordRepresentation::kCharacterQGrams;
   config.measure = GroupMeasureKind::kGreedy;
   config.use_edge_join = true;
-  IncrementalLinker linker(config);
-  const LinkageConfig& normalized = linker.engine_config();
+  auto linker = IncrementalLinker::Create(SeedDataset(10), config);
+  ASSERT_TRUE(linker.ok());
+  const LinkageConfig& normalized = linker->engine_config();
   EXPECT_EQ(normalized.candidates, CandidateMethod::kBlocking);
   EXPECT_EQ(normalized.blocking, BlockingScheme::kToken);
   EXPECT_EQ(normalized.measure, GroupMeasureKind::kBm);
@@ -68,14 +69,13 @@ TEST(IncrementalLinkerTest, EngineConfigIsNormalized) {
   EXPECT_DOUBLE_EQ(normalized.group_threshold, config.group_threshold);
 }
 
-TEST(IncrementalLinkerTest, InitializeRejectsInvalidDataset) {
+TEST(IncrementalLinkerTest, CreateRejectsInvalidDataset) {
   Dataset bad;
   Record record;
   record.id = "r";
   record.text = "orphan";
   bad.records.push_back(record);  // Record in no group.
-  IncrementalLinker linker(TestConfig());
-  EXPECT_FALSE(linker.Initialize(bad).ok());
+  EXPECT_FALSE(IncrementalLinker::Create(bad, TestConfig()).ok());
 }
 
 TEST(IncrementalLinkerTest, StreamingConfigRejectsBadValues) {
@@ -87,19 +87,17 @@ TEST(IncrementalLinkerTest, StreamingConfigRejectsBadValues) {
   EXPECT_FALSE(ratio.Validate().ok());
   EXPECT_TRUE(StreamingConfig().Validate().ok());
 
-  const Dataset dataset = SeedDataset(10);
-  IncrementalLinker linker(TestConfig(), negative);
-  EXPECT_FALSE(linker.Initialize(dataset).ok());
+  EXPECT_FALSE(IncrementalLinker::Create(SeedDataset(10), TestConfig(), negative).ok());
 }
 
 TEST(IncrementalLinkerTest, DuplicateGroupLinksToItsTwin) {
   const Dataset dataset = SeedDataset();
-  IncrementalLinker linker(TestConfig());
-  ASSERT_TRUE(linker.Initialize(dataset).ok());
+  auto linker = IncrementalLinker::Create(dataset, TestConfig());
+  ASSERT_TRUE(linker.ok());
 
   // Re-add an existing group's exact record texts as a new group.
   const int32_t twin = 3;
-  const auto added = linker.AddGroup("twin", GroupTexts(dataset, twin));
+  const auto added = linker->AddGroup("twin", GroupTexts(dataset, twin));
   EXPECT_EQ(added.group_index, dataset.num_groups());
   EXPECT_TRUE(std::find(added.linked_to.begin(), added.linked_to.end(), twin) !=
               added.linked_to.end());
@@ -107,14 +105,14 @@ TEST(IncrementalLinkerTest, DuplicateGroupLinksToItsTwin) {
 
 TEST(IncrementalLinkerTest, UnrelatedGroupStaysUnlinked) {
   const Dataset dataset = SeedDataset();
-  IncrementalLinker linker(TestConfig());
-  ASSERT_TRUE(linker.Initialize(dataset).ok());
-  const auto added = linker.AddGroup(
+  auto linker = IncrementalLinker::Create(dataset, TestConfig());
+  ASSERT_TRUE(linker.ok());
+  const auto added = linker->AddGroup(
       "stranger", {"zzqx wvut completely alien nonsense", "qqqq pppp rrrr"});
   EXPECT_TRUE(added.linked_to.empty());
   // Every token of the stranger is new to the epoch vocabulary.
   EXPECT_GT(added.oov_tokens, 0u);
-  EXPECT_GT(linker.EpochOovRatio(), 0.0);
+  EXPECT_GT(linker->EpochOovRatio(), 0.0);
 }
 
 TEST(IncrementalLinkerTest, BatchAddEqualsSequentialAdds) {
@@ -127,74 +125,74 @@ TEST(IncrementalLinkerTest, BatchAddEqualsSequentialAdds) {
                      GroupTexts(extra, g)});
   }
 
-  IncrementalLinker batched(TestConfig());
-  ASSERT_TRUE(batched.Initialize(dataset).ok());
-  const auto results = batched.AddGroups(batch);
+  auto batched = IncrementalLinker::Create(dataset, TestConfig());
+  ASSERT_TRUE(batched.ok());
+  const auto results = batched->AddGroups(batch);
   ASSERT_EQ(results.size(), batch.size());
 
-  IncrementalLinker sequential(TestConfig());
-  ASSERT_TRUE(sequential.Initialize(dataset).ok());
+  auto sequential = IncrementalLinker::Create(dataset, TestConfig());
+  ASSERT_TRUE(sequential.ok());
   for (const GroupArrival& arrival : batch) {
-    sequential.AddGroup(arrival.label, arrival.record_texts);
+    sequential->AddGroup(arrival.label, arrival.record_texts);
   }
 
-  EXPECT_EQ(batched.linked_pairs(), sequential.linked_pairs());
-  EXPECT_EQ(batched.ClusterLabels(), sequential.ClusterLabels());
+  EXPECT_EQ(batched->linked_pairs(), sequential->linked_pairs());
+  EXPECT_EQ(batched->ClusterLabels(), sequential->ClusterLabels());
 }
 
 TEST(IncrementalLinkerTest, RemoveGroupDropsItsLinks) {
   const Dataset dataset = SeedDataset();
-  IncrementalLinker linker(TestConfig());
-  ASSERT_TRUE(linker.Initialize(dataset).ok());
-  ASSERT_FALSE(linker.linked_pairs().empty());
+  auto linker = IncrementalLinker::Create(dataset, TestConfig());
+  ASSERT_TRUE(linker.ok());
+  ASSERT_FALSE(linker->linked_pairs().empty());
 
-  const int32_t victim = linker.linked_pairs().front().first;
-  const int32_t alive_before = linker.num_alive_groups();
-  linker.RemoveGroup(victim);
-  EXPECT_FALSE(linker.IsAlive(victim));
-  EXPECT_EQ(linker.num_alive_groups(), alive_before - 1);
-  for (const auto& [a, b] : linker.linked_pairs()) {
+  const int32_t victim = linker->linked_pairs().front().first;
+  const int32_t alive_before = linker->num_alive_groups();
+  linker->RemoveGroup(victim);
+  EXPECT_FALSE(linker->IsAlive(victim));
+  EXPECT_EQ(linker->num_alive_groups(), alive_before - 1);
+  for (const auto& [a, b] : linker->linked_pairs()) {
     EXPECT_NE(a, victim);
     EXPECT_NE(b, victim);
   }
   // The tombstoned slot keeps its index and clusters as a singleton.
-  const auto labels = linker.ClusterLabels();
-  EXPECT_EQ(labels.size(), static_cast<size_t>(linker.num_groups()));
+  const auto labels = linker->ClusterLabels();
+  EXPECT_EQ(labels.size(), static_cast<size_t>(linker->num_groups()));
 }
 
 TEST(IncrementalLinkerTest, RemovedGroupStopsGeneratingCandidates) {
   const Dataset dataset = SeedDataset();
-  IncrementalLinker linker(TestConfig());
-  ASSERT_TRUE(linker.Initialize(dataset).ok());
+  auto linker = IncrementalLinker::Create(dataset, TestConfig());
+  ASSERT_TRUE(linker.ok());
 
   const int32_t twin = 5;
-  linker.RemoveGroup(twin);
+  linker->RemoveGroup(twin);
   // A copy of the removed group must not link back to the tombstone.
-  const auto added = linker.AddGroup("twin", GroupTexts(dataset, twin));
+  const auto added = linker->AddGroup("twin", GroupTexts(dataset, twin));
   EXPECT_TRUE(std::find(added.linked_to.begin(), added.linked_to.end(), twin) ==
               added.linked_to.end());
 }
 
 TEST(IncrementalLinkerTest, MergeGroupsCombinesRecordsAndRescores) {
   const Dataset dataset = SeedDataset();
-  IncrementalLinker linker(TestConfig());
-  ASSERT_TRUE(linker.Initialize(dataset).ok());
-  ASSERT_FALSE(linker.linked_pairs().empty());
+  auto linker = IncrementalLinker::Create(dataset, TestConfig());
+  ASSERT_TRUE(linker.ok());
+  ASSERT_FALSE(linker->linked_pairs().empty());
 
-  const auto [into, from] = linker.linked_pairs().front();
-  const int32_t alive_before = linker.num_alive_groups();
-  const auto merged = linker.MergeGroups(into, from);
+  const auto [into, from] = linker->linked_pairs().front();
+  const int32_t alive_before = linker->num_alive_groups();
+  const auto merged = linker->MergeGroups(into, from);
   EXPECT_EQ(merged.group_index, into);
-  EXPECT_TRUE(linker.IsAlive(into));
-  EXPECT_FALSE(linker.IsAlive(from));
-  EXPECT_EQ(linker.num_alive_groups(), alive_before - 1);
-  for (const auto& [a, b] : linker.linked_pairs()) {
+  EXPECT_TRUE(linker->IsAlive(into));
+  EXPECT_FALSE(linker->IsAlive(from));
+  EXPECT_EQ(linker->num_alive_groups(), alive_before - 1);
+  for (const auto& [a, b] : linker->linked_pairs()) {
     EXPECT_NE(a, from);
     EXPECT_NE(b, from);
   }
   // A twin of the merged group's former partner still links to the
   // combined group: merging must not lose its records.
-  const auto twin = linker.AddGroup("twin", GroupTexts(dataset, from));
+  const auto twin = linker->AddGroup("twin", GroupTexts(dataset, from));
   EXPECT_TRUE(std::find(twin.linked_to.begin(), twin.linked_to.end(), into) !=
               twin.linked_to.end());
 }
@@ -203,44 +201,44 @@ TEST(IncrementalLinkerTest, RefreshEveryNGroupsPolicyTriggers) {
   const Dataset dataset = SeedDataset(20);
   StreamingConfig streaming;
   streaming.refresh_every_n_groups = 2;
-  IncrementalLinker linker(TestConfig(), streaming);
-  ASSERT_TRUE(linker.Initialize(dataset).ok());
-  ASSERT_EQ(linker.epoch(), 1);
+  auto linker = IncrementalLinker::Create(dataset, TestConfig(), streaming);
+  ASSERT_TRUE(linker.ok());
+  ASSERT_EQ(linker->epoch(), 1);
 
-  const auto first = linker.AddGroup("a", {"streaming refresh policy one"});
+  const auto first = linker->AddGroup("a", {"streaming refresh policy one"});
   EXPECT_FALSE(first.triggered_refresh);
-  EXPECT_EQ(linker.groups_since_refresh(), 1);
-  const auto second = linker.AddGroup("b", {"streaming refresh policy two"});
+  EXPECT_EQ(linker->groups_since_refresh(), 1);
+  const auto second = linker->AddGroup("b", {"streaming refresh policy two"});
   EXPECT_TRUE(second.triggered_refresh);
-  EXPECT_EQ(linker.groups_since_refresh(), 0);
-  EXPECT_EQ(linker.epoch(), 2);
+  EXPECT_EQ(linker->groups_since_refresh(), 0);
+  EXPECT_EQ(linker->epoch(), 2);
 }
 
 TEST(IncrementalLinkerTest, OovRatioPolicyTriggers) {
   const Dataset dataset = SeedDataset(20);
   StreamingConfig streaming;
   streaming.refresh_on_oov_ratio = 0.5;
-  IncrementalLinker linker(TestConfig(), streaming);
-  ASSERT_TRUE(linker.Initialize(dataset).ok());
+  auto linker = IncrementalLinker::Create(dataset, TestConfig(), streaming);
+  ASSERT_TRUE(linker.ok());
 
   // Fully out-of-vocabulary arrival: OOV ratio 1.0 > 0.5 forces a refresh,
   // which folds the new tokens into the epoch statistics.
-  const auto added = linker.AddGroup("alien", {"xqzv wbtk pflm"});
+  const auto added = linker->AddGroup("alien", {"xqzv wbtk pflm"});
   EXPECT_TRUE(added.triggered_refresh);
-  EXPECT_EQ(linker.epoch(), 2);
-  EXPECT_DOUBLE_EQ(linker.EpochOovRatio(), 0.0);
+  EXPECT_EQ(linker->epoch(), 2);
+  EXPECT_DOUBLE_EQ(linker->EpochOovRatio(), 0.0);
 }
 
 TEST(IncrementalLinkerTest, ClusterLabelsReflectNewLinks) {
   const Dataset dataset = SeedDataset();
-  IncrementalLinker linker(TestConfig());
-  ASSERT_TRUE(linker.Initialize(dataset).ok());
+  auto linker = IncrementalLinker::Create(dataset, TestConfig());
+  ASSERT_TRUE(linker.ok());
 
   const int32_t twin = 0;
-  const auto added = linker.AddGroup("twin", GroupTexts(dataset, twin));
+  const auto added = linker->AddGroup("twin", GroupTexts(dataset, twin));
   ASSERT_FALSE(added.linked_to.empty());
-  const auto labels = linker.ClusterLabels();
-  ASSERT_EQ(labels.size(), static_cast<size_t>(linker.num_groups()));
+  const auto labels = linker->ClusterLabels();
+  ASSERT_EQ(labels.size(), static_cast<size_t>(linker->num_groups()));
   EXPECT_EQ(labels[static_cast<size_t>(added.group_index)],
             labels[static_cast<size_t>(added.linked_to.front())]);
 }
@@ -250,13 +248,13 @@ TEST(IncrementalLinkerTest, ClusterLabelsStayStableAcrossUnrelatedArrivals) {
   // that links to nothing must leave every existing group's label intact
   // and claim a fresh label for itself.
   const Dataset dataset = SeedDataset();
-  IncrementalLinker linker(TestConfig());
-  ASSERT_TRUE(linker.Initialize(dataset).ok());
+  auto linker = IncrementalLinker::Create(dataset, TestConfig());
+  ASSERT_TRUE(linker.ok());
 
-  const auto before = linker.ClusterLabels();
-  const auto added = linker.AddGroup("stranger", {"xxyy zzww unique gibberish"});
+  const auto before = linker->ClusterLabels();
+  const auto added = linker->AddGroup("stranger", {"xxyy zzww unique gibberish"});
   ASSERT_TRUE(added.linked_to.empty());
-  const auto after = linker.ClusterLabels();
+  const auto after = linker->ClusterLabels();
   ASSERT_EQ(after.size(), before.size() + 1);
   for (size_t g = 0; g < before.size(); ++g) {
     EXPECT_EQ(after[g], before[g]) << "label of group " << g << " drifted";
@@ -288,32 +286,32 @@ TEST(IncrementalLinkerTest, StreamedGroupsRecoverHeldOutLinks) {
   }
   ASSERT_TRUE(seed.Validate().ok());
 
-  IncrementalLinker linker(TestConfig());
-  ASSERT_TRUE(linker.Initialize(seed).ok());
+  auto linker = IncrementalLinker::Create(seed, TestConfig());
+  ASSERT_TRUE(linker.ok());
   for (int32_t g = held_out_start; g < full.num_groups(); ++g) {
     const auto added =
-        linker.AddGroup(full.groups[static_cast<size_t>(g)].label, GroupTexts(full, g));
+        linker->AddGroup(full.groups[static_cast<size_t>(g)].label, GroupTexts(full, g));
     EXPECT_EQ(added.group_index, g);
   }
 
   // Group indexes line up with `full` by construction, so evaluate
   // directly against its ground truth.
-  const PairMetrics metrics = EvaluatePairs(linker.linked_pairs(), full.TruePairs());
+  const PairMetrics metrics = EvaluatePairs(linker->linked_pairs(), full.TruePairs());
   EXPECT_GT(metrics.f1, 0.85) << "P=" << metrics.precision
                               << " R=" << metrics.recall;
 }
 
 TEST(IncrementalLinkerTest, LinkedPairsStayOrientedAndSorted) {
   const Dataset dataset = SeedDataset(20);
-  IncrementalLinker linker(TestConfig());
-  ASSERT_TRUE(linker.Initialize(dataset).ok());
-  linker.AddGroup("g1", {"query optimization in large databases sigmod 1999"});
-  linker.AddGroup("g2", {"query optimization in large databases sigmod 1999"});
-  const auto& pairs = linker.linked_pairs();
+  auto linker = IncrementalLinker::Create(dataset, TestConfig());
+  ASSERT_TRUE(linker.ok());
+  linker->AddGroup("g1", {"query optimization in large databases sigmod 1999"});
+  linker->AddGroup("g2", {"query optimization in large databases sigmod 1999"});
+  const auto& pairs = linker->linked_pairs();
   for (const auto& [a, b] : pairs) {
     EXPECT_LT(a, b);
     EXPECT_GE(a, 0);
-    EXPECT_LT(b, linker.num_groups());
+    EXPECT_LT(b, linker->num_groups());
   }
   EXPECT_TRUE(std::is_sorted(pairs.begin(), pairs.end()));
 }

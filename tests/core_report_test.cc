@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -31,12 +34,66 @@ LinkageConfig PerPairConfig() {
   return config;
 }
 
-LinkageConfig EdgeJoinConfig(int32_t threads = 1) {
+LinkageConfig EdgeJoinLinkage(int32_t threads = 1) {
   LinkageConfig config = PerPairConfig();
   config.use_edge_join = true;
   config.join_jaccard = 0.15;
   config.num_threads = threads;
   return config;
+}
+
+LinkageConfig BinaryJaccardConfig() {
+  LinkageConfig config = PerPairConfig();
+  config.measure = GroupMeasureKind::kBinaryJaccard;
+  return config;
+}
+
+// Each stage's name with its counter keys, in report order.
+using KeyLayout = std::vector<std::pair<std::string, std::vector<std::string>>>;
+
+KeyLayout CounterKeys(const RunReport& report) {
+  KeyLayout layout;
+  for (const StageStats& stage : report.stages) {
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : stage.counters) keys.push_back(key);
+    layout.emplace_back(stage.name, std::move(keys));
+  }
+  return layout;
+}
+
+// Checks, after ResetAll() and one run, that every filter_refine.* and
+// edge_join.* registry counter equals the stage counter it mirrors: a BM
+// per-pair run mirrors its score stage into filter_refine.*, an edge join
+// its score stage plus the thread-invariant join counters into
+// edge_join.*, and a baseline measure mirrors nothing. Counters the run
+// did not write read 0; edge_join.sim_evaluations is counted on the
+// verify path itself, not mirrored.
+void ExpectRegistryMirrorsReport(const RunReport& report) {
+  std::map<std::string, int64_t> want;
+  const bool edge_join = report.strategy == "edge-join";
+  if (edge_join || report.measure == "BM") {
+    const std::string prefix = edge_join ? "edge_join." : "filter_refine.";
+    for (const auto& [key, value] : report.FindStage("score")->counters) {
+      want[prefix + key] = value;
+    }
+    if (edge_join) {
+      for (const auto& [key, value] : report.FindStage("join")->counters) {
+        if (key != "threads_used" && key != "verify_batches") want[prefix + key] = value;
+      }
+    }
+  }
+  const MetricsSnapshot snapshot = MetricsRegistry::Default().Snapshot();
+  for (const auto& [name, value] : want) {
+    ASSERT_EQ(snapshot.counters.count(name), 1u) << name;
+    EXPECT_EQ(snapshot.counters.at(name), static_cast<uint64_t>(value)) << name;
+  }
+  for (const auto& [name, value] : snapshot.counters) {
+    const bool mirrored_family =
+        name.rfind("filter_refine.", 0) == 0 || name.rfind("edge_join.", 0) == 0;
+    if (!mirrored_family || name == "edge_join.sim_evaluations") continue;
+    const auto it = want.find(name);
+    EXPECT_EQ(value, it == want.end() ? 0u : static_cast<uint64_t>(it->second)) << name;
+  }
 }
 
 TEST(RunReportTest, PerPairStagesAndIdentities) {
@@ -71,7 +128,7 @@ TEST(RunReportTest, PerPairStagesAndIdentities) {
 
 TEST(RunReportTest, EdgeJoinStagesAndIdentities) {
   const Dataset dataset = TestDataset();
-  const auto result = RunGroupLinkage(dataset, EdgeJoinConfig());
+  const auto result = RunGroupLinkage(dataset, EdgeJoinLinkage());
   ASSERT_TRUE(result.ok());
   const RunReport& report = result->report();
 
@@ -115,7 +172,7 @@ TEST(RunReportTest, RegistryCountersIdenticalAcrossThreadCounts) {
   MetricsRegistry& registry = MetricsRegistry::Default();
 
   registry.ResetAll();
-  const auto reference = RunGroupLinkage(dataset, EdgeJoinConfig(1));
+  const auto reference = RunGroupLinkage(dataset, EdgeJoinLinkage(1));
   ASSERT_TRUE(reference.ok());
   const MetricsSnapshot want = registry.Snapshot();
   ASSERT_GT(want.counters.at("edge_join.sim_evaluations"), 0u);
@@ -123,7 +180,7 @@ TEST(RunReportTest, RegistryCountersIdenticalAcrossThreadCounts) {
 
   for (const int32_t threads : {2, 7}) {
     registry.ResetAll();
-    const auto result = RunGroupLinkage(dataset, EdgeJoinConfig(threads));
+    const auto result = RunGroupLinkage(dataset, EdgeJoinLinkage(threads));
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->linked_pairs, reference->linked_pairs) << threads;
     const MetricsSnapshot got = registry.Snapshot();
@@ -138,7 +195,7 @@ TEST(RunReportTest, BucketHistogramCountsEveryGroupPair) {
   MetricsRegistry& registry = MetricsRegistry::Default();
   registry.ResetAll();
   const Dataset dataset = TestDataset();
-  const auto result = RunGroupLinkage(dataset, EdgeJoinConfig());
+  const auto result = RunGroupLinkage(dataset, EdgeJoinLinkage());
   ASSERT_TRUE(result.ok());
   const MetricsSnapshot snapshot = registry.Snapshot();
   EXPECT_EQ(snapshot.histograms.at("edge_join.bucket_size").count,
@@ -150,13 +207,13 @@ TEST(RunReportTest, BucketHistogramCountsEveryGroupPair) {
 
 TEST(RunReportTest, DisablingObservabilityDoesNotChangeOutput) {
   const Dataset dataset = TestDataset();
-  const auto baseline = RunGroupLinkage(dataset, EdgeJoinConfig(2));
+  const auto baseline = RunGroupLinkage(dataset, EdgeJoinLinkage(2));
   ASSERT_TRUE(baseline.ok());
 
   MetricsRegistry::Default().ResetAll();
   SetMetricsEnabled(false);
   SetTracingEnabled(false);
-  const auto dark = RunGroupLinkage(dataset, EdgeJoinConfig(2));
+  const auto dark = RunGroupLinkage(dataset, EdgeJoinLinkage(2));
   SetMetricsEnabled(true);
   SetTracingEnabled(true);
   ASSERT_TRUE(dark.ok());
@@ -172,7 +229,7 @@ TEST(RunReportTest, DisablingObservabilityDoesNotChangeOutput) {
 
 TEST(RunReportTest, JsonExportsHaveExpectedShape) {
   const Dataset dataset = TestDataset();
-  const auto result = RunGroupLinkage(dataset, EdgeJoinConfig());
+  const auto result = RunGroupLinkage(dataset, EdgeJoinLinkage());
   ASSERT_TRUE(result.ok());
 
   const std::string run_json = result->report().ToJson();
@@ -230,6 +287,70 @@ TEST(RunReportTest, DegradedRunsExportTheirFactsInJson) {
   EXPECT_NE(json.find("\"shed_candidates\""), std::string::npos);
   // The budget sheds work without stopping the run.
   EXPECT_NE(json.find("\"stop_reason\": \"\""), std::string::npos);
+}
+
+TEST(RunReportTest, CleanRunsPinTheirStageCounterKeys) {
+  const Dataset dataset = TestDataset();
+  const std::pair<std::string, std::vector<std::string>> prepare = {
+      "prepare", {"records", "groups", "vocabulary"}};
+  const std::pair<std::string, std::vector<std::string>> cluster = {
+      "cluster", {"links", "clusters"}};
+  const KeyLayout per_pair = {
+      prepare,
+      {"candidates", {"record_pairs", "group_pairs"}},
+      {"score", {"candidates", "empty_graphs", "ub_pruned", "lb_accepted", "refined",
+                 "linked"}},
+      cluster};
+  const KeyLayout edge_join = {
+      prepare,
+      {"join", {"record_candidates", "edges", "threads_used", "verify_batches"}},
+      {"bucket", {"group_pairs"}},
+      {"score", {"group_pairs", "ub_pruned", "lb_accepted", "refined", "linked"}},
+      cluster};
+  for (const auto& [config, want] :
+       {std::pair<LinkageConfig, KeyLayout>{PerPairConfig(), per_pair},
+        {EdgeJoinLinkage(), edge_join},
+        {BinaryJaccardConfig(), per_pair}}) {
+    const auto result = RunGroupLinkage(dataset, config);
+    ASSERT_TRUE(result.ok());
+    const RunReport& report = result->report();
+    EXPECT_EQ(CounterKeys(report), want) << report.strategy << " " << report.measure;
+    if (config.measure != GroupMeasureKind::kBm) {
+      // The baseline keeps the BM key set; it has no bounds to count.
+      for (const char* bound : {"ub_pruned", "lb_accepted", "refined"}) {
+        EXPECT_EQ(report.StageCounter("score", bound), 0) << bound;
+      }
+    }
+  }
+}
+
+TEST(RunReportTest, RegistryMirrorsTheReportStages) {
+  // Clean runs of both batch strategies and the baseline, then a candidate
+  // cap and a matcher budget on both strategies: their shed counters reach
+  // the score stage and the registry together.
+  const Dataset dataset = TestDataset();
+  std::vector<std::pair<LinkageConfig, std::string>> runs = {
+      {PerPairConfig(), ""}, {EdgeJoinLinkage(), ""}, {BinaryJaccardConfig(), ""}};
+  for (const LinkageConfig& strategy : {PerPairConfig(), EdgeJoinLinkage(2)}) {
+    LinkageConfig capped = strategy;
+    capped.max_candidate_pairs = 3;
+    runs.emplace_back(capped, "shed_candidates");
+    LinkageConfig budgeted = strategy;
+    budgeted.max_matcher_cost = 2;
+    runs.emplace_back(budgeted, "degraded_refines");
+  }
+  for (const auto& [config, shed_key] : runs) {
+    MetricsRegistry::Default().ResetAll();
+    const auto result = RunGroupLinkage(dataset, config);
+    ASSERT_TRUE(result.ok());
+    const RunReport& report = result->report();
+    if (!shed_key.empty()) {
+      EXPECT_TRUE(report.degraded);
+      EXPECT_GT(report.StageCounter("score", shed_key), 0)
+          << report.strategy << " " << shed_key;
+    }
+    ExpectRegistryMirrorsReport(report);
+  }
 }
 
 TEST(RunReportTest, StageAccessorsOnMissingStagesAreZero) {

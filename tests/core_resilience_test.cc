@@ -280,13 +280,13 @@ TEST(ResilienceTest, StreamingSurvivesInjectedFaultAndRefreshRecovers) {
   }
   ASSERT_TRUE(accumulated.Validate().ok());
 
-  IncrementalLinker linker(TestConfig(2));
-  ASSERT_TRUE(linker.Initialize(seed).ok());
-  const Pairs seeded_links = linker.linked_pairs();
+  auto linker = IncrementalLinker::Create(seed, TestConfig(2));
+  ASSERT_TRUE(linker.ok());
+  const Pairs seeded_links = linker->linked_pairs();
 
   ScopedFaultClear clear;
   FaultInjector::Default().Arm(faults::kFailTask, FaultSpec{});
-  const auto results = linker.AddGroups(arrivals);
+  const auto results = linker->AddGroups(arrivals);
   FaultInjector::Default().DisarmAll();
 
   // The batch survived: every arrival got a slot, every scoring pass was
@@ -296,15 +296,15 @@ TEST(ResilienceTest, StreamingSurvivesInjectedFaultAndRefreshRecovers) {
     EXPECT_TRUE(result.degraded);
     EXPECT_TRUE(result.linked_to.empty());
   }
-  EXPECT_EQ(linker.num_alive_groups(), accumulated.num_groups());
+  EXPECT_EQ(linker->num_alive_groups(), accumulated.num_groups());
   // No scoring ran, so only the seed's links exist — a subset of batch.
-  EXPECT_EQ(linker.linked_pairs(), seeded_links);
+  EXPECT_EQ(linker->linked_pairs(), seeded_links);
 
   // With the fault gone, one refresh recovers the batch link set exactly.
-  linker.Refresh();
-  const auto batch = RunGroupLinkage(accumulated, linker.engine_config());
+  linker->Refresh();
+  const auto batch = RunGroupLinkage(accumulated, linker->engine_config());
   ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(linker.linked_pairs(), batch->linked_pairs);
+  EXPECT_EQ(linker->linked_pairs(), batch->linked_pairs);
 }
 
 TEST(ResilienceTest, StreamingCandidateCapMarksArrivalsDegraded) {
@@ -337,9 +337,9 @@ TEST(ResilienceTest, StreamingCandidateCapMarksArrivalsDegraded) {
   ASSERT_TRUE(seed.Validate().ok());
 
   // An unconstrained linker tells us how many candidates arrivals see.
-  IncrementalLinker reference(TestConfig());
-  ASSERT_TRUE(reference.Initialize(seed).ok());
-  const auto unconstrained = reference.AddGroups(arrivals);
+  auto reference = IncrementalLinker::Create(seed, TestConfig());
+  ASSERT_TRUE(reference.ok());
+  const auto unconstrained = reference->AddGroups(arrivals);
   size_t max_candidates = 0;
   for (const auto& result : unconstrained) {
     max_candidates = std::max(max_candidates, result.candidates);
@@ -348,9 +348,9 @@ TEST(ResilienceTest, StreamingCandidateCapMarksArrivalsDegraded) {
 
   LinkageConfig capped = TestConfig();
   capped.max_candidate_pairs = 1;
-  IncrementalLinker linker(capped);
-  ASSERT_TRUE(linker.Initialize(seed).ok());
-  const auto results = linker.AddGroups(arrivals);
+  auto linker = IncrementalLinker::Create(seed, capped);
+  ASSERT_TRUE(linker.ok());
+  const auto results = linker->AddGroups(arrivals);
   bool any_degraded = false;
   for (size_t k = 0; k < results.size(); ++k) {
     if (unconstrained[k].candidates > 1) {
@@ -364,9 +364,9 @@ TEST(ResilienceTest, StreamingCandidateCapMarksArrivalsDegraded) {
   // A persistent budget constrains Refresh too (it is a config limit, not
   // a transient fault), so the contract after refreshing both linkers is
   // the subset relation, not equality: capping only removes links.
-  reference.Refresh();
-  linker.Refresh();
-  EXPECT_TRUE(IsSubset(linker.linked_pairs(), reference.linked_pairs()));
+  reference->Refresh();
+  linker->Refresh();
+  EXPECT_TRUE(IsSubset(linker->linked_pairs(), reference->linked_pairs()));
 }
 
 }  // namespace

@@ -178,20 +178,20 @@ TEST(StreamingEquivalenceTest, RefreshEveryArrivalMatchesBatchExactly) {
 
       StreamingConfig streaming;
       streaming.refresh_every_n_groups = 1;  // Refresh at every arrival.
-      IncrementalLinker linker(TestConfig(), streaming);
-      ASSERT_TRUE(linker.Initialize(seed_dataset).ok());
+      auto linker = IncrementalLinker::Create(seed_dataset, TestConfig(), streaming);
+      ASSERT_TRUE(linker.ok());
       StreamMirror mirror;
       mirror.Seed(seed_dataset);
       for (const GroupArrival& arrival : arrivals) {
-        const auto added = linker.AddGroup(arrival.label, arrival.record_texts);
+        const auto added = linker->AddGroup(arrival.label, arrival.record_texts);
         EXPECT_TRUE(added.triggered_refresh);
         mirror.Add(arrival);
       }
 
       std::vector<int32_t> group_map;
       const Dataset accumulated = mirror.Compact(&group_map);
-      EXPECT_EQ(MapPairs(linker.linked_pairs(), group_map),
-                BatchPairs(accumulated, linker.engine_config()))
+      EXPECT_EQ(MapPairs(linker->linked_pairs(), group_map),
+                BatchPairs(accumulated, linker->engine_config()))
           << "seed=" << seed << " entities=" << entities;
     }
   }
@@ -204,8 +204,8 @@ TEST(StreamingEquivalenceTest, BatchedArrivalsWithFinalRefreshMatchBatch) {
     std::vector<GroupArrival> arrivals;
     Split(full, full.num_groups() / 3, &seed_dataset, &arrivals);
 
-    IncrementalLinker linker(TestConfig());
-    ASSERT_TRUE(linker.Initialize(seed_dataset).ok());
+    auto linker = IncrementalLinker::Create(seed_dataset, TestConfig());
+    ASSERT_TRUE(linker.ok());
     StreamMirror mirror;
     mirror.Seed(seed_dataset);
     // Feed the stream in irregular batch sizes (1, 3, 5, 1, 3, ...).
@@ -220,16 +220,16 @@ TEST(StreamingEquivalenceTest, BatchedArrivalsWithFinalRefreshMatchBatch) {
                                       arrivals.begin() +
                                           static_cast<ptrdiff_t>(next + take));
       for (const GroupArrival& arrival : batch) mirror.Add(arrival);
-      const auto results = linker.AddGroups(batch);
+      const auto results = linker->AddGroups(batch);
       EXPECT_EQ(results.size(), take);
       next += take;
     }
-    linker.Refresh();
+    linker->Refresh();
 
     std::vector<int32_t> group_map;
     const Dataset accumulated = mirror.Compact(&group_map);
-    EXPECT_EQ(MapPairs(linker.linked_pairs(), group_map),
-              BatchPairs(accumulated, linker.engine_config()))
+    EXPECT_EQ(MapPairs(linker->linked_pairs(), group_map),
+              BatchPairs(accumulated, linker->engine_config()))
         << "seed=" << seed;
   }
 }
@@ -241,55 +241,55 @@ TEST(StreamingEquivalenceTest, InterleavedRemoveReAddConvergesToBatch) {
   Split(full, full.num_groups() / 2, &seed_dataset, &arrivals);
   ASSERT_GE(arrivals.size(), 4u);
 
-  IncrementalLinker linker(TestConfig());
-  ASSERT_TRUE(linker.Initialize(seed_dataset).ok());
+  auto linker = IncrementalLinker::Create(seed_dataset, TestConfig());
+  ASSERT_TRUE(linker.ok());
   StreamMirror mirror;
   mirror.Seed(seed_dataset);
 
   // Interleave: add two, remove a seed group, add the rest, remove one
   // streamed group, then re-add its texts as a brand-new group.
   mirror.Add(arrivals[0]);
-  linker.AddGroup(arrivals[0].label, arrivals[0].record_texts);
+  linker->AddGroup(arrivals[0].label, arrivals[0].record_texts);
   mirror.Add(arrivals[1]);
-  const auto second = linker.AddGroup(arrivals[1].label, arrivals[1].record_texts);
+  const auto second = linker->AddGroup(arrivals[1].label, arrivals[1].record_texts);
 
-  linker.RemoveGroup(2);
+  linker->RemoveGroup(2);
   mirror.Remove(2);
 
   for (size_t k = 2; k < arrivals.size(); ++k) {
     mirror.Add(arrivals[k]);
-    linker.AddGroup(arrivals[k].label, arrivals[k].record_texts);
+    linker->AddGroup(arrivals[k].label, arrivals[k].record_texts);
   }
 
-  linker.RemoveGroup(second.group_index);
+  linker->RemoveGroup(second.group_index);
   mirror.Remove(second.group_index);
   mirror.Add(arrivals[1]);
-  linker.AddGroup(arrivals[1].label, arrivals[1].record_texts);
+  linker->AddGroup(arrivals[1].label, arrivals[1].record_texts);
 
-  linker.Refresh();
+  linker->Refresh();
   std::vector<int32_t> group_map;
   const Dataset accumulated = mirror.Compact(&group_map);
-  EXPECT_EQ(MapPairs(linker.linked_pairs(), group_map),
-            BatchPairs(accumulated, linker.engine_config()));
+  EXPECT_EQ(MapPairs(linker->linked_pairs(), group_map),
+            BatchPairs(accumulated, linker->engine_config()));
 }
 
 TEST(StreamingEquivalenceTest, MergeThenRefreshConvergesToBatch) {
   const Dataset full = MakeCorpus(25, 13);
-  IncrementalLinker linker(TestConfig());
-  ASSERT_TRUE(linker.Initialize(full).ok());
-  ASSERT_FALSE(linker.linked_pairs().empty());
+  auto linker = IncrementalLinker::Create(full, TestConfig());
+  ASSERT_TRUE(linker.ok());
+  ASSERT_FALSE(linker->linked_pairs().empty());
   StreamMirror mirror;
   mirror.Seed(full);
 
-  const auto [into, from] = linker.linked_pairs().front();
-  linker.MergeGroups(into, from);
+  const auto [into, from] = linker->linked_pairs().front();
+  linker->MergeGroups(into, from);
   mirror.Merge(into, from);
 
-  linker.Refresh();
+  linker->Refresh();
   std::vector<int32_t> group_map;
   const Dataset accumulated = mirror.Compact(&group_map);
-  EXPECT_EQ(MapPairs(linker.linked_pairs(), group_map),
-            BatchPairs(accumulated, linker.engine_config()));
+  EXPECT_EQ(MapPairs(linker->linked_pairs(), group_map),
+            BatchPairs(accumulated, linker->engine_config()));
 }
 
 TEST(StreamingEquivalenceTest, NoRefreshStreamingUnderLinksOnTheseWorkloads) {
@@ -305,27 +305,27 @@ TEST(StreamingEquivalenceTest, NoRefreshStreamingUnderLinksOnTheseWorkloads) {
     std::vector<GroupArrival> arrivals;
     Split(full, full.num_groups() / 2, &seed_dataset, &arrivals);
 
-    IncrementalLinker linker(TestConfig());
-    ASSERT_TRUE(linker.Initialize(seed_dataset).ok());
+    auto linker = IncrementalLinker::Create(seed_dataset, TestConfig());
+    ASSERT_TRUE(linker.ok());
     StreamMirror mirror;
     mirror.Seed(seed_dataset);
     for (const GroupArrival& arrival : arrivals) {
-      linker.AddGroup(arrival.label, arrival.record_texts);
+      linker->AddGroup(arrival.label, arrival.record_texts);
       mirror.Add(arrival);
     }
 
     std::vector<int32_t> group_map;
     const Dataset accumulated = mirror.Compact(&group_map);
-    const auto batch = BatchPairs(accumulated, linker.engine_config());
-    const auto streamed = MapPairs(linker.linked_pairs(), group_map);
+    const auto batch = BatchPairs(accumulated, linker->engine_config());
+    const auto streamed = MapPairs(linker->linked_pairs(), group_map);
     for (const auto& pair : streamed) {
       EXPECT_TRUE(std::binary_search(batch.begin(), batch.end(), pair))
           << "streaming invented link (" << pair.first << ", " << pair.second
           << ") absent from batch, seed=" << seed;
     }
     // And a refresh closes the gap completely.
-    linker.Refresh();
-    EXPECT_EQ(MapPairs(linker.linked_pairs(), group_map), batch);
+    linker->Refresh();
+    EXPECT_EQ(MapPairs(linker->linked_pairs(), group_map), batch);
   }
 }
 
@@ -339,14 +339,14 @@ TEST(StreamingEquivalenceTest, AddGroupsBitIdenticalAcrossThreadCounts) {
   std::vector<std::vector<size_t>> labels_by_threads;
   std::vector<std::vector<size_t>> candidates_by_threads;
   for (const int32_t threads : {1, 2, 7}) {
-    IncrementalLinker linker(TestConfig(threads));
-    ASSERT_TRUE(linker.Initialize(seed_dataset).ok());
+    auto linker = IncrementalLinker::Create(seed_dataset, TestConfig(threads));
+    ASSERT_TRUE(linker.ok());
     // One big batch exercises the parallel arrival phases hardest.
-    const auto results = linker.AddGroups(arrivals);
+    const auto results = linker->AddGroups(arrivals);
     std::vector<size_t> candidates;
     for (const auto& result : results) candidates.push_back(result.candidates);
-    linked_by_threads.push_back(linker.linked_pairs());
-    labels_by_threads.push_back(linker.ClusterLabels());
+    linked_by_threads.push_back(linker->linked_pairs());
+    labels_by_threads.push_back(linker->ClusterLabels());
     candidates_by_threads.push_back(std::move(candidates));
   }
   for (size_t i = 1; i < linked_by_threads.size(); ++i) {
@@ -360,11 +360,11 @@ TEST(StreamingEquivalenceTest, RefreshBitIdenticalAcrossThreadCounts) {
   const Dataset full = MakeCorpus(25, 31);
   std::vector<std::vector<std::pair<int32_t, int32_t>>> linked_by_threads;
   for (const int32_t threads : {1, 4}) {
-    IncrementalLinker linker(TestConfig(threads));
-    ASSERT_TRUE(linker.Initialize(full).ok());
-    linker.RemoveGroup(1);
-    linker.Refresh();
-    linked_by_threads.push_back(linker.linked_pairs());
+    auto linker = IncrementalLinker::Create(full, TestConfig(threads));
+    ASSERT_TRUE(linker.ok());
+    linker->RemoveGroup(1);
+    linker->Refresh();
+    linked_by_threads.push_back(linker->linked_pairs());
   }
   EXPECT_EQ(linked_by_threads[0], linked_by_threads[1]);
 }

@@ -129,16 +129,19 @@ TEST(BufferStressTest, ManyThreadsFourFramesEveryByteVerified) {
 
 TEST(BufferStressTest, ConcurrentSegmentReadersSeeTheWholeStream) {
   // Segment readers spanning many pages, read at misaligned offsets from
-  // several threads at once through a 4-frame pool.
+  // several threads at once. Each reader holds at most one pin, so one
+  // frame per reader is the pool BufferManager's contract guarantees
+  // never to exhaust; 6 frames over 32 pages still evict constantly.
   constexpr uint64_t kNumPages = 32;
-  Fixture fixture(kNumPages, 4);
+  constexpr int kReaders = 6;
+  Fixture fixture(kNumPages, kReaders);
   const uint32_t capacity = PagePayloadCapacity(kPageBytes);
   const uint64_t length = static_cast<uint64_t>(kNumPages) * capacity;
   const SegmentReader reader(fixture.buffer.get(), 0, length);
 
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
-  for (int t = 0; t < 6; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     threads.emplace_back([&, t] {
       // Each thread scans the stream with its own misaligned stride.
       const size_t n = 97 + static_cast<size_t>(t) * 13;
