@@ -21,14 +21,24 @@ const char* StopReasonName(StopReason reason) {
 }
 
 void ExecutionContext::SetDeadline(double ms) {
-  if (ms <= 0.0) {
-    has_deadline_ = false;
-    return;
-  }
+  using Clock = std::chrono::steady_clock;
+  has_deadline_ = false;
+  if (!(ms > 0.0)) return;  // Also NaN.
+  const Clock::time_point now = Clock::now();
+  // Clock ticks, still as a double: +inf, and any deadline the clock's
+  // time_point cannot represent, is no deadline rather than an overflow.
+  const double ticks = std::chrono::duration<double, Clock::period>(
+                           std::chrono::duration<double, std::milli>(ms))
+                           .count();
+  const Clock::rep headroom = (Clock::time_point::max() - now).count();
+  if (!(ticks < static_cast<double>(headroom))) return;
+  // ticks is now below 2^63, so the cast is defined; the rounded double
+  // comparison may still let through a value just past headroom, which
+  // the exact integer check catches.
+  const auto offset = static_cast<Clock::rep>(ticks);
+  if (offset >= headroom) return;
   has_deadline_ = true;
-  deadline_ = std::chrono::steady_clock::now() +
-              std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double, std::milli>(ms));
+  deadline_ = now + Clock::duration(offset);
 }
 
 void ExecutionContext::NoteStop(StopReason reason) const {

@@ -55,7 +55,9 @@ class ExecutionContext {
  public:
   ExecutionContext() = default;
 
-  /// Arms a deadline `ms` milliseconds from now (<= 0 disarms).
+  /// Arms a deadline `ms` milliseconds from now. Disarms instead when `ms`
+  /// is <= 0 or NaN, or lies past the steady clock's range (+inf
+  /// included): such a deadline can never expire.
   void SetDeadline(double ms);
   [[nodiscard]] bool has_deadline() const { return has_deadline_; }
 

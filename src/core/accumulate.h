@@ -1,0 +1,111 @@
+#ifndef GROUPLINK_CORE_ACCUMULATE_H_
+#define GROUPLINK_CORE_ACCUMULATE_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <span>
+#include <vector>
+
+#include "common/execution_context.h"
+#include "common/status.h"
+#include "core/filter_refine.h"
+#include "index/weighted_postings.h"
+#include "matching/bipartite_graph.h"
+#include "text/tfidf.h"
+
+namespace grouplink {
+
+/// The reads score accumulation makes of a corpus: the weighted postings
+/// of one epoch token, the record -> group map that buckets them, and
+/// group membership. CorpusSnapshot serves them from RAM,
+/// storage::StoredCorpus through its buffer pool, and the streaming linker
+/// from its live index. Implementations are safe to read from any number
+/// of threads while nothing mutates them.
+class PostingsCorpus {
+ public:
+  /// Weighted postings of epoch token `token` — ascending record ids, each
+  /// below record_group().size() — as a pointer into the corpus's own
+  /// memory, or to `*scratch` after decoding into it. Valid until the next
+  /// call with the same scratch.
+  [[nodiscard]] virtual Result<const PostingList*> TokenPostings(
+      int32_t token, PostingList* scratch) const = 0;
+  /// Group of every record id.
+  [[nodiscard]] virtual const std::vector<int32_t>& record_group() const = 0;
+  /// Record ids of group `g`.
+  [[nodiscard]] virtual const std::vector<int32_t>& GroupRecords(int32_t g) const = 0;
+
+ protected:
+  // Implementations are owned and destroyed as themselves.
+  ~PostingsCorpus() = default;
+};
+
+/// Where a probe sits relative to the corpus it is accumulated against.
+struct ProbePlacement {
+  static constexpr int32_t kNone = std::numeric_limits<int32_t>::max();
+
+  /// The probe's own group index. A corpus group below it is the left side
+  /// of its θ-graph and the probe the right (the arrival orientation); a
+  /// group above it — only a merge target has later groups — is the right
+  /// side; the group itself is skipped. kNone: the probe is not part of
+  /// the corpus (a link query).
+  int32_t group = kNone;
+  /// Only records with a smaller id are accumulated: an arrival's first
+  /// record, so an arrival scores the corpus and earlier arrivals only.
+  /// kNone: every record.
+  int32_t record_cutoff = kNone;
+};
+
+/// One corpus group's θ-graph against the probe.
+struct GroupGraph {
+  int32_t group = 0;
+  BipartiteGraph graph;
+};
+
+/// Score accumulation over weighted postings. For each probe record it
+/// walks the record's vector in ascending token id and adds w_r · w_p over
+/// that token's postings, so every touched record r ends with exactly
+/// PrenormalizedCosineSimilarity(vector_r, probe record): the same
+/// ascending-id sum from 0.0, with no fused multiply-add (this translation
+/// unit carries no ISA target). The records with a sum ≥ `theta` are the
+/// edges.
+///
+/// Returns the θ-graph of every group with at least one edge, ascending by
+/// group. Each graph is edge for edge the one the full |g| × |probe|
+/// cosine matrix builds: the orientation of `placement`, edges in
+/// (left position, right position) order, the same weight bits. A group
+/// with no edge gets no graph; it could never link, because Θ > 0. Adds
+/// the posting entries read to `*postings_scanned`. Fails when a corpus
+/// read fails, and with DataLoss when a posting names a record its group
+/// does not list.
+[[nodiscard]] Result<std::vector<GroupGraph>> AccumulateGraphs(
+    const PostingsCorpus& corpus, std::span<const SparseVector> probe,
+    ProbePlacement placement, double theta, size_t* postings_scanned);
+
+/// Outcome of one AccumulateAndDecide.
+struct AccumulateOutcome {
+  /// Groups the probe links to, ascending.
+  std::vector<int32_t> linked;
+  /// Groups with an edge that were kept for deciding (after the cap).
+  size_t candidates = 0;
+  /// Posting entries read (exact, independent of thread count).
+  size_t postings_scanned = 0;
+  /// True when `ctx` shed work: the candidate cap truncated the groups,
+  /// or a stop request came before accumulating or before a decision.
+  bool degraded = false;
+};
+
+/// The one accumulate-and-decide of the link query, the arrival and the
+/// merge paths. Polls `ctx` for a stop, runs AccumulateGraphs, keeps the
+/// first ctx->EffectiveCandidateCap groups with an edge, and decides each
+/// graph through DecideGraphLinked under `ladder`, polling ctx before each
+/// one. A null `ctx` runs unconstrained. A degraded outcome only ever
+/// misses links; it never has extras.
+[[nodiscard]] Result<AccumulateOutcome> AccumulateAndDecide(
+    const PostingsCorpus& corpus, std::span<const SparseVector> probe,
+    ProbePlacement placement, const FilterRefineConfig& ladder,
+    const ExecutionContext* ctx);
+
+}  // namespace grouplink
+
+#endif  // GROUPLINK_CORE_ACCUMULATE_H_

@@ -1,12 +1,14 @@
 #include "core/incremental.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/timer.h"
 #include "common/trace.h"
+#include "core/accumulate.h"
 #include "core/snapshot.h"
 #include "text/tokenizer.h"
 
@@ -17,6 +19,7 @@ struct IncrementalMetrics {
   Counter& groups_added;
   Counter& batches;
   Counter& candidates_scored;
+  Counter& postings_scanned;
   Counter& links;
   Counter& refreshes;
   Counter& refresh_rescored_pairs;
@@ -35,6 +38,7 @@ struct IncrementalMetrics {
         registry.CounterRef("incremental.groups_added"),
         registry.CounterRef("incremental.batches"),
         registry.CounterRef("incremental.candidates_scored"),
+        registry.CounterRef("incremental.postings_scanned"),
         registry.CounterRef("incremental.links"),
         registry.CounterRef("incremental.refreshes"),
         registry.CounterRef("incremental.refresh_rescored_pairs"),
@@ -49,6 +53,28 @@ struct IncrementalMetrics {
         registry.HistogramRef("incremental.refresh_seconds")};
     return metrics;
   }
+};
+
+/// The linker's live postings, read through the accumulation interface.
+class LivePostings final : public PostingsCorpus {
+ public:
+  LivePostings(const WeightedPostings& postings, const std::vector<int32_t>& record_group,
+               const std::vector<std::vector<int32_t>>& group_records)
+      : postings_(postings), record_group_(record_group), group_records_(group_records) {}
+
+  Result<const PostingList*> TokenPostings(int32_t token,
+                                           PostingList* /*scratch*/) const override {
+    return &postings_.List(token);
+  }
+  const std::vector<int32_t>& record_group() const override { return record_group_; }
+  const std::vector<int32_t>& GroupRecords(int32_t g) const override {
+    return group_records_[static_cast<size_t>(g)];
+  }
+
+ private:
+  const WeightedPostings& postings_;
+  const std::vector<int32_t>& record_group_;
+  const std::vector<std::vector<int32_t>>& group_records_;
 };
 
 }  // namespace
@@ -109,6 +135,7 @@ std::unique_ptr<IncrementalLinker> IncrementalLinker::Clone() const {
   clone->index_vocab_ = index_vocab_;
   clone->token_index_ = token_index_;
   clone->epoch_vocab_ = epoch_vocab_;
+  clone->postings_ = postings_;
   clone->linked_pairs_ = linked_pairs_;
   clone->clusters_ = clusters_;
   clone->epoch_ = epoch_;
@@ -156,6 +183,7 @@ Result<std::unique_ptr<IncrementalLinker>> IncrementalLinker::FromSnapshot(
   linker->index_vocab_ = vocab;
   linker->token_index_ = snapshot.token_index();
   linker->epoch_vocab_ = snapshot.epoch_vocab();
+  linker->postings_ = snapshot.postings();
   linker->linked_pairs_ = snapshot.linked_pairs();
   linker->epoch_ = snapshot.epoch();
   linker->RebuildClusters();
@@ -340,14 +368,19 @@ std::vector<IncrementalLinker::AddResult> IncrementalLinker::AddGroups(
       const size_t r = first + i;
       record_vectors_[r] = vectorizer.Vectorize(record_raw_tokens_[r]);
     });
+    // Serial, in record-id order, so every list stays ascending and
+    // phase D reads the same postings at any thread count.
+    for (size_t r = first; r < record_vectors_.size(); ++r) {
+      postings_.Append(static_cast<int32_t>(r), record_vectors_[r]);
+    }
   }
 
-  // Phase D (parallel, pure): each arrival generates its candidates from
-  // the index and decides links into its own slot. The record-id cutoff
-  // (this arrival's first record) restricts candidates to the prior
-  // corpus plus *earlier* batch arrivals, so every cross-arrival pair is
-  // scored exactly once — by the later group — and the batch result
-  // matches adding the groups one at a time.
+  // Phase D (parallel, pure): each arrival accumulates its records over
+  // the postings and decides links into its own slot. The record-id
+  // cutoff (this arrival's first record) restricts it to the prior corpus
+  // plus *earlier* batch arrivals, so every cross-arrival pair is scored
+  // exactly once — by the later group — and the batch result matches
+  // adding the groups one at a time.
   //
   // This is the one phase the batch's ExecutionContext governs: phases
   // A-C are unconditional (skipping them would leave the index or the
@@ -360,29 +393,23 @@ std::vector<IncrementalLinker::AddResult> IncrementalLinker::AddGroups(
   ctx.SetMaxMatcherCost(config_.max_matcher_cost);
   std::vector<std::vector<int32_t>> linked(batch_size);
   std::vector<char> scored(batch_size, 0);
+  const LivePostings corpus(postings_, record_group_, group_records_);
+  const FilterRefineConfig ladder = config_.Ladder();
   ParallelFor(
       pool(), batch_size,
       [&](size_t k) {
         const int32_t group = results[k].group_index;
-        std::vector<int32_t> candidates = CandidateGroups(
-            group_records_[static_cast<size_t>(group)], first_record[k], group);
-        // Candidate budget: truncate the (sorted, hence deterministic)
-        // candidate list tail.
-        const size_t cap = ctx.EffectiveCandidateCap(candidates.size());
-        if (cap < candidates.size()) {
-          candidates.resize(cap);
-          results[k].degraded = true;
-          ctx.NoteDegraded();
-        }
-        results[k].candidates = candidates.size();
-        for (const int32_t other : candidates) {
-          if (ctx.StopRequested()) {
-            results[k].degraded = true;
-            break;
-          }
-          // `other` always precedes `group`, so it is the left (smaller) side.
-          if (DecideLink(other, group, &ctx)) linked[k].push_back(other);
-        }
+        const std::span<const SparseVector> probe(
+            record_vectors_.data() + first_record[k],
+            group_records_[static_cast<size_t>(group)].size());
+        // Every earlier group precedes `group`, so it is the left side.
+        AccumulateOutcome outcome =
+            AccumulateAndDecide(corpus, probe, {group, first_record[k]}, ladder, &ctx)
+                .value();  // In-RAM reads cannot fail.
+        results[k].candidates = outcome.candidates;
+        results[k].postings_scanned = outcome.postings_scanned;
+        results[k].degraded = outcome.degraded;
+        linked[k] = std::move(outcome.linked);
         scored[k] = 1;
       },
       &ctx);
@@ -399,9 +426,11 @@ std::vector<IncrementalLinker::AddResult> IncrementalLinker::AddGroups(
   // linked-pairs invariant and the incremental union-find.
   const size_t old_size = linked_pairs_.size();
   size_t scored_candidates = 0;
+  size_t postings_scanned = 0;
   size_t degraded_arrivals = 0;
   for (size_t k = 0; k < batch_size; ++k) {
     scored_candidates += results[k].candidates;
+    postings_scanned += results[k].postings_scanned;
     if (results[k].degraded) ++degraded_arrivals;
     metrics.candidates_per_arrival.Observe(static_cast<double>(results[k].candidates));
     for (const int32_t other : linked[k]) {
@@ -417,6 +446,7 @@ std::vector<IncrementalLinker::AddResult> IncrementalLinker::AddGroups(
                      linked_pairs_.begin() + static_cast<ptrdiff_t>(old_size),
                      linked_pairs_.end());
   metrics.candidates_scored.Increment(scored_candidates);
+  metrics.postings_scanned.Increment(postings_scanned);
   metrics.links.Increment(linked_pairs_.size() - old_size);
   if (degraded_arrivals > 0) {
     metrics.degraded_arrivals.Increment(degraded_arrivals);
@@ -434,45 +464,6 @@ std::vector<IncrementalLinker::AddResult> IncrementalLinker::AddGroups(
   return results;
 }
 
-std::vector<int32_t> IncrementalLinker::CandidateGroups(
-    const std::vector<int32_t>& records, int32_t record_cutoff, int32_t self) const {
-  std::vector<int32_t> groups;
-  for (const int32_t r : records) {
-    for (const int32_t doc :
-         token_index_.DocumentsSharingToken(token_index_.DocumentTokens(r))) {
-      if (doc >= record_cutoff) continue;
-      const int32_t g = record_group_[static_cast<size_t>(doc)];
-      if (g == self || !group_alive_[static_cast<size_t>(g)]) continue;
-      groups.push_back(g);
-    }
-  }
-  std::sort(groups.begin(), groups.end());
-  groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
-  return groups;
-}
-
-bool IncrementalLinker::DecideLink(int32_t g1, int32_t g2,
-                                   const ExecutionContext* ctx) const {
-  // Builds the θ-thresholded graph, then decides through the shared
-  // ladder (DecideGraphLinked, filter_refine.h) that the engine's batch
-  // scoring also uses, so arrival decisions agree bitwise with the batch
-  // scoring of the same pair.
-  const std::vector<int32_t>& left = group_records_[static_cast<size_t>(g1)];
-  const std::vector<int32_t>& right = group_records_[static_cast<size_t>(g2)];
-  const int32_t size_left = static_cast<int32_t>(left.size());
-  const int32_t size_right = static_cast<int32_t>(right.size());
-  BipartiteGraph graph(size_left, size_right);
-  for (size_t i = 0; i < left.size(); ++i) {
-    for (size_t j = 0; j < right.size(); ++j) {
-      const double s = RecordSimilarity(left[i], right[j]);
-      if (s >= config_.theta) {
-        graph.AddEdge(static_cast<int32_t>(i), static_cast<int32_t>(j), s);
-      }
-    }
-  }
-  return DecideGraphLinked(graph, size_left, size_right, config_.Ladder(), ctx);
-}
-
 void IncrementalLinker::RemoveGroup(int32_t group) {
   GL_CHECK(IsAlive(group)) << "RemoveGroup requires a live group";
   GL_TRACE_SPAN("incremental.remove");
@@ -480,6 +471,7 @@ void IncrementalLinker::RemoveGroup(int32_t group) {
   for (const int32_t r : group_records_[g]) {
     record_alive_[static_cast<size_t>(r)] = 0;
     token_index_.RemoveDocument(r);
+    postings_.Erase(r, record_vectors_[static_cast<size_t>(r)]);
     // Free the per-record state; dead record ids are never reused.
     record_vectors_[static_cast<size_t>(r)] = SparseVector();
     record_raw_tokens_[static_cast<size_t>(r)].clear();
@@ -517,19 +509,25 @@ IncrementalLinker::AddResult IncrementalLinker::MergeGroups(int32_t into,
   group_alive_[static_cast<size_t>(from)] = 0;  // Records stay alive and indexed.
   --num_alive_groups_;
 
+  // The merged group is the probe: it accumulates against every record
+  // (its own skipped), unconstrained. Each graph keeps the (lo, hi)
+  // orientation of the pair, so a later group gets the transposed graph.
+  std::vector<SparseVector> probe;
+  probe.reserve(target.size());
+  for (const int32_t r : target) probe.push_back(record_vectors_[static_cast<size_t>(r)]);
+  const LivePostings corpus(postings_, record_group_, group_records_);
+  AccumulateOutcome outcome =
+      AccumulateAndDecide(corpus, probe, {into, ProbePlacement::kNone}, config_.Ladder(),
+                          /*ctx=*/nullptr)
+          .value();  // In-RAM reads cannot fail.
   AddResult result;
   result.group_index = into;
-  const std::vector<int32_t> candidates =
-      CandidateGroups(target, static_cast<int32_t>(record_group_.size()), into);
-  result.candidates = candidates.size();
+  result.candidates = outcome.candidates;
+  result.postings_scanned = outcome.postings_scanned;
+  result.linked_to = std::move(outcome.linked);
   const size_t old_size = linked_pairs_.size();
-  for (const int32_t other : candidates) {
-    const int32_t lo = std::min(other, into);
-    const int32_t hi = std::max(other, into);
-    if (DecideLink(lo, hi)) {
-      linked_pairs_.emplace_back(lo, hi);
-      result.linked_to.push_back(other);
-    }
+  for (const int32_t other : result.linked_to) {
+    linked_pairs_.emplace_back(std::min(other, into), std::max(other, into));
   }
   std::sort(linked_pairs_.begin() + static_cast<ptrdiff_t>(old_size),
             linked_pairs_.end());
@@ -539,6 +537,7 @@ IncrementalLinker::AddResult IncrementalLinker::MergeGroups(int32_t into,
   RebuildClusters();
   metrics.merges.Increment();
   metrics.candidates_scored.Increment(result.candidates);
+  metrics.postings_scanned.Increment(result.postings_scanned);
   metrics.links.Increment(result.linked_to.size());
   return result;
 }
@@ -566,6 +565,7 @@ void IncrementalLinker::Refresh() {
   // Dead records have empty token lists, so they get empty vectors.
   record_vectors_ = RecomputeVectors(epoch_vocab_, record_raw_tokens_, pool());
   GL_DCHECK_EQ(record_vectors_.size(), n);
+  postings_ = WeightedPostings::Transpose(record_vectors_, epoch_vocab_.size());
 
   // Candidates from the maintained postings: live groups sharing a token.
   // Per-record neighbor lists are gathered in parallel into slots; the

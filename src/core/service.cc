@@ -21,6 +21,7 @@ struct ServiceMetrics {
   Counter& queries;
   Counter& query_links;
   Counter& query_candidates;
+  Counter& query_postings_scanned;
   Counter& query_degraded;
   Counter& epochs_published;
   Counter& refreshes_sync;
@@ -37,6 +38,7 @@ struct ServiceMetrics {
         registry.CounterRef("service.queries"),
         registry.CounterRef("service.query_links"),
         registry.CounterRef("service.query_candidates"),
+        registry.CounterRef("service.query_postings_scanned"),
         registry.CounterRef("service.query_degraded"),
         registry.CounterRef("service.epochs_published"),
         registry.CounterRef("service.refreshes_sync"),
@@ -426,6 +428,7 @@ LinkageService::QueryResult LinkageService::LinkQuery(
   metrics.queries.Increment();
   metrics.query_links.Increment(result.linked_to.size());
   metrics.query_candidates.Increment(result.candidates);
+  metrics.query_postings_scanned.Increment(result.postings_scanned);
   if (result.degraded) metrics.query_degraded.Increment();
   metrics.query_seconds.Observe(timer.ElapsedSeconds());
   return result;

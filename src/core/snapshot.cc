@@ -4,8 +4,6 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "core/filter_refine.h"
-#include "matching/bipartite_graph.h"
 #include "text/tokenizer.h"
 
 namespace grouplink {
@@ -46,6 +44,7 @@ std::shared_ptr<const CorpusSnapshot> CorpusSnapshot::Capture(
   snapshot->token_index_ = linker.token_index_;
   snapshot->epoch_vocab_ = linker.epoch_vocab_;
   snapshot->record_vectors_ = linker.record_vectors_;
+  snapshot->postings_ = linker.postings_;
   snapshot->record_group_ = linker.record_group_;
   // Raw occurrences re-encoded as index-vocab ids: every raw token of a
   // live record was absorbed into the index vocabulary at arrival, so the
@@ -92,6 +91,13 @@ Result<std::shared_ptr<const CorpusSnapshot>> CorpusSnapshot::FromParts(
   snapshot->token_index_ = std::move(parts.token_index);
   snapshot->epoch_vocab_ = std::move(parts.epoch_vocab);
   snapshot->record_vectors_ = std::move(parts.record_vectors);
+  const size_t num_tokens = snapshot->epoch_vocab_.size();
+  for (const SparseVector& vector : snapshot->record_vectors_) {
+    if (!vector.empty() && static_cast<size_t>(vector.ids.back()) >= num_tokens) {
+      return Status::DataLoss("recovered vector names a token outside the epoch vocabulary");
+    }
+  }
+  snapshot->postings_ = WeightedPostings::Transpose(snapshot->record_vectors_, num_tokens);
   snapshot->record_group_ = std::move(parts.record_group);
   snapshot->record_token_ids_ = std::move(parts.record_token_ids);
   snapshot->group_records_ = std::move(parts.group_records);
@@ -111,21 +117,6 @@ Result<std::shared_ptr<const CorpusSnapshot>> CorpusSnapshot::FromParts(
   return std::shared_ptr<const CorpusSnapshot>(std::move(snapshot));
 }
 
-Result<std::vector<int32_t>> CorpusSnapshot::CandidateGroups(
-    const std::vector<std::vector<int32_t>>& probe_token_ids) const {
-  std::vector<int32_t> groups;
-  for (const std::vector<int32_t>& ids : probe_token_ids) {
-    for (const int32_t doc : token_index_.DocumentsSharingToken(ids)) {
-      const int32_t g = record_group_[static_cast<size_t>(doc)];
-      if (!group_alive_[static_cast<size_t>(g)]) continue;
-      groups.push_back(g);
-    }
-  }
-  std::sort(groups.begin(), groups.end());
-  groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
-  return groups;
-}
-
 CorpusSnapshot::QueryResult CorpusSnapshot::LinkQuery(
     const GroupArrival& group, const QueryOptions& options) const {
   GL_CHECK_EQ(seal_, kSealed) << "LinkQuery on an unsealed snapshot";
@@ -143,28 +134,20 @@ Result<CorpusSnapshot::QueryResult> RunLinkQuery(
   result.epoch = corpus.epoch();
 
   // Probe preparation mirrors the arrival path (AddGroups phases A-C) on
-  // the frozen epoch: tokenize, map tokens into the index id space for
-  // candidate generation, vectorize against the epoch vocabulary. Tokens
-  // the index has never seen cannot match any posting (an arrival would
-  // have absorbed them with empty postings), so dropping them here yields
-  // the identical candidate set.
-  const Vocabulary& index_vocab = corpus.index_vocab();
+  // the frozen epoch: tokenize, count the tokens the epoch vocabulary
+  // lacks, vectorize against it. Unseen tokens carry no weight, so they
+  // reach no posting.
   const Vocabulary& epoch_vocab = corpus.epoch_vocab();
   const size_t probe_size = group.record_texts.size();
-  std::vector<std::vector<int32_t>> probe_ids(probe_size);
   std::vector<SparseVector> probe_vectors(probe_size);
   const TfIdfVectorizer vectorizer(&epoch_vocab);
   for (size_t i = 0; i < probe_size; ++i) {
     const std::vector<std::string> raw = Tokenize(group.record_texts[i]);
-    const std::vector<std::string> set = ToTokenSet(raw);
-    for (const std::string& token : set) {
-      const int32_t id = index_vocab.GetId(token);
-      if (id != Vocabulary::kUnknownToken) probe_ids[i].push_back(id);
+    for (const std::string& token : ToTokenSet(raw)) {
       if (epoch_vocab.GetId(token) == Vocabulary::kUnknownToken) {
         ++result.oov_tokens;
       }
     }
-    std::sort(probe_ids[i].begin(), probe_ids[i].end());
     probe_vectors[i] = vectorizer.Vectorize(raw);
   }
 
@@ -174,43 +157,14 @@ Result<CorpusSnapshot::QueryResult> RunLinkQuery(
   ctx.SetMaxCandidatePairs(options.max_candidate_pairs);
   ctx.SetMaxMatcherCost(options.max_matcher_cost);
 
-  GL_ASSIGN_OR_RETURN(std::vector<int32_t> candidates,
-                      corpus.CandidateGroups(probe_ids));
-  const size_t cap = ctx.EffectiveCandidateCap(candidates.size());
-  if (cap < candidates.size()) {
-    candidates.resize(cap);
-    ctx.NoteDegraded();
-  }
-  result.candidates = candidates.size();
-
-  const FilterRefineConfig ladder = config.Ladder();
-  const int32_t size_right = static_cast<int32_t>(probe_size);
-  SparseVector scratch;
-  for (const int32_t g : candidates) {
-    if (ctx.StopRequested()) {
-      ctx.NoteDegraded();
-      break;
-    }
-    // The corpus group is the left side, the probe the right — the same
-    // orientation as the arrival path's DecideLink(other, new_group).
-    const std::vector<int32_t>& left = corpus.GroupRecords(g);
-    const int32_t size_left = static_cast<int32_t>(left.size());
-    BipartiteGraph graph(size_left, size_right);
-    for (size_t i = 0; i < left.size(); ++i) {
-      GL_ASSIGN_OR_RETURN(const SparseVector* corpus_vector,
-                          corpus.RecordVector(left[i], &scratch));
-      for (size_t j = 0; j < probe_size; ++j) {
-        const double s =
-            PrenormalizedCosineSimilarity(*corpus_vector, probe_vectors[j]);
-        if (s >= config.theta) {
-          graph.AddEdge(static_cast<int32_t>(i), static_cast<int32_t>(j), s);
-        }
-      }
-    }
-    if (DecideGraphLinked(graph, size_left, size_right, ladder, &ctx)) {
-      result.linked_to.push_back(g);
-    }
-  }
+  // The probe is outside the corpus: every group is the left side, the
+  // probe the right — the arrival path's orientation.
+  GL_ASSIGN_OR_RETURN(AccumulateOutcome outcome,
+                      AccumulateAndDecide(corpus, probe_vectors, ProbePlacement{},
+                                          config.Ladder(), &ctx));
+  result.linked_to = std::move(outcome.linked);
+  result.candidates = outcome.candidates;
+  result.postings_scanned = outcome.postings_scanned;
   result.degraded = ctx.degraded();
   return result;
 }
@@ -232,9 +186,24 @@ bool CorpusSnapshot::CheckConsistency() const {
   for (const int32_t g : record_group_) {
     if (g < 0 || static_cast<size_t>(g) >= n_groups) return false;
   }
-  for (const std::vector<int32_t>& records : group_records_) {
-    for (const int32_t r : records) {
+  // Each listed record names its group back, once; every record with a
+  // vector — a posting — is listed by a live group, so accumulation can
+  // place every edge it finds.
+  std::vector<char> listed(n_records, 0);
+  for (size_t g = 0; g < n_groups; ++g) {
+    for (const int32_t r : group_records_[g]) {
       if (r < 0 || static_cast<size_t>(r) >= n_records) return false;
+      const size_t record = static_cast<size_t>(r);
+      if (listed[record] != 0 || static_cast<size_t>(record_group_[record]) != g) {
+        return false;
+      }
+      listed[record] = 1;
+    }
+  }
+  for (size_t r = 0; r < n_records; ++r) {
+    if (!record_vectors_[r].empty() &&
+        (listed[r] == 0 || group_alive_[static_cast<size_t>(record_group_[r])] == 0)) {
+      return false;
     }
   }
   std::pair<int32_t, int32_t> prev{-1, -1};

@@ -9,40 +9,30 @@
 
 #include "common/execution_context.h"
 #include "common/status.h"
+#include "core/accumulate.h"
 #include "core/incremental.h"
 #include "index/inverted_index.h"
+#include "index/weighted_postings.h"
 #include "text/tfidf.h"
 #include "text/vocabulary.h"
 
 namespace grouplink {
 
 /// The read surface of one frozen epoch that the link-query pipeline
-/// (RunLinkQuery) reads: the engine config, the two vocabularies,
-/// candidate generation over the token index, group membership and the
-/// per-record TF-IDF vectors. CorpusSnapshot serves it from RAM; the
-/// storage tier's StoredCorpus serves it through a buffer pool, so the
-/// page format stays behind this interface. Implementations are
-/// immutable: every method is safe to call from any number of threads.
-class QueryCorpus {
+/// (RunLinkQuery) reads: the engine config, the epoch vocabulary, and the
+/// accumulation reads of PostingsCorpus — weighted postings per epoch
+/// token, the record -> group map and group membership. CorpusSnapshot
+/// serves it from RAM; the storage tier's StoredCorpus serves it through
+/// a buffer pool, so the page format stays behind this interface.
+/// Implementations are immutable: every method is safe to call from any
+/// number of threads.
+class QueryCorpus : public PostingsCorpus {
  public:
   [[nodiscard]] virtual const LinkageConfig& engine_config() const = 0;
   [[nodiscard]] virtual int64_t epoch() const = 0;
-  /// Maps probe tokens into the token index's id space.
-  [[nodiscard]] virtual const Vocabulary& index_vocab() const = 0;
-  /// The epoch TF-IDF statistics probes are vectorized against.
+  /// The epoch TF-IDF statistics probes are vectorized against; its ids
+  /// key the weighted postings.
   [[nodiscard]] virtual const Vocabulary& epoch_vocab() const = 0;
-  /// Live groups owning a non-tombstoned record that shares an index
-  /// token with any probe record (one sorted index-id list per record).
-  /// Ascending, deduplicated.
-  [[nodiscard]] virtual Result<std::vector<int32_t>> CandidateGroups(
-      const std::vector<std::vector<int32_t>>& probe_token_ids) const = 0;
-  /// Record ids of group `g`.
-  [[nodiscard]] virtual const std::vector<int32_t>& GroupRecords(int32_t g) const = 0;
-  /// TF-IDF vector of record `r`: a pointer into the corpus's own memory,
-  /// or to `*scratch` after decoding into it. Valid until the next call
-  /// with the same scratch.
-  [[nodiscard]] virtual Result<const SparseVector*> RecordVector(
-      int32_t r, SparseVector* scratch) const = 0;
 
  protected:
   // Implementations are owned and destroyed as themselves.
@@ -50,10 +40,10 @@ class QueryCorpus {
 };
 
 /// An immutable, self-contained freeze of one serving epoch: the corpus
-/// TF-IDF vectors, the token inverted index, group membership and labels,
-/// the link set, and the entity cluster labels — everything LinkQuery
-/// needs, copied out of an IncrementalLinker at a refresh point and never
-/// mutated again.
+/// TF-IDF vectors and their weighted postings, the token inverted index,
+/// group membership and labels, the link set, and the entity cluster
+/// labels — everything LinkQuery needs, copied out of an IncrementalLinker
+/// at a refresh point and never mutated again.
 ///
 /// Concurrency contract: every method is const and touches only state
 /// frozen at Capture() time, so any number of threads may query one
@@ -66,10 +56,10 @@ class QueryCorpus {
 /// link to" with the *exact* decision procedure of the streaming arrival
 /// path under this epoch's frozen statistics — tokenize, vectorize
 /// against the epoch vocabulary (unseen tokens drop out of the vector),
-/// candidates by token blocking over the index, then the shared
-/// filter-and-refine ladder (DecideGraphLinked) per candidate; the
-/// pipeline is RunLinkQuery over this snapshot's QueryCorpus. So a query
-/// against the epoch-k snapshot returns bit-identically the links that
+/// score accumulation over the weighted postings, then the shared
+/// filter-and-refine ladder (DecideGraphLinked) per group with an edge;
+/// the pipeline is RunLinkQuery over this snapshot's QueryCorpus. So a
+/// query against the epoch-k snapshot returns bit-identically the links that
 /// linker.Clone()->AddGroup(G) would have produced at the capture point —
 /// and at a refresh point that equals a batch LinkageEngine run over the
 /// epoch corpus plus G (tested in tests/core_snapshot_test.cc).
@@ -95,8 +85,11 @@ class CorpusSnapshot final : public QueryCorpus {
     /// Epoch this query was answered at (== snapshot epoch; lets callers
     /// assert monotone epochs across a service's refreshes).
     int64_t epoch = 0;
-    /// Candidate groups scored (diagnostics).
+    /// Groups with at least one θ-edge that were decided (diagnostics).
     size_t candidates = 0;
+    /// Weighted posting entries read by score accumulation (exact work
+    /// counter, diagnostics).
+    size_t postings_scanned = 0;
     /// Probe token occurrences unknown to the epoch vocabulary; they
     /// carry no TF-IDF weight until the next refresh absorbs them.
     size_t oov_tokens = 0;
@@ -156,10 +149,11 @@ class CorpusSnapshot final : public QueryCorpus {
 
   /// Structural self-check of the frozen state: the seal sentinel written
   /// as Capture's last step, cross-array size agreement, group and record
-  /// ids in range, sorted (i < j) link pairs over live groups. Soak
-  /// readers call this to prove no query ever observes a half-built
-  /// epoch; any violation would mean the publication barrier broke. Cheap
-  /// enough to run per query batch.
+  /// ids in range, group membership agreeing with the record -> group map
+  /// (every record with a vector listed once, by a live group), sorted
+  /// (i < j) link pairs over live groups. Soak readers call this to prove
+  /// no query ever observes a half-built epoch; any violation would mean
+  /// the publication barrier broke. Cheap enough to run per query batch.
   [[nodiscard]] bool CheckConsistency() const;
 
   // --- Storage-tier surface (src/storage/). A snapshot is the unit of
@@ -167,7 +161,9 @@ class CorpusSnapshot final : public QueryCorpus {
   // --- store, and FromParts rebuilds a sealed snapshot on recovery.
 
   /// The deserialized pieces of one epoch. Field-for-field the snapshot's
-  /// own frozen state; SnapshotStore::Load fills one of these from disk.
+  /// own frozen state, less the weighted postings, which FromParts
+  /// rebuilds from record_vectors; SnapshotStore::Load fills one of these
+  /// from disk.
   struct Parts {
     LinkageConfig config;
     int64_t epoch = 0;
@@ -185,24 +181,28 @@ class CorpusSnapshot final : public QueryCorpus {
     std::vector<size_t> cluster_labels;
   };
 
-  /// Rebuilds a snapshot from recovered parts, seals it, and runs
-  /// CheckConsistency — a recovered epoch is either exactly as
-  /// trustworthy as a captured one or rejected with Status::DataLoss.
-  /// No half-built epoch can escape this factory (recovery-protocol
-  /// invariant; see tests/storage_recovery_test.cc).
+  /// Rebuilds a snapshot from recovered parts (the weighted postings by
+  /// transposing the vectors, whose ids must lie in the epoch vocabulary),
+  /// seals it, and runs CheckConsistency — a recovered epoch is either
+  /// exactly as trustworthy as a captured one or rejected with
+  /// Status::DataLoss. No half-built epoch can escape this factory
+  /// (recovery-protocol invariant; see tests/storage_recovery_test.cc).
   [[nodiscard]] static Result<std::shared_ptr<const CorpusSnapshot>> FromParts(
       Parts parts);
 
   /// Read access to the frozen parts, for serialization and for the
   /// warm-restart writer rebuild (IncrementalLinker::FromSnapshot). The
   /// referenced state is immutable for the snapshot's lifetime.
-  const Vocabulary& index_vocab() const override { return index_vocab_; }
+  const Vocabulary& index_vocab() const { return index_vocab_; }
   const Vocabulary& epoch_vocab() const override { return epoch_vocab_; }
   const InvertedIndex& token_index() const { return token_index_; }
   const std::vector<SparseVector>& record_vectors() const {
     return record_vectors_;
   }
-  const std::vector<int32_t>& record_group() const { return record_group_; }
+  /// Weighted postings keyed by epoch token: the transpose of
+  /// record_vectors().
+  const WeightedPostings& postings() const { return postings_; }
+  const std::vector<int32_t>& record_group() const override { return record_group_; }
   /// Per-record raw token occurrences (index-vocabulary ids, original
   /// order, repeats preserved) — what makes a snapshot self-contained
   /// enough to rebuild the writer without the original texts. Empty for
@@ -216,15 +216,13 @@ class CorpusSnapshot final : public QueryCorpus {
   const std::vector<std::string>& group_labels() const { return group_labels_; }
   const std::vector<char>& group_alive() const { return group_alive_; }
 
-  // QueryCorpus, served from the frozen vectors in RAM (never fails).
-  Result<std::vector<int32_t>> CandidateGroups(
-      const std::vector<std::vector<int32_t>>& probe_token_ids) const override;
+  // QueryCorpus, served from the frozen postings in RAM (never fails).
+  Result<const PostingList*> TokenPostings(int32_t token,
+                                           PostingList* /*scratch*/) const override {
+    return &postings_.List(token);
+  }
   const std::vector<int32_t>& GroupRecords(int32_t g) const override {
     return group_records_[static_cast<size_t>(g)];
-  }
-  Result<const SparseVector*> RecordVector(int32_t r,
-                                           SparseVector* /*scratch*/) const override {
-    return &record_vectors_[static_cast<size_t>(r)];
   }
 
  private:
@@ -234,14 +232,16 @@ class CorpusSnapshot final : public QueryCorpus {
   LinkageConfig config_;
   int64_t epoch_ = 0;
 
-  // Token index (for candidate generation) and the vocabulary that maps
-  // probe tokens to its id space.
+  // Token index and the vocabulary of its id space: carried for
+  // persistence and the warm-restart writer, not consulted by LinkQuery.
   Vocabulary index_vocab_;
   InvertedIndex token_index_;
 
-  // Epoch TF-IDF statistics and the per-record vectors under them.
+  // Epoch TF-IDF statistics, the per-record vectors under them, and
+  // their transpose that queries accumulate over.
   Vocabulary epoch_vocab_;
   std::vector<SparseVector> record_vectors_;
+  WeightedPostings postings_;
   std::vector<int32_t> record_group_;
   // Raw token occurrences per record in index-vocab id space (see the
   // record_token_ids() accessor); carried for persistence/warm restart,
@@ -265,12 +265,11 @@ class CorpusSnapshot final : public QueryCorpus {
 };
 
 /// The one link-query pipeline, over either QueryCorpus implementation:
-/// tokenize the probe, map it into the index id space, vectorize it
-/// against the epoch vocabulary, take candidates from the token index,
-/// cap them, build each candidate's θ-graph (corpus group left, probe
-/// right) and decide it with DecideGraphLinked, under an admission
-/// context built from `options`. Fails only when `corpus` fails to read.
-/// Empty record_texts is invalid (GL_CHECK).
+/// tokenize the probe, vectorize it against the epoch vocabulary, then
+/// AccumulateAndDecide over the corpus's weighted postings (corpus group
+/// left, probe right) under an admission context built from `options`.
+/// Fails only when `corpus` fails to read. Empty record_texts is invalid
+/// (GL_CHECK).
 [[nodiscard]] Result<CorpusSnapshot::QueryResult> RunLinkQuery(
     const QueryCorpus& corpus, const GroupArrival& group,
     const CorpusSnapshot::QueryOptions& options);

@@ -1,0 +1,50 @@
+#include "index/weighted_postings.h"
+
+#include <algorithm>
+
+#include "common/logging.h"
+
+namespace grouplink {
+
+WeightedPostings WeightedPostings::Transpose(const std::vector<SparseVector>& vectors,
+                                             size_t num_tokens) {
+  WeightedPostings postings;
+  postings.lists_.resize(num_tokens);
+  for (size_t r = 0; r < vectors.size(); ++r) {
+    postings.Append(static_cast<int32_t>(r), vectors[r]);
+  }
+  GL_DCHECK_EQ(postings.lists_.size(), num_tokens) << "vector id past num_tokens";
+  return postings;
+}
+
+void WeightedPostings::Append(int32_t record, const SparseVector& vector) {
+  if (vector.empty()) return;
+  // Ids are sorted: the last one is the largest — one growth check.
+  const size_t needed = static_cast<size_t>(vector.ids.back()) + 1;
+  if (lists_.size() < needed) lists_.resize(needed);
+  for (size_t k = 0; k < vector.size(); ++k) {
+    PostingList& list = lists_[static_cast<size_t>(vector.ids[k])];
+    GL_DCHECK(list.empty() || list.back().record < record)
+        << "postings must be appended in record-id order";
+    list.push_back({record, vector.weights[k]});
+  }
+}
+
+void WeightedPostings::Erase(int32_t record, const SparseVector& vector) {
+  for (const int32_t token : vector.ids) {
+    PostingList& list = lists_[static_cast<size_t>(token)];
+    const auto it = std::lower_bound(
+        list.begin(), list.end(), record,
+        [](const WeightedPosting& entry, int32_t r) { return entry.record < r; });
+    GL_CHECK(it != list.end() && it->record == record)
+        << "erasing a record the postings do not hold";
+    list.erase(it);
+  }
+}
+
+const PostingList& WeightedPostings::List(int32_t token) const {
+  const size_t t = static_cast<size_t>(token);
+  return t < lists_.size() ? lists_[t] : empty_;
+}
+
+}  // namespace grouplink

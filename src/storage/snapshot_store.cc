@@ -69,7 +69,7 @@ Status WriteSinglePage(PageWriter& writer, uint64_t page_id, PageType type,
   return Status::Ok();
 }
 
-/// Encodes all nine segment byte streams from the snapshot's frozen parts.
+/// Encodes every segment byte stream from the snapshot's frozen parts.
 std::array<std::vector<uint8_t>, kNumSegments> EncodeSegments(
     const CorpusSnapshot& snapshot) {
   std::array<std::vector<uint8_t>, kNumSegments> segments;
@@ -99,39 +99,21 @@ std::array<std::vector<uint8_t>, kNumSegments> EncodeSegments(
   EncodeEpochVocab(snapshot.epoch_vocab(), snapshot.index_vocab(),
                    segments[kDictEpoch]);
 
-  // Postings + directory: one delta-compressed list per index token id.
-  // The lists include tombstoned documents exactly as the live index
-  // holds them; StoredCorpus filters through the tombstone bitmap the
-  // same way DocumentsSharingToken does.
-  const size_t n_tokens = snapshot.index_vocab().size();
-  std::vector<int32_t> dir_lengths;
+  // Weighted postings + directory: one list per epoch token id. They hold
+  // the only copy of the TF-IDF weights (raw IEEE-754 bits, so the round
+  // trip is bit-identical, which the differential suite turns into
+  // link-set identity); Load transposes them back into the vectors.
+  const WeightedPostings& postings = snapshot.postings();
+  const size_t n_tokens = snapshot.epoch_vocab().size();
+  std::vector<uint64_t> dir_lengths;
   dir_lengths.reserve(n_tokens);
   for (size_t t = 0; t < n_tokens; ++t) {
     const size_t before = segments[kPostings].size();
-    PutDeltaVarints(segments[kPostings], index.Postings(static_cast<int32_t>(t)));
-    dir_lengths.push_back(static_cast<int32_t>(segments[kPostings].size() - before));
+    EncodePostingList(postings.List(static_cast<int32_t>(t)), segments[kPostings]);
+    dir_lengths.push_back(segments[kPostings].size() - before);
   }
   PutVarint(segments[kPostingsDir], dir_lengths.size());
-  for (const int32_t length : dir_lengths) {
-    PutVarint(segments[kPostingsDir], static_cast<uint64_t>(length));
-  }
-
-  // TF-IDF vectors + directory: delta-varint ids, weights as raw IEEE-754
-  // bits — the round trip is bit-identical, which the differential suite
-  // turns into link-set identity.
-  dir_lengths.clear();
-  dir_lengths.reserve(n_records);
-  for (size_t r = 0; r < n_records; ++r) {
-    const SparseVector& vector = snapshot.record_vectors()[r];
-    const size_t before = segments[kVectors].size();
-    PutDeltaVarints(segments[kVectors], vector.ids);
-    for (const double w : vector.weights) PutDouble(segments[kVectors], w);
-    dir_lengths.push_back(static_cast<int32_t>(segments[kVectors].size() - before));
-  }
-  PutVarint(segments[kVectorsDir], dir_lengths.size());
-  for (const int32_t length : dir_lengths) {
-    PutVarint(segments[kVectorsDir], static_cast<uint64_t>(length));
-  }
+  for (const uint64_t length : dir_lengths) PutVarint(segments[kPostingsDir], length);
 
   // Per-record index token sets, exactly as AddDocument received them
   // (post-compaction tombstones have empty sets; replaying AddDocument
@@ -209,7 +191,7 @@ Result<std::shared_ptr<const CorpusSnapshot>> SnapshotStore::Load(
   GL_ASSIGN_OR_RETURN(const StoreInfo info, ReadStoreInfo(*file));
 
   // ReadWholeSegment checksum-verifies every page it touches; together
-  // the nine reads cover the whole file, so any flipped bit anywhere
+  // the segment reads cover the whole file, so any flipped bit anywhere
   // surfaces as DataLoss here, deterministically.
   std::array<std::vector<uint8_t>, kNumSegments> segments;
   for (uint32_t s = 0; s < kNumSegments; ++s) {
@@ -229,47 +211,29 @@ Result<std::shared_ptr<const CorpusSnapshot>> SnapshotStore::Load(
   const size_t n_records = static_cast<size_t>(meta.num_records);
   const size_t n_tokens = parts.index_vocab.size();
 
-  // Structural cross-checks of the directories against their segments
-  // (StoredCorpus trusts these offsets for random access).
-  std::vector<uint64_t> offsets;
-  GL_RETURN_IF_ERROR(DecodeDirectory(segments[kPostingsDir],
-                                     segments[kPostings].size(), &offsets));
-  if (offsets.size() != n_tokens + 1) {
-    return Status::DataLoss("postings directory entry count mismatch");
-  }
-  GL_RETURN_IF_ERROR(DecodeDirectory(segments[kVectorsDir],
-                                     segments[kVectors].size(), &offsets));
-  if (offsets.size() != n_records + 1) {
-    return Status::DataLoss("vectors directory entry count mismatch");
-  }
-
-  // TF-IDF vectors.
+  // TF-IDF vectors, by transposing the weighted postings: list t, walked
+  // in ascending t, appends token t to each of its records, so every
+  // vector comes back id-sorted and bit-identical.
   {
-    ByteReader reader(segments[kVectors].data(), segments[kVectors].size());
+    std::vector<uint64_t> offsets;
+    GL_RETURN_IF_ERROR(DecodeDirectory(segments[kPostingsDir], parts.epoch_vocab.size(),
+                                       segments[kPostings].size(), &offsets));
     parts.record_vectors.resize(n_records);
-    for (size_t r = 0; r < n_records; ++r) {
-      SparseVector& vector = parts.record_vectors[r];
-      GL_RETURN_IF_ERROR(reader.ReadDeltaVarints(&vector.ids));
-      vector.weights.resize(vector.ids.size());
-      for (double& w : vector.weights) {
-        GL_ASSIGN_OR_RETURN(w, reader.ReadDouble());
+    PostingList list;
+    for (size_t t = 0; t + 1 < offsets.size(); ++t) {
+      GL_RETURN_IF_ERROR(DecodePostingList(segments[kPostings].data() + offsets[t],
+                                           offsets[t + 1] - offsets[t],
+                                           meta.num_records, &list));
+      for (const WeightedPosting& entry : list) {
+        SparseVector& vector = parts.record_vectors[static_cast<size_t>(entry.record)];
+        vector.ids.push_back(static_cast<int32_t>(t));
+        vector.weights.push_back(entry.weight);
       }
-      for (const int32_t id : vector.ids) {
-        if (static_cast<size_t>(id) >= parts.epoch_vocab.size()) {
-          return Status::DataLoss("vector token id out of vocabulary range");
-        }
-      }
-    }
-    if (!reader.AtEnd()) {
-      return Status::DataLoss("trailing bytes in vectors segment");
     }
   }
 
   // Inverted index, rebuilt through the exact mutation sequence of the
-  // original: AddDocument in id order, then the tombstones. The postings
-  // segment is not consulted here — the rebuild reproduces it (the
-  // differential suite holds the paged reader, which does read it, to
-  // the same answers).
+  // original: AddDocument in id order, then the tombstones.
   {
     ByteReader reader(segments[kDocs].data(), segments[kDocs].size());
     GL_ASSIGN_OR_RETURN(const int64_t count, reader.ReadCount());

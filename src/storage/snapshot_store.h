@@ -50,10 +50,12 @@ class SnapshotStore {
 
   /// Recovers the snapshot stored at `path`. Checksum-verifies every page
   /// of the file (recovery reads it all anyway, and a full scan turns any
-  /// corruption into a deterministic Status::DataLoss). The inverted
-  /// index is rebuilt from the persisted per-record token sets through
+  /// corruption into a deterministic Status::DataLoss). The TF-IDF
+  /// vectors are rebuilt by transposing the stored weighted postings, and
+  /// the inverted index from the persisted per-record token sets through
   /// the exact AddDocument/RemoveDocument sequence of the original, so
-  /// the recovered snapshot answers every query bit-identically.
+  /// the recovered snapshot answers every query bit-identically. A store
+  /// of another format version is DataLoss.
   /// Errors: NotFound (no store), DataLoss (corruption or a store that
   /// decodes into an inconsistent epoch), IoError.
   [[nodiscard]] static Result<std::shared_ptr<const CorpusSnapshot>> Load(

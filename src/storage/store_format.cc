@@ -363,10 +363,13 @@ Result<Vocabulary> DecodeEpochVocab(const std::vector<uint8_t>& bytes,
   return Vocabulary::Restore(std::move(tokens), std::move(dfs), num_documents);
 }
 
-Status DecodeDirectory(const std::vector<uint8_t>& bytes, uint64_t expected_total,
-                       std::vector<uint64_t>* offsets) {
+Status DecodeDirectory(const std::vector<uint8_t>& bytes, size_t expected_count,
+                       uint64_t expected_total, std::vector<uint64_t>* offsets) {
   ByteReader reader(bytes.data(), bytes.size());
   GL_ASSIGN_OR_RETURN(const int64_t count, reader.ReadCount());
+  if (static_cast<uint64_t>(count) != expected_count) {
+    return BadStore("directory entry count mismatch");
+  }
   if (static_cast<uint64_t>(count) > bytes.size()) {
     return BadStore("implausible directory size");
   }
@@ -379,6 +382,34 @@ Status DecodeDirectory(const std::vector<uint8_t>& bytes, uint64_t expected_tota
   }
   if (!reader.AtEnd()) return BadStore("trailing bytes in directory segment");
   if (total != expected_total) return BadStore("directory/segment length mismatch");
+  return Status::Ok();
+}
+
+void EncodePostingList(const PostingList& list, std::vector<uint8_t>& out) {
+  std::vector<int32_t> ids;
+  ids.reserve(list.size());
+  for (const WeightedPosting& entry : list) ids.push_back(entry.record);
+  PutDeltaVarints(out, ids);
+  for (const WeightedPosting& entry : list) PutDouble(out, entry.weight);
+}
+
+Status DecodePostingList(const uint8_t* data, size_t size, int64_t num_records,
+                         PostingList* out) {
+  ByteReader reader(data, size);
+  std::vector<int32_t> ids;
+  GL_RETURN_IF_ERROR(reader.ReadDeltaVarints(&ids));
+  for (size_t i = 1; i < ids.size(); ++i) {
+    if (ids[i] == ids[i - 1]) return BadStore("posting list ids do not ascend");
+  }
+  if (!ids.empty() && ids.back() >= num_records) {
+    return BadStore("posting references a record out of range");
+  }
+  out->resize(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    (*out)[i].record = ids[i];
+    GL_ASSIGN_OR_RETURN((*out)[i].weight, reader.ReadDouble());
+  }
+  if (!reader.AtEnd()) return BadStore("trailing bytes in posting list");
   return Status::Ok();
 }
 

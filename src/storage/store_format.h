@@ -9,6 +9,7 @@
 
 #include "common/status.h"
 #include "core/linkage_engine.h"
+#include "index/weighted_postings.h"
 #include "storage/page.h"
 #include "storage/page_file.h"
 #include "text/vocabulary.h"
@@ -36,24 +37,22 @@ enum SegmentId : uint32_t {
   /// entry is an index-vocab id reference + df — no string is stored
   /// twice.
   kDictEpoch = 2,
-  /// Per-token byte length of each posting list in kPostings (prefix
-  /// sums give random access).
+  /// Per-epoch-token byte length of each weighted posting list in
+  /// kPostings (prefix sums give random access).
   kPostingsDir = 3,
-  /// Delta+varint compressed posting lists (doc ids ascending).
+  /// Weighted posting lists, one per epoch token id: delta+varint record
+  /// ids (ascending), then each entry's TF-IDF weight as raw IEEE-754
+  /// bits (bit-identical round trip). The only copy of the weights:
+  /// recovery rebuilds the per-record vectors by transposing them.
   kPostings = 4,
-  /// Per-record byte length of each vector in kVectors.
-  kVectorsDir = 5,
-  /// Per-record TF-IDF vectors: delta+varint ids, weights as raw
-  /// IEEE-754 bits (bit-identical round trip).
-  kVectors = 6,
   /// Per-record sorted index token sets as passed to
   /// InvertedIndex::AddDocument — including entries of tombstoned,
   /// not-yet-compacted documents, so recovery rebuilds the exact index.
-  kDocs = 7,
+  kDocs = 5,
   /// Per-record raw token occurrences (index-vocab ids, original order,
   /// repeats kept) — what the warm-restart writer rebuild ingests.
-  kRawTokens = 8,
-  kNumSegments = 9,
+  kRawTokens = 6,
+  kNumSegments = 7,
 };
 
 /// Decoded header + seal: the structural directory of one store file.
@@ -122,11 +121,20 @@ void EncodeEpochVocab(const Vocabulary& epoch_vocab, const Vocabulary& index_voc
                                                   const Vocabulary& index_vocab);
 
 /// Decodes a directory segment (per-entry byte lengths) into prefix-sum
-/// offsets: out[i] is entry i's byte offset, out[count] the total, which
-/// must equal `expected_total`.
+/// offsets: out[i] is entry i's byte offset, out[count] the total. The
+/// entry count must equal `expected_count` and the total
+/// `expected_total`.
 [[nodiscard]] Status DecodeDirectory(const std::vector<uint8_t>& bytes,
-                                     uint64_t expected_total,
+                                     size_t expected_count, uint64_t expected_total,
                                      std::vector<uint64_t>* offsets);
+
+/// Appends one kPostings list.
+void EncodePostingList(const PostingList& list, std::vector<uint8_t>& out);
+/// Decodes one whole kPostings list of `size` bytes. DataLoss unless the
+/// record ids strictly ascend, each is below `num_records`, and the list
+/// fills the bytes exactly.
+[[nodiscard]] Status DecodePostingList(const uint8_t* data, size_t size,
+                                       int64_t num_records, PostingList* out);
 
 }  // namespace storage
 }  // namespace grouplink

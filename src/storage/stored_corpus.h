@@ -16,18 +16,17 @@ namespace grouplink {
 namespace storage {
 
 /// Out-of-core LinkQuery serving directly from a store file: the big
-/// per-record data — posting lists and TF-IDF vectors — stays on disk
-/// and is paged in through a fixed-budget BufferManager, so a corpus
-/// much larger than the buffer pool can be served. Only the compact
-/// metadata (dictionaries, group structure, tombstones, directories) is
-/// resident.
+/// per-record data — the weighted posting lists — stays on disk and is
+/// paged in through a fixed-budget BufferManager, so a corpus much larger
+/// than the buffer pool can be served. Only the compact metadata
+/// (dictionaries, group structure, directories) is resident.
 ///
 /// Decision-procedure contract: LinkQuery here answers bit-identically
 /// to CorpusSnapshot::LinkQuery over the same epoch, by construction:
 /// both run the one pipeline (RunLinkQuery) over the QueryCorpus
-/// interface, and this class only supplies the reads — the same
-/// candidate set, and vectors whose stored weights are the raw IEEE-754
-/// bits of the in-RAM ones. The differential suite
+/// interface, and this class only supplies the reads — the same posting
+/// lists, whose stored weights are the raw IEEE-754 bits of the in-RAM
+/// ones. The differential suite
 /// (tests/storage_differential_test.cc) remains the proof, across thread
 /// counts, buffer budgets down to a pathologically tiny pool, and
 /// admission-control options.
@@ -66,39 +65,34 @@ class StoredCorpus final : public QueryCorpus {
   [[nodiscard]] BufferStats buffer_stats() const { return buffer_->stats(); }
   [[nodiscard]] size_t pool_pages() const { return buffer_->pool_pages(); }
 
-  // QueryCorpus, served through the buffer pool: posting lists are read
-  // page by page, and each record vector is decoded into the caller's
-  // scratch.
-  [[nodiscard]] const Vocabulary& index_vocab() const override {
-    return index_vocab_;
-  }
+  // QueryCorpus, served through the buffer pool: each posting list is
+  // read page by page and decoded into the caller's scratch, its record
+  // ids range-checked (DataLoss).
   [[nodiscard]] const Vocabulary& epoch_vocab() const override {
     return epoch_vocab_;
   }
-  [[nodiscard]] Result<std::vector<int32_t>> CandidateGroups(
-      const std::vector<std::vector<int32_t>>& probe_token_ids) const override;
+  [[nodiscard]] Result<const PostingList*> TokenPostings(
+      int32_t token, PostingList* scratch) const override;
+  [[nodiscard]] const std::vector<int32_t>& record_group() const override {
+    return meta_.record_group;
+  }
   [[nodiscard]] const std::vector<int32_t>& GroupRecords(int32_t g) const override {
     return meta_.group_records[static_cast<size_t>(g)];
   }
-  [[nodiscard]] Result<const SparseVector*> RecordVector(
-      int32_t r, SparseVector* scratch) const override;
 
  private:
   StoredCorpus() = default;
 
   // Resident metadata (immutable after Open).
   MetaData meta_;
-  Vocabulary index_vocab_;
   Vocabulary epoch_vocab_;
-  std::vector<uint64_t> postings_offsets_;  // Prefix sums, size |vocab|+1.
-  std::vector<uint64_t> vectors_offsets_;   // Prefix sums, size n_records+1.
+  std::vector<uint64_t> postings_offsets_;  // Prefix sums, size |epoch vocab|+1.
 
   // Paged data plumbing. The BufferManager is internally synchronized;
   // reaching it through const methods is safe by its contract.
   std::shared_ptr<const PageFile> file_;
   std::unique_ptr<BufferManager> buffer_;
   SegmentReader postings_reader_;
-  SegmentReader vectors_reader_;
 };
 
 }  // namespace storage

@@ -1,6 +1,7 @@
 #include "common/execution_context.h"
 
 #include <chrono>
+#include <limits>
 #include <thread>
 
 #include "common/fault_injection.h"
@@ -57,6 +58,25 @@ TEST(ExecutionContextTest, GenerousDeadlineDoesNotStop) {
   EXPECT_FALSE(ctx.StopRequested());
   ctx.SetDeadline(0.0);  // Disarm.
   EXPECT_FALSE(ctx.has_deadline());
+}
+
+TEST(ExecutionContextTest, DeadlinesPastTheClockRangeAreNoDeadline) {
+  // now + ms must fit the steady clock's time_point. A deadline it cannot
+  // hold, or no number at all, can never expire: it must not overflow
+  // into the past and stop the run at once.
+  for (const double ms : {1e13, 1e300, std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()}) {
+    ExecutionContext ctx;
+    ctx.SetDeadline(ms);
+    EXPECT_FALSE(ctx.has_deadline()) << ms;
+    EXPECT_FALSE(ctx.StopRequested()) << ms;
+    EXPECT_FALSE(ctx.degraded()) << ms;
+  }
+  // A deadline decades away still fits the clock and arms.
+  ExecutionContext ctx;
+  ctx.SetDeadline(1e12);
+  EXPECT_TRUE(ctx.has_deadline());
+  EXPECT_FALSE(ctx.StopRequested());
 }
 
 TEST(ExecutionContextTest, FirstStopCauseWins) {

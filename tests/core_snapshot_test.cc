@@ -140,6 +140,7 @@ TEST(CorpusSnapshotTest, LinkQueryMatchesCloneAddGroupExactly) {
     const auto added = linker->Clone()->AddGroup(probe.label, probe.record_texts);
     EXPECT_EQ(query.linked_to, added.linked_to) << probe.label;
     EXPECT_EQ(query.candidates, added.candidates) << probe.label;
+    EXPECT_EQ(query.postings_scanned, added.postings_scanned) << probe.label;
     EXPECT_EQ(query.oov_tokens, added.oov_tokens) << probe.label;
     EXPECT_FALSE(query.degraded);
     EXPECT_EQ(query.epoch, snapshot->epoch());
@@ -239,6 +240,26 @@ TEST(CorpusSnapshotTest, AdmissionControlDegradesButNeverOverlinks) {
   EXPECT_TRUE(shed.linked_to.empty());
 }
 
+TEST(CorpusSnapshotTest, HugeDeadlineQueryEqualsTheUnconstrainedAnswer) {
+  // 1e300 ms is past the steady clock's range: it must mean "no
+  // deadline", not a deadline that overflowed into the past.
+  const Dataset dataset = MakeCorpus(30, 13);
+  auto linker = IncrementalLinker::Create(dataset, TestConfig());
+  ASSERT_TRUE(linker.ok());
+  const auto snapshot = CorpusSnapshot::Capture(*linker);
+
+  const GroupArrival probe{"probe", GroupTexts(dataset, 0)};
+  const auto unconstrained = snapshot->LinkQuery(probe);
+  ASSERT_FALSE(unconstrained.linked_to.empty());
+  CorpusSnapshot::QueryOptions huge;
+  huge.deadline_ms = 1e300;
+  const auto answered = snapshot->LinkQuery(probe, huge);
+  EXPECT_FALSE(answered.degraded);
+  EXPECT_EQ(answered.linked_to, unconstrained.linked_to);
+  EXPECT_EQ(answered.candidates, unconstrained.candidates);
+  EXPECT_EQ(answered.postings_scanned, unconstrained.postings_scanned);
+}
+
 TEST(CorpusSnapshotTest, UnknownTokensCountAsOovAndDoNotMatch) {
   const Dataset dataset = MakeCorpus(20, 3);
   auto linker = IncrementalLinker::Create(dataset, TestConfig());
@@ -283,6 +304,28 @@ TEST(CorpusSnapshotTest, FromPartsRejectsGroupRecordOutOfRange) {
   CorpusSnapshot::Parts parts = PartsOf(*snapshot);
   parts.group_records[0].push_back(snapshot->num_records());
   const auto rebuilt = CorpusSnapshot::FromParts(std::move(parts));
+  ASSERT_FALSE(rebuilt.ok());
+  EXPECT_EQ(rebuilt.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(CorpusSnapshotTest, FromPartsRejectsMembershipTheRecordMapDisagreesWith) {
+  const Dataset dataset = MakeCorpus(10, 17);
+  auto linker = IncrementalLinker::Create(dataset, TestConfig());
+  ASSERT_TRUE(linker.ok());
+  const auto snapshot = CorpusSnapshot::Capture(*linker);
+
+  // Group 1 also lists a record of group 0: accumulation would find that
+  // record's edges in the postings and could not place them.
+  CorpusSnapshot::Parts parts = PartsOf(*snapshot);
+  parts.group_records[1].push_back(parts.group_records[0].front());
+  auto rebuilt = CorpusSnapshot::FromParts(std::move(parts));
+  ASSERT_FALSE(rebuilt.ok());
+  EXPECT_EQ(rebuilt.status().code(), StatusCode::kDataLoss);
+
+  // A record with a vector that no group lists.
+  parts = PartsOf(*snapshot);
+  parts.group_records[0].pop_back();
+  rebuilt = CorpusSnapshot::FromParts(std::move(parts));
   ASSERT_FALSE(rebuilt.ok());
   EXPECT_EQ(rebuilt.status().code(), StatusCode::kDataLoss);
 }

@@ -19,6 +19,7 @@
 #include "data/bibliographic_generator.h"
 #include "storage/page_file.h"
 #include "storage/store_format.h"
+#include "storage/stored_corpus.h"
 
 namespace grouplink {
 namespace storage {
@@ -137,13 +138,49 @@ TEST_F(StorageCorruptionTest, SealPageFlipsAreDataLoss) {
 TEST_F(StorageCorruptionTest, EveryStridedBitFlipAcrossTheFileIsFatal) {
   // A pseudo-exhaustive sweep: one flipped bit every 97 bytes, rotating
   // through bit positions, covering every page and every field class the
-  // targeted tests above might have missed.
+  // targeted tests above might have missed — the weighted postings
+  // segment, the only copy of the TF-IDF weights, included.
+  auto file = PageFile::Open(path_);
+  ASSERT_TRUE(file.ok());
+  const auto info = ReadStoreInfo(**file);
+  ASSERT_TRUE(info.ok());
+  const size_t postings_begin = info->segments[kPostings].first_page * 512;
+  const size_t postings_end = postings_begin + info->PagesOf(kPostings) * 512;
   int flips = 0;
+  int postings_flips = 0;
   for (size_t byte = 0; byte < clean_.size(); byte += 97) {
     ExpectFlipIsFatal(byte, static_cast<int>((byte / 97) % 8));
     ++flips;
+    if (byte >= postings_begin && byte < postings_end) ++postings_flips;
   }
   EXPECT_GT(flips, 20);
+  EXPECT_GT(postings_flips, 0);
+}
+
+TEST_F(StorageCorruptionTest, StoreOfTheFormerFormatVersionIsDataLoss) {
+  // A version-1 store (unweighted postings plus a per-record vectors
+  // segment) must fail cleanly, not be read as the current layout. Set
+  // the header's version field to 1 and re-seal the header page, so the
+  // version is the only thing wrong.
+  std::vector<uint8_t> bytes = clean_;
+  const size_t version_at = kPageHeaderBytes + sizeof(kFileMagic);
+  bytes[version_at] = 1;
+  bytes[version_at + 1] = bytes[version_at + 2] = bytes[version_at + 3] = 0;
+  const uint32_t payload_len = static_cast<uint32_t>(bytes[12]) |
+                               static_cast<uint32_t>(bytes[13]) << 8 |
+                               static_cast<uint32_t>(bytes[14]) << 16 |
+                               static_cast<uint32_t>(bytes[15]) << 24;
+  SealPageFrame(0, PageType::kHeader, payload_len, bytes.data(), 512);
+  WriteAll(path_, bytes);
+  const auto loaded = SnapshotStore::Load(path_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find("unsupported store version 1"),
+            std::string::npos)
+      << loaded.status().message();
+  const auto opened = StoredCorpus::Open(path_);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss);
 }
 
 TEST_F(StorageCorruptionTest, TruncationIsDataLoss) {

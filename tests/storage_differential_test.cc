@@ -87,6 +87,7 @@ void ExpectIdenticalAnswers(const CorpusSnapshot& truth,
                           << got.status().message();
     EXPECT_EQ(got->linked_to, want.linked_to) << context << " probe " << g;
     EXPECT_EQ(got->candidates, want.candidates) << context << " probe " << g;
+    EXPECT_EQ(got->postings_scanned, want.postings_scanned) << context << " probe " << g;
     EXPECT_EQ(got->oov_tokens, want.oov_tokens) << context << " probe " << g;
     EXPECT_EQ(got->epoch, want.epoch) << context << " probe " << g;
     EXPECT_EQ(got->degraded, want.degraded) << context << " probe " << g;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -270,6 +271,73 @@ TEST(MetaCodecTest, GroupRecordOutOfRangeIsDataLoss) {
   bytes.clear();
   EncodeMeta(meta, bytes);
   EXPECT_TRUE(DecodeMeta(bytes, &decoded).ok());
+}
+
+PostingList SamplePostings() {
+  return {{0, 0.5}, {3, 0.25}, {4, -0.0}, {130, 1.0 / 3.0}};
+}
+
+TEST(PostingListCodecTest, RoundTripsIdsAndWeightBits) {
+  for (const PostingList& list : {PostingList{}, SamplePostings()}) {
+    std::vector<uint8_t> bytes;
+    EncodePostingList(list, bytes);
+    PostingList decoded = {{9, 9.0}};  // Overwritten, not appended to.
+    ASSERT_TRUE(DecodePostingList(bytes.data(), bytes.size(), 131, &decoded).ok());
+    ASSERT_EQ(decoded.size(), list.size());
+    for (size_t i = 0; i < list.size(); ++i) {
+      EXPECT_EQ(decoded[i].record, list[i].record);
+      EXPECT_EQ(std::bit_cast<uint64_t>(decoded[i].weight),
+                std::bit_cast<uint64_t>(list[i].weight));
+    }
+  }
+}
+
+TEST(PostingListCodecTest, MalformedListsAreDataLoss) {
+  std::vector<uint8_t> clean;
+  EncodePostingList(SamplePostings(), clean);
+  PostingList out;
+  const auto decode = [&](const std::vector<uint8_t>& bytes, int64_t num_records) {
+    return DecodePostingList(bytes.data(), bytes.size(), num_records, &out).code();
+  };
+  ASSERT_EQ(decode(clean, 131), StatusCode::kOk);
+
+  // Truncated: cut inside the ids, inside the weights, and to nothing.
+  for (const size_t keep : {size_t{2}, clean.size() - 1, size_t{0}}) {
+    const std::vector<uint8_t> cut(clean.begin(), clean.begin() + static_cast<long>(keep));
+    EXPECT_EQ(decode(cut, 131), StatusCode::kDataLoss) << "kept " << keep;
+  }
+
+  // A non-ascending id: a zero gap after the first entry repeats an id.
+  std::vector<uint8_t> repeated;
+  PutVarint(repeated, 2);
+  PutVarint(repeated, 5);
+  PutVarint(repeated, 0);
+  PutDouble(repeated, 0.5);
+  PutDouble(repeated, 0.5);
+  EXPECT_EQ(decode(repeated, 131), StatusCode::kDataLoss);
+
+  // An id at or past num_records: record 130 of 130, and of 0.
+  EXPECT_EQ(decode(clean, 130), StatusCode::kDataLoss);
+  EXPECT_EQ(decode(clean, 0), StatusCode::kDataLoss);
+
+  // Trailing bytes after a well-formed list.
+  std::vector<uint8_t> trailing = clean;
+  trailing.push_back(0);
+  EXPECT_EQ(decode(trailing, 131), StatusCode::kDataLoss);
+}
+
+TEST(PostingListCodecTest, DirectoryCountMustMatchTheVocabulary) {
+  // Three lists of 9, 0 and 18 bytes: the entry count must equal the
+  // epoch vocabulary's size, and the lengths must sum to the segment.
+  std::vector<uint8_t> directory;
+  PutVarint(directory, 3);
+  for (const uint64_t length : {9u, 0u, 18u}) PutVarint(directory, length);
+  std::vector<uint64_t> offsets;
+  ASSERT_TRUE(DecodeDirectory(directory, 3, 27, &offsets).ok());
+  EXPECT_EQ(offsets, (std::vector<uint64_t>{0, 9, 9, 27}));
+  EXPECT_EQ(DecodeDirectory(directory, 2, 27, &offsets).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeDirectory(directory, 4, 27, &offsets).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeDirectory(directory, 3, 26, &offsets).code(), StatusCode::kDataLoss);
 }
 
 }  // namespace
