@@ -127,7 +127,6 @@ int main(int argc, char** argv) {
   timer.Reset();
   LinkageConfig native_config = config;
   native_config.use_edge_join = true;
-  native_config.join_jaccard = 0.2;
   native_config.num_threads =
       static_cast<int32_t>(std::max<int64_t>(1, flags.GetInt64("threads")));
   native_config.deadline_ms = flags.GetDouble("deadline-ms");

@@ -1,10 +1,13 @@
 #include "core/accumulate.h"
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 #include <utility>
 
 #include "common/logging.h"
+#include "common/timer.h"
+#include "common/trace.h"
 
 namespace grouplink {
 namespace {
@@ -30,12 +33,67 @@ Accumulator& ThreadAccumulator(size_t num_records) {
   return accumulator;
 }
 
+/// The one accumulation loop: sums `vector` against every record below
+/// `cutoff` that shares a token with it. Afterwards acc.touched lists
+/// those records and acc.sum holds their cosines.
+Status AccumulateRecord(const PostingsCorpus& corpus, const SparseVector& vector,
+                        int32_t cutoff, Accumulator& acc, size_t* postings_scanned) {
+  if (++acc.generation == 0) {  // Wrapped: no stale stamp may match.
+    std::fill(acc.stamp.begin(), acc.stamp.end(), 0);
+    acc.generation = 1;
+  }
+  acc.touched.clear();
+  for (size_t k = 0; k < vector.size(); ++k) {
+    GL_ASSIGN_OR_RETURN(const PostingList* list,
+                        corpus.TokenPostings(vector.ids[k], &acc.decoded));
+    const double probe_weight = vector.weights[k];
+    const WeightedPosting* entry = list->data();
+    const WeightedPosting* const end = entry + list->size();
+    // Lists ascend by record id, so the cutoff ends the walk.
+    for (; entry != end && entry->record < cutoff; ++entry) {
+      const size_t r = static_cast<size_t>(entry->record);
+      GL_DCHECK_LT(r, corpus.record_group().size());
+      if (acc.stamp[r] != acc.generation) {
+        acc.stamp[r] = acc.generation;
+        acc.sum[r] = 0.0;
+        acc.touched.push_back(entry->record);
+      }
+      // Tokens arrive in ascending id, so each sum adds the shared
+      // tokens' products in DotProduct's own order.
+      acc.sum[r] += entry->weight * probe_weight;
+    }
+    *postings_scanned += static_cast<size_t>(entry - list->data());
+  }
+  return Status::Ok();
+}
+
+Status Unlisted() {
+  return Status::DataLoss("a posting names a record its group does not list");
+}
+
 /// An edge found by accumulation, before it is placed in its graph.
 struct FoundEdge {
   int32_t group;
   int32_t record;
   int32_t probe;
   double weight;
+};
+
+/// The bucket key of group pair (g1 < g2).
+uint64_t PackGroups(int32_t g1, int32_t g2) {
+  return static_cast<uint64_t>(g1) << 32 | static_cast<uint32_t>(g2);
+}
+
+/// One shard of the self-join: a contiguous record range and what its
+/// worker found there. Each shard is written by exactly one worker.
+struct JoinShard {
+  int32_t next = 0;  // First record not yet accumulated.
+  int32_t end = 0;
+  size_t record_pairs = 0;
+  size_t postings_scanned = 0;
+  double seconds = 0.0;
+  std::vector<JoinEdge> edges;
+  Status status;
 };
 
 }  // namespace
@@ -47,33 +105,8 @@ Result<std::vector<GroupGraph>> AccumulateGraphs(
   Accumulator& acc = ThreadAccumulator(record_group.size());
   std::vector<FoundEdge> edges;
   for (size_t j = 0; j < probe.size(); ++j) {
-    if (++acc.generation == 0) {  // Wrapped: no stale stamp may match.
-      std::fill(acc.stamp.begin(), acc.stamp.end(), 0);
-      acc.generation = 1;
-    }
-    acc.touched.clear();
-    const SparseVector& vector = probe[j];
-    for (size_t k = 0; k < vector.size(); ++k) {
-      GL_ASSIGN_OR_RETURN(const PostingList* list,
-                          corpus.TokenPostings(vector.ids[k], &acc.decoded));
-      const double probe_weight = vector.weights[k];
-      const WeightedPosting* entry = list->data();
-      const WeightedPosting* const end = entry + list->size();
-      // Lists ascend by record id, so the cutoff ends the walk.
-      for (; entry != end && entry->record < placement.record_cutoff; ++entry) {
-        const size_t r = static_cast<size_t>(entry->record);
-        GL_DCHECK_LT(r, record_group.size());
-        if (acc.stamp[r] != acc.generation) {
-          acc.stamp[r] = acc.generation;
-          acc.sum[r] = 0.0;
-          acc.touched.push_back(entry->record);
-        }
-        // Tokens arrive in ascending id, so each sum adds the shared
-        // tokens' products in DotProduct's own order.
-        acc.sum[r] += entry->weight * probe_weight;
-      }
-      *postings_scanned += static_cast<size_t>(entry - list->data());
-    }
+    GL_RETURN_IF_ERROR(AccumulateRecord(corpus, probe[j], placement.record_cutoff, acc,
+                                        postings_scanned));
     for (const int32_t r : acc.touched) {
       const double weight = acc.sum[static_cast<size_t>(r)];
       if (weight < theta) continue;
@@ -108,9 +141,7 @@ Result<std::vector<GroupGraph>> AccumulateGraphs(
         placed.push_back({static_cast<int32_t>(i), e->probe, e->weight});
       }
     }
-    if (placed.size() != end - begin) {
-      return Status::DataLoss("a posting names a record its group does not list");
-    }
+    if (placed.size() != end - begin) return Unlisted();
     const int32_t group_size = static_cast<int32_t>(members.size());
     if (g < placement.group) {
       BipartiteGraph graph(group_size, probe_size);
@@ -167,6 +198,161 @@ Result<AccumulateOutcome> AccumulateAndDecide(const PostingsCorpus& corpus,
     }
   }
   return outcome;
+}
+
+BipartiteGraph JoinBuckets::Graph(size_t i) const {
+  const Bucket& bucket = buckets[i];
+  BipartiteGraph graph(bucket.size1, bucket.size2);
+  for (size_t e = bucket.begin; e < bucket.end; ++e) {
+    graph.AddEdge(edges[e].left, edges[e].right, edges[e].weight);
+  }
+  return graph;
+}
+
+Result<JoinBuckets> AccumulateSelfJoin(const PostingsCorpus& corpus,
+                                       std::span<const SparseVector> vectors, double theta,
+                                       ThreadPool* pool, ExecutionContext* ctx,
+                                       RunReport* report) {
+  const std::vector<int32_t>& record_group = corpus.record_group();
+  const size_t n = record_group.size();
+  GL_CHECK_EQ(vectors.size(), n);
+  WallTimer timer;
+
+  // Each record's position in its group, its node in the bucket graphs;
+  // -1 for a record its group does not list.
+  int32_t num_groups = 0;
+  for (const int32_t g : record_group) num_groups = std::max(num_groups, g + 1);
+  std::vector<int32_t> position(n, -1);
+  for (int32_t g = 0; g < num_groups; ++g) {
+    const std::vector<int32_t>& members = corpus.GroupRecords(g);
+    for (size_t i = 0; i < members.size(); ++i) {
+      const size_t r = static_cast<size_t>(members[i]);
+      GL_DCHECK_LT(r, n);
+      if (record_group[r] == g) position[r] = static_cast<int32_t>(i);
+    }
+  }
+
+  const size_t threads = pool != nullptr ? pool->num_threads() : 1;
+  const size_t num_shards =
+      threads <= 1 ? 1 : std::min(std::max<size_t>(n, 1), threads * 4);
+  const size_t shard_size = (n + num_shards - 1) / num_shards;
+  std::vector<JoinShard> shards(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    shards[s].next = static_cast<int32_t>(std::min(n, s * shard_size));
+    shards[s].end = static_cast<int32_t>(std::min(n, (s + 1) * shard_size));
+  }
+
+  // Accumulates record r against the records below it and keeps the
+  // cross-group sums >= θ, oriented into their (lower group, higher
+  // group) bucket.
+  const auto join_record = [&](int32_t r, JoinShard& shard) -> Status {
+    Accumulator& acc = ThreadAccumulator(n);
+    GL_RETURN_IF_ERROR(AccumulateRecord(corpus, vectors[static_cast<size_t>(r)], r, acc,
+                                        &shard.postings_scanned));
+    shard.record_pairs += acc.touched.size();
+    const int32_t g = record_group[static_cast<size_t>(r)];
+    const int32_t p = position[static_cast<size_t>(r)];
+    for (const int32_t other : acc.touched) {
+      const double weight = acc.sum[static_cast<size_t>(other)];
+      if (weight < theta) continue;
+      const int32_t h = record_group[static_cast<size_t>(other)];
+      if (h == g) continue;
+      const int32_t q = position[static_cast<size_t>(other)];
+      if (p < 0 || q < 0) return Unlisted();
+      shard.edges.push_back(h < g ? JoinEdge{PackGroups(h, g), q, p, weight}
+                                  : JoinEdge{PackGroups(g, h), p, q, weight});
+    }
+    return Status::Ok();
+  };
+  // A stop or a failed task leaves a shard's tail unaccumulated; a skipped
+  // record may own edges in any bucket of its group.
+  size_t record_pairs = 0, edges = 0, postings_scanned = 0, skipped = 0;
+  double seconds = 0.0;
+  std::vector<char> incomplete(static_cast<size_t>(num_groups), 0);
+  {
+    GL_TRACE_SPAN("edge_join.join");
+    // Later records scan longer lists, so the costliest (last) shards are
+    // handed out first.
+    // Each worker fills a shard on its own stack and stores it once:
+    // neighbouring slots share cache lines, and the counters change per
+    // record.
+    ParallelFor(
+        pool, num_shards,
+        [&](size_t i) {
+          JoinShard& slot = shards[num_shards - 1 - i];
+          JoinShard shard;
+          shard.next = slot.next;
+          shard.end = slot.end;
+          WallTimer shard_timer;
+          for (; shard.next < shard.end; ++shard.next) {
+            if (ctx != nullptr && ctx->StopRequested()) break;
+            shard.status = join_record(shard.next, shard);
+            if (!shard.status.ok()) break;
+          }
+          shard.seconds = shard_timer.ElapsedSeconds();
+          slot = std::move(shard);
+        },
+        ctx);
+    for (const JoinShard& shard : shards) {
+      GL_RETURN_IF_ERROR(shard.status);
+      record_pairs += shard.record_pairs;
+      edges += shard.edges.size();
+      postings_scanned += shard.postings_scanned;
+      seconds += shard.seconds;
+      skipped += static_cast<size_t>(shard.end - shard.next);
+      for (int32_t r = shard.next; r < shard.end; ++r) {
+        incomplete[static_cast<size_t>(record_group[static_cast<size_t>(r)])] = 1;
+      }
+    }
+    if (skipped > 0) TagCurrentSpan("probes_skipped", std::to_string(skipped));
+  }
+  StageStats& join = report->AddStage("join", timer.ElapsedSeconds());
+  join.AddCounter("record_candidates", static_cast<int64_t>(record_pairs))
+      .AddCounter("edges", static_cast<int64_t>(edges))
+      .AddCounter("postings_scanned", static_cast<int64_t>(postings_scanned))
+      .AddCounter("threads_used", static_cast<int64_t>(threads));
+  if (skipped > 0) {
+    join.AddCounter("probes_skipped", static_cast<int64_t>(skipped));
+    if (ctx != nullptr) ctx->NoteDegraded();
+  }
+  join.AddTiming("verify", seconds);
+  MirrorToRegistry(join, "edge_join",
+                   {"record_candidates", "edges", "postings_scanned", "probes_skipped"});
+
+  // Buckets: the shard buffers in shard order, sorted by the packed group
+  // pair, then the graph positions.
+  timer.Reset();
+  JoinBuckets joined;
+  {
+    GL_TRACE_SPAN("edge_join.bucket");
+    joined.edges.reserve(edges);
+    for (JoinShard& shard : shards) {
+      for (const JoinEdge& edge : shard.edges) {
+        if (incomplete[edge.groups >> 32] || incomplete[edge.groups & 0xffffffffu]) continue;
+        joined.edges.push_back(edge);
+      }
+      std::vector<JoinEdge>().swap(shard.edges);
+    }
+    std::sort(joined.edges.begin(), joined.edges.end(),
+              [](const JoinEdge& a, const JoinEdge& b) {
+                return std::tie(a.groups, a.left, a.right) <
+                       std::tie(b.groups, b.left, b.right);
+              });
+    for (size_t begin = 0; begin < joined.edges.size();) {
+      const uint64_t groups = joined.edges[begin].groups;
+      size_t end = begin;
+      while (end < joined.edges.size() && joined.edges[end].groups == groups) ++end;
+      const int32_t g1 = static_cast<int32_t>(groups >> 32);
+      const int32_t g2 = static_cast<int32_t>(groups & 0xffffffffu);
+      joined.buckets.push_back({g1, g2, static_cast<int32_t>(corpus.GroupRecords(g1).size()),
+                                static_cast<int32_t>(corpus.GroupRecords(g2).size()), begin,
+                                end});
+      begin = end;
+    }
+  }
+  report->AddStage("bucket", timer.ElapsedSeconds())
+      .AddCounter("group_pairs", static_cast<int64_t>(joined.buckets.size()));
+  return joined;
 }
 
 }  // namespace grouplink

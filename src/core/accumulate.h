@@ -9,7 +9,9 @@
 
 #include "common/execution_context.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "core/filter_refine.h"
+#include "core/run_report.h"
 #include "index/weighted_postings.h"
 #include "matching/bipartite_graph.h"
 #include "text/tfidf.h"
@@ -17,11 +19,12 @@
 namespace grouplink {
 
 /// The reads score accumulation makes of a corpus: the weighted postings
-/// of one epoch token, the record -> group map that buckets them, and
-/// group membership. CorpusSnapshot serves them from RAM,
-/// storage::StoredCorpus through its buffer pool, and the streaming linker
-/// from its live index. Implementations are safe to read from any number
-/// of threads while nothing mutates them.
+/// of one token, the record -> group map that buckets them, and group
+/// membership. CorpusSnapshot serves them from RAM, storage::StoredCorpus
+/// through its buffer pool, and InMemoryPostings from the postings the
+/// streaming linker maintains or the batch engine builds for a run.
+/// Implementations are safe to read from any number of threads while
+/// nothing mutates them.
 class PostingsCorpus {
  public:
   /// Weighted postings of epoch token `token` — ascending record ids, each
@@ -38,6 +41,29 @@ class PostingsCorpus {
  protected:
   // Implementations are owned and destroyed as themselves.
   ~PostingsCorpus() = default;
+};
+
+/// A PostingsCorpus over postings and membership held in RAM by the
+/// caller, which must outlive it and not mutate them while it is read.
+class InMemoryPostings final : public PostingsCorpus {
+ public:
+  InMemoryPostings(const WeightedPostings& postings, const std::vector<int32_t>& record_group,
+                   const std::vector<std::vector<int32_t>>& group_records)
+      : postings_(postings), record_group_(record_group), group_records_(group_records) {}
+
+  Result<const PostingList*> TokenPostings(int32_t token,
+                                           PostingList* /*scratch*/) const override {
+    return &postings_.List(token);
+  }
+  const std::vector<int32_t>& record_group() const override { return record_group_; }
+  const std::vector<int32_t>& GroupRecords(int32_t g) const override {
+    return group_records_[static_cast<size_t>(g)];
+  }
+
+ private:
+  const WeightedPostings& postings_;
+  const std::vector<int32_t>& record_group_;
+  const std::vector<std::vector<int32_t>>& group_records_;
 };
 
 /// Where a probe sits relative to the corpus it is accumulated against.
@@ -68,7 +94,7 @@ struct GroupGraph {
 /// PrenormalizedCosineSimilarity(vector_r, probe record): the same
 /// ascending-id sum from 0.0, with no fused multiply-add (this translation
 /// unit carries no ISA target). The records with a sum ≥ `theta` are the
-/// edges.
+/// edges. The self-join below runs the same loop.
 ///
 /// Returns the θ-graph of every group with at least one edge, ascending by
 /// group. Each graph is edge for edge the one the full |g| × |probe|
@@ -105,6 +131,68 @@ struct AccumulateOutcome {
     const PostingsCorpus& corpus, std::span<const SparseVector> probe,
     ProbePlacement placement, const FilterRefineConfig& ladder,
     const ExecutionContext* ctx);
+
+/// One θ-edge of a self-join, tagged with its bucket: the group pair
+/// (g1 < g2) packed as g1 << 32 | g2, g1's record position on the left
+/// and g2's on the right.
+struct JoinEdge {
+  uint64_t groups = 0;
+  int32_t left = 0;
+  int32_t right = 0;
+  double weight = 0.0;
+};
+
+/// The θ-edges of a self-join, bucketed by group pair.
+struct JoinBuckets {
+  struct Bucket {
+    int32_t g1 = 0;
+    int32_t g2 = 0;
+    int32_t size1 = 0;  // |g1|
+    int32_t size2 = 0;  // |g2|
+    size_t begin = 0;   // The bucket's edges are edges[begin, end).
+    size_t end = 0;
+  };
+  /// Group pairs with at least one edge, ascending by (g1, g2).
+  std::vector<Bucket> buckets;
+  /// Each bucket's edges in (left position, right position) order.
+  std::vector<JoinEdge> edges;
+
+  /// Bucket `i`'s θ-graph: edge for edge, in order and bit for bit, the
+  /// graph the |g1| × |g2| cosine matrix builds (BuildSimilarityGraph).
+  [[nodiscard]] BipartiteGraph Graph(size_t i) const;
+};
+
+/// The exact θ-edge self-join of a corpus over its weighted postings:
+/// every cross-group record pair with cosine ≥ `theta`, found once. Record
+/// r accumulates `vectors[r]` against the postings of the records below r
+/// (AccumulateGraphs' loop under the record cutoff r), so each pair is
+/// summed by its higher record, with PrenormalizedCosineSimilarity's bits.
+/// `vectors` holds every record's vector, indexed like record_group().
+///
+/// Records are split into contiguous shards, a few per pool worker to
+/// absorb skew (later records scan longer lists); each shard collects its
+/// edges in its own buffer, and the buffers are concatenated in shard
+/// order and sorted by (bucket, left, right) — a total order, so the
+/// output is bit-identical at any thread count.
+///
+/// With a non-null `ctx` the join polls for a stop before every record
+/// and honours the thread_pool fault points per shard. A record it skips
+/// may have an edge in any bucket of its group, so every bucket of a
+/// group with a skipped record is dropped: each bucket returned holds its
+/// complete graph, and a degraded join only ever loses buckets.
+///
+/// Writes the `join` stage (record_candidates: record pairs sharing a
+/// weighted token; edges; postings_scanned; threads_used; probes_skipped
+/// when records were skipped; the `verify` timing: accumulation time
+/// summed over shards, CPU-seconds) and the `bucket` stage (group_pairs)
+/// into `*report`, and mirrors the thread-invariant join counters into the
+/// registry's edge_join.*. Fails when a corpus read fails, and with
+/// DataLoss when a posting names a record its group does not list.
+[[nodiscard]] Result<JoinBuckets> AccumulateSelfJoin(const PostingsCorpus& corpus,
+                                                     std::span<const SparseVector> vectors,
+                                                     double theta, ThreadPool* pool,
+                                                     ExecutionContext* ctx,
+                                                     RunReport* report);
 
 }  // namespace grouplink
 

@@ -1,6 +1,7 @@
 #include "core/incremental.h"
 
 #include <algorithm>
+#include <cmath>
 #include <span>
 #include <utility>
 
@@ -9,6 +10,7 @@
 #include "common/timer.h"
 #include "common/trace.h"
 #include "core/accumulate.h"
+#include "core/edge_join.h"
 #include "core/snapshot.h"
 #include "text/tokenizer.h"
 
@@ -27,6 +29,7 @@ struct IncrementalMetrics {
   Counter& merges;
   Counter& oov_tokens;
   Counter& degraded_arrivals;
+  Counter& degraded_refreshes;
   Gauge& oov_ratio;
   Histogram& candidates_per_arrival;
   Histogram& arrival_seconds;
@@ -46,6 +49,7 @@ struct IncrementalMetrics {
         registry.CounterRef("incremental.merges"),
         registry.CounterRef("incremental.oov_tokens"),
         registry.CounterRef("incremental.degraded_arrivals"),
+        registry.CounterRef("incremental.degraded_refreshes"),
         registry.GaugeRef("incremental.oov_ratio"),
         registry.HistogramRef("incremental.candidates_per_arrival",
                               {0, 1, 2, 4, 8, 16, 32, 64, 128, 256}),
@@ -55,35 +59,15 @@ struct IncrementalMetrics {
   }
 };
 
-/// The linker's live postings, read through the accumulation interface.
-class LivePostings final : public PostingsCorpus {
- public:
-  LivePostings(const WeightedPostings& postings, const std::vector<int32_t>& record_group,
-               const std::vector<std::vector<int32_t>>& group_records)
-      : postings_(postings), record_group_(record_group), group_records_(group_records) {}
-
-  Result<const PostingList*> TokenPostings(int32_t token,
-                                           PostingList* /*scratch*/) const override {
-    return &postings_.List(token);
-  }
-  const std::vector<int32_t>& record_group() const override { return record_group_; }
-  const std::vector<int32_t>& GroupRecords(int32_t g) const override {
-    return group_records_[static_cast<size_t>(g)];
-  }
-
- private:
-  const WeightedPostings& postings_;
-  const std::vector<int32_t>& record_group_;
-  const std::vector<std::vector<int32_t>>& group_records_;
-};
-
 }  // namespace
 
 Status StreamingConfig::Validate() const {
   if (refresh_every_n_groups < 0) {
     return Status::InvalidArgument("refresh_every_n_groups must be >= 0");
   }
-  if (refresh_on_oov_ratio < 0.0 || refresh_on_oov_ratio > 1.0) {
+  // NaN fails every range comparison, so it is rejected explicitly.
+  if (!std::isfinite(refresh_on_oov_ratio) || refresh_on_oov_ratio < 0.0 ||
+      refresh_on_oov_ratio > 1.0) {
     return Status::InvalidArgument("refresh_on_oov_ratio must be in [0, 1]");
   }
   return Status::Ok();
@@ -193,12 +177,13 @@ Result<std::unique_ptr<IncrementalLinker>> IncrementalLinker::FromSnapshot(
 IncrementalLinker::IncrementalLinker(const LinkageConfig& config,
                                      const StreamingConfig& streaming)
     : config_(config), streaming_(streaming) {
-  // Normalize to the configuration whose batch output a refreshed linker
-  // reproduces. Token blocking is the one candidate scheme the maintained
-  // inverted index implements exactly, BM is the measure the arrival path
-  // scores, and the global edge join has no incremental formulation.
-  // Word tokens: the engine's token blocking always keys on word tokens,
-  // so a q-gram index would generate different candidates.
+  // Normalize to a batch configuration whose output a refreshed linker
+  // reproduces through an independent code path. Refresh runs the exact
+  // edge join, so any candidate scheme that covers every group pair with
+  // a θ-edge gives the same links per pair; token blocking is one (an
+  // edge needs a shared word token), unlike the default Jaccard record
+  // join. BM is the measure the arrival path scores, and the linker
+  // tokenizes words.
   config_.candidates = CandidateMethod::kBlocking;
   config_.blocking = BlockingScheme::kToken;
   config_.measure = GroupMeasureKind::kBm;
@@ -215,15 +200,6 @@ ThreadPool* IncrementalLinker::pool() {
 
 std::vector<std::string> IncrementalLinker::TokenizeText(const std::string& text) const {
   return Tokenize(text);
-}
-
-double IncrementalLinker::RecordSimilarity(int32_t a, int32_t b) const {
-  // Same convention (and bit-identical values) as
-  // LinkageEngine::DefaultRecordSimilarity: token-less records carry no
-  // co-reference evidence and score 0; everything else is the dot product
-  // of the unit vectors — keeping streaming == batch link equality intact.
-  return PrenormalizedCosineSimilarity(record_vectors_[static_cast<size_t>(a)],
-                                       record_vectors_[static_cast<size_t>(b)]);
 }
 
 Status IncrementalLinker::Initialize(const Dataset& dataset) {
@@ -393,7 +369,7 @@ std::vector<IncrementalLinker::AddResult> IncrementalLinker::AddGroups(
   ctx.SetMaxMatcherCost(config_.max_matcher_cost);
   std::vector<std::vector<int32_t>> linked(batch_size);
   std::vector<char> scored(batch_size, 0);
-  const LivePostings corpus(postings_, record_group_, group_records_);
+  const InMemoryPostings corpus(postings_, record_group_, group_records_);
   const FilterRefineConfig ladder = config_.Ladder();
   ParallelFor(
       pool(), batch_size,
@@ -515,7 +491,7 @@ IncrementalLinker::AddResult IncrementalLinker::MergeGroups(int32_t into,
   std::vector<SparseVector> probe;
   probe.reserve(target.size());
   for (const int32_t r : target) probe.push_back(record_vectors_[static_cast<size_t>(r)]);
-  const LivePostings corpus(postings_, record_group_, group_records_);
+  const InMemoryPostings corpus(postings_, record_group_, group_records_);
   AccumulateOutcome outcome =
       AccumulateAndDecide(corpus, probe, {into, ProbePlacement::kNone}, config_.Ladder(),
                           /*ctx=*/nullptr)
@@ -567,45 +543,21 @@ void IncrementalLinker::Refresh() {
   GL_DCHECK_EQ(record_vectors_.size(), n);
   postings_ = WeightedPostings::Transpose(record_vectors_, epoch_vocab_.size());
 
-  // Candidates from the maintained postings: live groups sharing a token.
-  // Per-record neighbor lists are gathered in parallel into slots; the
-  // serial concatenation + sort/unique yields the same sorted pair set as
-  // the engine's token Blocker + LiftToGroupPairs.
-  std::vector<std::vector<std::pair<int32_t, int32_t>>> per_record(n);
-  ParallelFor(pool(), n, [&](size_t r) {
-    if (!record_alive_[r]) return;
-    const int32_t g2 = record_group_[r];
-    for (const int32_t doc : token_index_.DocumentsSharingToken(
-             token_index_.DocumentTokens(static_cast<int32_t>(r)))) {
-      if (static_cast<size_t>(doc) >= r) break;  // Count each record pair once.
-      const int32_t g1 = record_group_[static_cast<size_t>(doc)];
-      if (g1 == g2) continue;
-      per_record[r].emplace_back(std::min(g1, g2), std::max(g1, g2));
-    }
-  });
-  std::vector<std::pair<int32_t, int32_t>> candidates;
-  for (std::vector<std::pair<int32_t, int32_t>>& pairs : per_record) {
-    candidates.insert(candidates.end(), pairs.begin(), pairs.end());
-  }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-
-  // Rescore through the engine's own filter-and-refine code on a
-  // group-view dataset (records are reached by id via the sim callback).
-  const Dataset view = GroupView();
-  // Refresh gets its own context (the deadline clock restarts here): a
-  // degraded refresh still leaves a consistent, subset-valid link set,
-  // and with no limits and no faults armed it reproduces the batch
-  // engine exactly.
+  // Rescore every group pair with a θ-edge through the batch edge join
+  // over the fresh postings. Refresh gets its own context (the deadline
+  // clock restarts here): a degraded refresh still leaves a consistent,
+  // subset-valid link set, and with no limits and no faults armed it
+  // reproduces the batch engine exactly.
   ExecutionContext ctx;
   if (config_.deadline_ms > 0.0) ctx.SetDeadline(config_.deadline_ms);
   ctx.SetCancellation(config_.cancellation);
   ctx.SetMaxCandidatePairs(config_.max_candidate_pairs);
   ctx.SetMaxMatcherCost(config_.max_matcher_cost);
-  linked_pairs_ = FilterRefineLink(
-      view, [this](int32_t a, int32_t b) { return RecordSimilarity(a, b); },
-      candidates, config_.Ladder(), /*stage=*/nullptr, pool(), &ctx);
+  RunReport report;
+  const InMemoryPostings corpus(postings_, record_group_, group_records_);
+  linked_pairs_ =
+      EdgeJoinLink(corpus, record_vectors_, config_.Ladder(), &report, pool(), &ctx)
+          .value();  // In-RAM reads cannot fail.
   RebuildClusters();
 
   ++epoch_;
@@ -614,19 +566,11 @@ void IncrementalLinker::Refresh() {
   oov_since_refresh_ = 0;
   tokens_since_refresh_ = 0;
   metrics.refreshes.Increment();
-  metrics.refresh_rescored_pairs.Increment(candidates.size());
+  metrics.refresh_rescored_pairs.Increment(
+      static_cast<uint64_t>(report.StageCounter("bucket", "group_pairs")));
+  if (ctx.degraded()) metrics.degraded_refreshes.Increment();
   metrics.oov_ratio.Set(0.0);
   metrics.refresh_seconds.Observe(timer.ElapsedSeconds());
-}
-
-Dataset IncrementalLinker::GroupView() const {
-  Dataset view;
-  view.groups.resize(group_records_.size());
-  for (size_t g = 0; g < group_records_.size(); ++g) {
-    view.groups[g].label = group_labels_[g];
-    view.groups[g].record_ids = group_records_[g];
-  }
-  return view;
 }
 
 void IncrementalLinker::EraseLinksInvolving(int32_t group) {

@@ -25,8 +25,8 @@ class CorpusSnapshot;
 /// Epoch refresh policy of the streaming linker. Between refreshes the
 /// TF-IDF statistics (IDF table and document count) stay frozen at the
 /// last epoch; a refresh recomputes them over the live corpus,
-/// re-vectorizes every record, compacts tombstoned postings, and rescores
-/// every candidate group pair — after which the link set is *exactly* the
+/// re-vectorizes every record, rebuilds the postings, and rescores every
+/// group pair with a θ-edge — after which the link set is *exactly* the
 /// batch engine's on the accumulated corpus (see IncrementalLinker).
 struct StreamingConfig {
   /// Refresh after this many groups have been added since the last
@@ -34,7 +34,8 @@ struct StreamingConfig {
   int32_t refresh_every_n_groups = 0;
   /// Refresh when the fraction of out-of-vocabulary token occurrences
   /// among all token occurrences ingested since the last refresh exceeds
-  /// this ratio (checked after every arrival batch). 0 disables.
+  /// this ratio (checked after every arrival batch). 0 disables; must be
+  /// a finite number in [0, 1].
   double refresh_on_oov_ratio = 0.0;
 
   Status Validate() const;
@@ -70,23 +71,20 @@ struct GroupArrival {
 /// Semantics and the convergence guarantee:
 ///   * An arrival is decided against every live group with at least one
 ///     record pair at cosine ≥ θ; a group without one has an empty graph
-///     and could never link. The refresh candidates are generated by
-///     *token blocking* over the maintained inverted index — the same
-///     scheme as a batch LinkageEngine with candidates = kBlocking,
-///     blocking = kToken (engine_config() returns that normalized
-///     configuration). New tokens are absorbed into the index
-///     immediately, so no candidate is ever missed for vocabulary
-///     reasons.
+///     and could never link. Refresh() runs the batch edge join
+///     (EdgeJoinLink, core/edge_join.h) over the rebuilt postings, so it
+///     too decides exactly the group pairs with a θ-edge.
 ///   * TF-IDF statistics are frozen at the last epoch refresh. New
 ///     records are vectorized against the epoch vocabulary; tokens unseen
 ///     at the last refresh are dropped from the *vector* (not the index)
 ///     until the next refresh.
 ///   * Refresh() recomputes the statistics over the live corpus and
-///     rescores every candidate pair through the engine's own
-///     filter-and-refine code. After a refresh, linked_pairs() is
-///     bit-identical to LinkageEngine::Run on a dataset holding the live
-///     records in arrival order with engine_config() (word-token
-///     representation; property-tested in
+///     rescores every group pair with a θ-edge through the edge join's
+///     accumulation self-join and filter-and-refine ladder. After a
+///     refresh, linked_pairs() is bit-identical to LinkageEngine::Run on
+///     a dataset holding the live records in arrival order with
+///     engine_config() (per-pair token blocking over word tokens, an
+///     independent code path; property-tested in
 ///     tests/core_streaming_equivalence_test.cc). Without refresh the
 ///     link set is approximate: frozen IDF drifts from the true
 ///     statistics and dropped new tokens weaken similarities, so
@@ -99,8 +97,11 @@ struct GroupArrival {
 ///
 /// Observability: per-arrival/refresh trace spans, incremental.* counters
 /// (groups_added, candidates_scored, postings_scanned, links, refreshes,
-/// rescored pairs, removals, merges, OOV tokens), an arrival-latency
-/// histogram, and an OOV-ratio gauge, all in the process MetricsRegistry.
+/// refresh_rescored_pairs — the group pairs with a θ-edge a refresh
+/// decided — degraded arrivals and refreshes, removals, merges, OOV
+/// tokens), an arrival-latency histogram, and an OOV-ratio gauge, all in
+/// the process MetricsRegistry. A refresh also counts its join into
+/// edge_join.*.
 ///
 /// Example:
 ///   GL_ASSIGN_OR_RETURN(IncrementalLinker linker,
@@ -189,8 +190,9 @@ class IncrementalLinker {
   AddResult MergeGroups(int32_t into, int32_t from);
 
   /// Recomputes epoch TF-IDF statistics over the live corpus, compacts
-  /// tombstoned postings, re-vectorizes every record, and rescores every
-  /// candidate pair. Afterwards linked_pairs() equals the batch engine's
+  /// the token index, re-vectorizes every record, rebuilds the weighted
+  /// postings, and rescores every group pair with a θ-edge through
+  /// EdgeJoinLink. Afterwards linked_pairs() equals the batch engine's
   /// output on the live corpus (see class comment). Also runs
   /// automatically per StreamingConfig.
   void Refresh();
@@ -226,7 +228,8 @@ class IncrementalLinker {
 
   /// The normalized engine configuration whose batch output a refreshed
   /// linker reproduces (token-blocking candidates, BM measure, per-pair
-  /// strategy). Use it to build the batch comparator.
+  /// strategy: a code path independent of Refresh's edge join). Use it to
+  /// build the batch comparator.
   const LinkageConfig& engine_config() const { return config_; }
 
  private:
@@ -242,10 +245,6 @@ class IncrementalLinker {
   /// refresh.
   Status Initialize(const Dataset& dataset);
   std::vector<std::string> TokenizeText(const std::string& text) const;
-  double RecordSimilarity(int32_t a, int32_t b) const;
-  /// Groups-only dataset view over the live corpus for the engine's
-  /// scoring code (records are referenced by id through the sim callback).
-  Dataset GroupView() const;
   void EraseLinksInvolving(int32_t group);
   void RebuildClusters();
   ThreadPool* pool();

@@ -58,9 +58,6 @@ Status LinkageConfig::Validate() const {
   if (!std::isfinite(candidate_jaccard)) {
     return Status::InvalidArgument("candidate_jaccard must be a finite number");
   }
-  if (!std::isfinite(join_jaccard)) {
-    return Status::InvalidArgument("join_jaccard must be a finite number");
-  }
   if (theta <= 0.0 || theta > 1.0) {
     return Status::InvalidArgument("theta must be in (0, 1]");
   }
@@ -72,9 +69,6 @@ Status LinkageConfig::Validate() const {
   }
   if (candidate_jaccard < 0.0 || candidate_jaccard > 1.0) {
     return Status::InvalidArgument("candidate_jaccard must be in [0, 1]");
-  }
-  if (join_jaccard < 0.0 || join_jaccard > 1.0) {
-    return Status::InvalidArgument("join_jaccard must be in [0, 1]");
   }
   if (!std::isfinite(deadline_ms) || deadline_ms < 0.0) {
     return Status::InvalidArgument("deadline_ms must be finite and >= 0");
@@ -96,12 +90,6 @@ Status LinkageConfig::Validate() const {
   }
   if (num_threads < 1) {
     return Status::InvalidArgument("num_threads must be >= 1");
-  }
-  if (use_edge_join && join_jaccard > theta) {
-    // Token Jaccard rarely exceeds the TF-IDF cosine used for edges, so a
-    // join threshold above θ guarantees silently dropped true edges.
-    return Status::InvalidArgument(
-        "join_jaccard must not exceed theta when use_edge_join is set");
   }
   return Status::Ok();
 }
@@ -254,9 +242,7 @@ LinkageResult LinkageEngine::Run(const RecordSimFn& sim) {
   return RunInternal(sim, /*store=*/nullptr);
 }
 
-void LinkageEngine::FillRunFacts(RunReport& report) const {
-  const bool edge_join =
-      config_.use_edge_join && config_.measure == GroupMeasureKind::kBm;
+void LinkageEngine::FillRunFacts(bool edge_join, RunReport& report) const {
   report.strategy = edge_join ? "edge-join" : "per-pair";
   // The edge join replaces candidate generation wholesale, so the
   // configured candidate method never runs under that strategy.
@@ -308,17 +294,28 @@ LinkageResult LinkageEngine::RunInternal(const RecordSimFn& sim,
   ctx.SetMaxCandidatePairs(config_.max_candidate_pairs);
   ctx.SetMaxMatcherCost(config_.max_matcher_cost);
 
+  // The edge join accumulates over the TF-IDF postings, so only the
+  // default similarity (the one with a store) can take it.
+  const bool edge_join = store != nullptr && config_.use_edge_join &&
+                         config_.measure == GroupMeasureKind::kBm;
   LinkageResult result;
   RunReport& report = result.mutable_report();
-  FillRunFacts(report);
+  FillRunFacts(edge_join, report);
 
-  if (config_.use_edge_join && config_.measure == GroupMeasureKind::kBm) {
+  if (edge_join) {
     // Global edge join replaces both candidate generation and per-pair
-    // graph construction; it appends its join/bucket/score stages.
-    result.linked_pairs = EdgeJoinLink(
-        *dataset_, record_token_ids_, static_cast<int32_t>(vocabulary_.size()),
-        record_group_, sim, config_.Ladder(), config_.join_jaccard, &report,
-        pool(), &ctx, store);
+    // graph construction; it appends its join/bucket/score stages. Its
+    // postings are built here, so Create and the per-pair path never pay
+    // for them.
+    const WeightedPostings postings =
+        WeightedPostings::Transpose(record_vectors_, vocabulary_.size());
+    std::vector<std::vector<int32_t>> group_records;
+    group_records.reserve(dataset_->groups.size());
+    for (const Group& group : dataset_->groups) group_records.push_back(group.record_ids);
+    const InMemoryPostings corpus(postings, record_group_, group_records);
+    result.linked_pairs =
+        EdgeJoinLink(corpus, record_vectors_, config_.Ladder(), &report, pool(), &ctx)
+            .value();  // In-RAM reads cannot fail.
     FinishClustering(result);
     FinishResilienceFacts(ctx, &report);
     return result;

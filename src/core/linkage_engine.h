@@ -82,19 +82,20 @@ struct LinkageConfig {
   bool use_upper_bound_filter = true;
   bool use_lower_bound_accept = true;
   /// Use the global edge-join strategy instead of per-group-pair graph
-  /// construction (kBm only). Scales far better: record similarities are
-  /// evaluated once per joined record pair instead of once per record
-  /// pair per candidate group pair. See core/edge_join.h for the
-  /// join-threshold approximation caveat.
+  /// construction (kBm with the default similarity; Run(sim) always
+  /// scores per pair). Scales far better: an exact self-join over the
+  /// weighted postings sums each record pair sharing a token once, so
+  /// only group pairs with a θ-edge are ever built and decided, and
+  /// `candidates` is not used. The links equal the per-pair pipeline's
+  /// over any candidate method that covers every group pair with an
+  /// edge (see core/edge_join.h).
   bool use_edge_join = false;
-  /// Token-Jaccard threshold of the edge join's prefix filter.
-  double join_jaccard = 0.3;
   /// Worker threads (1 = serial). Honored by *both* strategies and by
   /// Create: the per-pair pipeline scores candidate group pairs in
-  /// parallel, the edge-join strategy shards its streaming join, verifies
-  /// candidates inline per worker, and scores buckets in parallel, and
-  /// Create tokenizes + TF-IDF-vectorizes records in parallel. Results
-  /// are bit-identical to the serial run in every case.
+  /// parallel, the edge-join strategy shards its accumulation join and
+  /// scores buckets in parallel, and Create tokenizes + TF-IDF-vectorizes
+  /// records in parallel. Results are bit-identical to the serial run in
+  /// every case.
   int32_t num_threads = 1;
 
   /// Resilience controls (all off by default; see DESIGN.md §8).
@@ -119,10 +120,8 @@ struct LinkageConfig {
 
   /// Checks every field for consistency: thresholds finite and in range,
   /// positive window/band/row/thread counts, non-negative deadline and
-  /// budgets, and join_jaccard <= theta when the edge join is enabled (a
-  /// join threshold above θ would silently drop true edges). Create()
-  /// calls this; call it directly to fail fast when configs come from
-  /// user input.
+  /// budgets. Create() calls this; call it directly to fail fast when
+  /// configs come from user input.
   Status Validate() const;
 
   /// The filter-and-refine ladder every strategy decides pairs with: θ, Θ
@@ -188,11 +187,15 @@ class LinkageEngine {
   /// Runs candidate generation, scoring, and clustering. Scoring goes
   /// through the batched SIMD kernels (the engine's VectorStore), which
   /// are bitwise-equal to DefaultRecordSimilarity per pair — same links
-  /// as the per-call path, at every dispatch tier and thread count.
+  /// as the per-call path, at every dispatch tier and thread count. With
+  /// use_edge_join the run transposes the vectors into weighted postings
+  /// and runs the accumulation join over them instead.
   LinkageResult Run();
 
-  /// As Run, with a caller-supplied record similarity (scored per pair —
-  /// the batched kernels only apply to the default similarity).
+  /// As Run, with a caller-supplied record similarity, scored per pair
+  /// over the configured candidates: the batched kernels and the edge
+  /// join's postings only compute the default similarity, so this
+  /// overload never takes the edge join.
   LinkageResult Run(const RecordSimFn& sim);
 
   /// Default record similarity: TF-IDF cosine of the two records' texts
@@ -222,7 +225,7 @@ class LinkageEngine {
   /// (nullable) receives the record-level pairs a record join inspected.
   std::vector<std::pair<int32_t, int32_t>> GenerateCandidates(size_t* record_pairs);
   void FinishClustering(LinkageResult& result) const;
-  void FillRunFacts(RunReport& report) const;
+  void FillRunFacts(bool edge_join, RunReport& report) const;
   /// The engine's worker pool (null when num_threads <= 1); created once,
   /// shared by Prepare and Run.
   ThreadPool* pool();

@@ -1,21 +1,18 @@
 #include "index/prefix_filter.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "common/arena.h"
-#include "common/execution_context.h"
-#include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 
 namespace grouplink {
 namespace {
 
-// Probe/posting counters shared by the join variants. Hot loops batch into
-// locals and flush once per probe set, so instrumentation adds no atomic
-// traffic to the posting scan itself.
+// Probe/posting counters of the join. The scan batches into a local and
+// flushes once per join, so instrumentation adds no atomic traffic to the
+// posting scan itself.
 Counter& ProbeCounter() {
   static Counter& counter =
       MetricsRegistry::Default().CounterRef("prefix_filter.probes");
@@ -112,64 +109,36 @@ std::vector<int32_t> RarityRanks(const std::vector<std::vector<int32_t>>& docume
 std::vector<std::pair<int32_t, int32_t>> PrefixFilterSelfJoin(
     const std::vector<std::vector<int32_t>>& documents, int32_t num_tokens,
     double threshold) {
-  // The streaming join emits each unordered pair exactly once, so sorting
-  // alone reproduces the documented sorted-and-deduplicated output.
-  std::vector<std::pair<int32_t, int32_t>> candidates;
-  PrefixFilterSelfJoinStreaming(documents, num_tokens, threshold,
-                                [&](int32_t a, int32_t b) {
-                                  candidates.emplace_back(a, b);
-                                });
-  std::sort(candidates.begin(), candidates.end());
-  return candidates;
-}
-
-void PrefixFilterSelfJoinStreaming(
-    const std::vector<std::vector<int32_t>>& documents, int32_t num_tokens,
-    double threshold, const std::function<void(int32_t, int32_t)>& callback) {
-  // One serial shard of the sharded join streams candidates in exactly the
-  // serial emission order (the determinism contract), with identical
-  // probe/posting counters — one implementation to maintain, not three.
-  PrefixFilterSelfJoinSharded(documents, num_tokens, threshold,
-                              /*pool=*/nullptr, /*num_shards=*/1,
-                              [&](size_t, int32_t a, int32_t b) { callback(a, b); });
-}
-
-size_t PrefixFilterSelfJoinSharded(
-    const std::vector<std::vector<int32_t>>& documents, int32_t num_tokens,
-    double threshold, ThreadPool* pool, size_t num_shards,
-    const std::function<void(size_t, int32_t, int32_t)>& callback,
-    ExecutionContext* ctx, const std::function<void(size_t)>& shard_done) {
   const size_t n = documents.size();
-  if (n == 0) return 0;
+  if (n == 0) return {};
   GL_DCHECK(DocumentsAreSortedSets(documents));
   GL_CHECK_GE(num_tokens, 0);
   const std::vector<int32_t> rank = RarityRanks(documents, num_tokens);
 
   // Rank-space documents in one flat arena pool (CSR: doc_offsets + one
   // contiguous id array) instead of a vector-of-vectors — one allocation,
-  // and probe loops walk contiguous memory. Independent per document, so
-  // the fill + sort parallelizes over the preallocated segments.
+  // and probe loops walk contiguous memory.
   ArenaPool arena;
   std::vector<size_t> doc_offsets(n + 1, 0);
   for (size_t d = 0; d < n; ++d) {
     doc_offsets[d + 1] = doc_offsets[d] + documents[d].size();
   }
   const Span<int32_t> ranked = arena.AllocateArray<int32_t>(doc_offsets[n]);
-  ParallelFor(pool, n, [&](size_t d) {
+  for (size_t d = 0; d < n; ++d) {
     int32_t* out = ranked.data() + doc_offsets[d];
     const std::vector<int32_t>& doc = documents[d];
     for (size_t k = 0; k < doc.size(); ++k) {
       out[k] = rank[static_cast<size_t>(doc[k])];
     }
     std::sort(out, out + doc.size());
-  });
+  }
   const auto doc_size = [&](size_t d) { return doc_offsets[d + 1] - doc_offsets[d]; };
 
   // Full prefix index over *all* documents as flat CSR postings:
   // histogram the prefix tokens, prefix-sum into offsets, then fill in
   // document order — every posting span is ascending by construction.
-  // Probing doc d keeps only postings `other < d`, which reproduces the
-  // serial join's index-as-you-go candidate set exactly.
+  // Probing doc d keeps only postings `other < d`, so each pair is
+  // emitted once, by its later document.
   std::vector<size_t> posting_offsets(static_cast<size_t>(num_tokens) + 1, 0);
   for (size_t d = 0; d < n; ++d) {
     const size_t prefix = JaccardPrefixLength(doc_size(d), threshold);
@@ -193,64 +162,40 @@ size_t PrefixFilterSelfJoinSharded(
     }
   }
   GL_DCHECK(PostingSpansAscending(posting_offsets, postings))
-      << "shared prefix index must stay ascending for the other < d cut";
+      << "prefix index must stay ascending for the other < d cut";
 
-  num_shards = std::clamp<size_t>(num_shards, 1, n);
-  const size_t shard_size = (n + num_shards - 1) / num_shards;
-  std::atomic<size_t> probes_shed{0};
-  ParallelFor(pool, num_shards, [&](size_t shard) {
-    const size_t begin = shard * shard_size;
-    const size_t end = std::min(n, begin + shard_size);
-    if (ctx != nullptr) {
-      FaultInjector::Default().FireWithDelay(faults::kSlowTask);
-      if (FaultInjector::Default().ShouldFire(faults::kFailTask)) {
-        ctx->NoteDegraded();
-        probes_shed.fetch_add(end - begin, std::memory_order_relaxed);
-        if (shard_done) shard_done(shard);
-        return;
+  std::vector<std::pair<int32_t, int32_t>> candidates;
+  std::vector<int32_t> last_probe(n, -1);  // Dedups a pair within one probe.
+  uint64_t postings_scanned = 0;
+  for (size_t d = 0; d < n; ++d) {
+    const size_t prefix = JaccardPrefixLength(doc_size(d), threshold);
+    const double size_d = static_cast<double>(doc_size(d));
+    for (size_t k = 0; k < prefix; ++k) {
+      const size_t token = static_cast<size_t>(ranked[doc_offsets[d] + k]);
+      const int32_t* list = postings.data() + posting_offsets[token];
+      const int32_t* list_end = postings.data() + posting_offsets[token + 1];
+      // Postings ascend: one binary search finds the `other < d` cut up
+      // front, so the scan loop carries no per-posting range branch.
+      const int32_t* cut = std::lower_bound(list, list_end, static_cast<int32_t>(d));
+      postings_scanned += static_cast<uint64_t>(cut - list);
+      for (const int32_t* p = list; p != cut; ++p) {
+        const int32_t other = *p;
+        if (last_probe[static_cast<size_t>(other)] == static_cast<int32_t>(d)) continue;
+        last_probe[static_cast<size_t>(other)] = static_cast<int32_t>(d);
+        const double size_o = static_cast<double>(doc_size(static_cast<size_t>(other)));
+        const double smaller = std::min(size_d, size_o);
+        const double larger = std::max(size_d, size_o);
+        if (smaller + 0.5 < threshold * larger) continue;
+        candidates.emplace_back(other, static_cast<int32_t>(d));
       }
     }
-    // Worker-local dedup state; each probe doc is owned by one shard.
-    std::vector<int32_t> last_probe(n, -1);
-    // Batched per shard: the scanned-posting count per probe doc depends
-    // only on the doc (postings ascend, the scan cuts at the doc id), so
-    // the flushed total is identical at every thread count.
-    uint64_t postings_scanned = 0;
-    for (size_t d = begin; d < end; ++d) {
-      if (ctx != nullptr && ctx->StopRequested()) {
-        probes_shed.fetch_add(end - d, std::memory_order_relaxed);
-        break;
-      }
-      const size_t prefix = JaccardPrefixLength(doc_size(d), threshold);
-      const double size_d = static_cast<double>(doc_size(d));
-      for (size_t k = 0; k < prefix; ++k) {
-        const size_t token = static_cast<size_t>(ranked[doc_offsets[d] + k]);
-        const int32_t* list = postings.data() + posting_offsets[token];
-        const int32_t* list_end = postings.data() + posting_offsets[token + 1];
-        // Postings ascend: one binary search finds the `other < d` cut up
-        // front, so the scan loop carries no per-posting range branch.
-        const int32_t* cut = std::lower_bound(list, list_end, static_cast<int32_t>(d));
-        postings_scanned += static_cast<uint64_t>(cut - list);
-        for (const int32_t* p = list; p != cut; ++p) {
-          const int32_t other = *p;
-          if (last_probe[static_cast<size_t>(other)] == static_cast<int32_t>(d)) continue;
-          last_probe[static_cast<size_t>(other)] = static_cast<int32_t>(d);
-          const double size_o = static_cast<double>(doc_size(static_cast<size_t>(other)));
-          const double smaller = std::min(size_d, size_o);
-          const double larger = std::max(size_d, size_o);
-          if (smaller + 0.5 < threshold * larger) continue;
-          callback(shard, other, static_cast<int32_t>(d));
-        }
-      }
-    }
-    if (shard_done) shard_done(shard);
-    // Trailing shards can be empty (begin past the last document).
-    if (end > begin) ProbeCounter().Increment(end - begin);
-    PostingsCounter().Increment(postings_scanned);
-  });
-  const size_t shed = probes_shed.load(std::memory_order_relaxed);
-  if (shed > 0 && ctx != nullptr) ctx->NoteDegraded();
-  return shed;
+  }
+  ProbeCounter().Increment(n);
+  PostingsCounter().Increment(postings_scanned);
+  // Each unordered pair was emitted once, so sorting alone gives the
+  // documented sorted-and-deduplicated output.
+  std::sort(candidates.begin(), candidates.end());
+  return candidates;
 }
 
 std::vector<std::pair<int32_t, int32_t>> BruteForceJaccardSelfJoin(

@@ -3,15 +3,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
-
 namespace grouplink {
-
-class ExecutionContext;
 
 /// Prefix-filtering set-similarity self-join (the SSJoin / AllPairs family
 /// of techniques the paper leans on for scalable candidate generation).
@@ -24,14 +19,10 @@ class ExecutionContext;
 /// candidate set guaranteed to contain every qualifying pair — the
 /// completeness property is property-tested against a brute-force join.
 ///
-/// Thread safety (shared-read contract, audited for the serving layer):
-/// every function here is a pure read of its `documents` input — none
-/// mutates or retains it — so concurrent joins over the same corpus are
-/// safe as long as the caller does not mutate `documents` mid-call. The
-/// sharded join's internal prefix index is built once and then read-only
-/// across all probe shards; the only cross-thread writes are each
-/// shard's own callback state, which the API confines to one worker per
-/// shard by contract.
+/// Thread safety: every function here is a pure read of its `documents`
+/// input — none mutates or retains it — so concurrent joins over the same
+/// corpus are safe as long as the caller does not mutate `documents`
+/// mid-call.
 
 /// Returns the number of prefix tokens to index for a set of `size`
 /// elements under Jaccard threshold `t` (0 for an empty set).
@@ -50,53 +41,9 @@ class ExecutionContext;
 /// [0, num_tokens). Applies both the prefix filter and the length filter
 /// (|y| >= t * |x|). The result is sorted and deduplicated; it is a
 /// superset of the true result and typically far smaller than all pairs.
-/// Thin wrapper over the streaming join (collect + sort).
 [[nodiscard]] std::vector<std::pair<int32_t, int32_t>> PrefixFilterSelfJoin(
     const std::vector<std::vector<int32_t>>& documents, int32_t num_tokens,
     double threshold);
-
-/// Streaming variant of PrefixFilterSelfJoin: invokes `callback(i, j)`
-/// (i < j) exactly once per candidate pair, without materializing or
-/// sorting the candidate set. Preferred for large joins — the edge-join
-/// linkage strategy verifies each candidate inline as it streams out.
-/// Thin wrapper over the sharded join with one serial shard; emission
-/// order and counters are identical (the sharded determinism contract).
-void PrefixFilterSelfJoinStreaming(
-    const std::vector<std::vector<int32_t>>& documents, int32_t num_tokens,
-    double threshold, const std::function<void(int32_t, int32_t)>& callback);
-
-/// Sharded parallel variant of the streaming join. The prefix inverted
-/// index is built once up front (then read-only); probe documents are
-/// split into `num_shards` contiguous ascending ranges and probed across
-/// `pool` (inline, in shard order, when `pool` is null or single-thread).
-/// `callback(shard, i, j)` fires exactly once per candidate pair (i < j),
-/// concurrently across shards but sequentially within one shard — each
-/// shard typically appends to its own buffer, no locking needed.
-///
-/// Determinism contract: every probe document belongs to exactly one
-/// shard, shards cover ascending probe ranges, and within a shard
-/// candidates stream in the same order as the serial join. Concatenating
-/// the per-shard outputs in shard index order therefore reproduces the
-/// serial emission order exactly, for every `num_shards` and thread
-/// count. The candidate *set* is identical to PrefixFilterSelfJoinStreaming
-/// (property-tested).
-///
-/// With a non-null `ctx`, polls StopRequested() before each probe
-/// document and sheds the remainder of every shard once it trips (a
-/// shed probe only removes candidate pairs — subset-safe), and honors
-/// the thread_pool.slow_task / thread_pool.fail_task fault points per
-/// shard. Returns the number of probe documents shed (0 when the join
-/// ran to completion or ctx is null).
-///
-/// `shard_done(shard)`, when set, fires on the shard's worker after its
-/// last callback (including after a stop-request break) — callers that
-/// batch candidates per shard use it to flush the final batch.
-size_t PrefixFilterSelfJoinSharded(
-    const std::vector<std::vector<int32_t>>& documents, int32_t num_tokens,
-    double threshold, ThreadPool* pool, size_t num_shards,
-    const std::function<void(size_t, int32_t, int32_t)>& callback,
-    ExecutionContext* ctx = nullptr,
-    const std::function<void(size_t)>& shard_done = {});
 
 /// Reference implementation: all pairs with exact Jaccard >= threshold.
 /// O(n²); used by tests and as the no-index baseline in benchmarks.

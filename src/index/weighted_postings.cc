@@ -10,10 +10,19 @@ WeightedPostings WeightedPostings::Transpose(const std::vector<SparseVector>& ve
                                              size_t num_tokens) {
   WeightedPostings postings;
   postings.lists_.resize(num_tokens);
+  // Size every list exactly first: appending into doubling vectors would
+  // leave up to half of each list's capacity unused.
+  std::vector<size_t> sizes(num_tokens, 0);
+  for (const SparseVector& vector : vectors) {
+    for (const int32_t token : vector.ids) {
+      GL_DCHECK_LT(static_cast<size_t>(token), num_tokens) << "vector id past num_tokens";
+      ++sizes[static_cast<size_t>(token)];
+    }
+  }
+  for (size_t t = 0; t < num_tokens; ++t) postings.lists_[t].reserve(sizes[t]);
   for (size_t r = 0; r < vectors.size(); ++r) {
     postings.Append(static_cast<int32_t>(r), vectors[r]);
   }
-  GL_DCHECK_EQ(postings.lists_.size(), num_tokens) << "vector id past num_tokens";
   return postings;
 }
 

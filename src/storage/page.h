@@ -35,7 +35,7 @@ inline constexpr uint32_t kPageHeaderBytes = 16;
 inline constexpr uint32_t kMinPageBytes = 256;
 inline constexpr uint32_t kMaxPageBytes = 1u << 20;
 /// Store format version; bumped on any layout change.
-inline constexpr uint32_t kFormatVersion = 2;
+inline constexpr uint32_t kFormatVersion = 3;
 /// First 8 payload bytes of the header page.
 inline constexpr char kFileMagic[8] = {'G', 'L', 'S', 'N', 'A', 'P', '0', '1'};
 /// Seal sentinel, written as the very last page of a persist. A store

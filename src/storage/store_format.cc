@@ -175,7 +175,6 @@ void EncodeMeta(const MetaData& meta, std::vector<uint8_t>& out) {
   PutDouble(out, config.group_threshold);
   PutDouble(out, config.binary_cutoff);
   PutDouble(out, config.candidate_jaccard);
-  PutDouble(out, config.join_jaccard);
   PutDouble(out, config.deadline_ms);
   PutVarint(out, static_cast<uint64_t>(config.measure));
   PutVarint(out, static_cast<uint64_t>(config.representation));
@@ -220,7 +219,6 @@ Status DecodeMeta(const std::vector<uint8_t>& bytes, MetaData* out) {
   GL_ASSIGN_OR_RETURN(config.group_threshold, reader.ReadDouble());
   GL_ASSIGN_OR_RETURN(config.binary_cutoff, reader.ReadDouble());
   GL_ASSIGN_OR_RETURN(config.candidate_jaccard, reader.ReadDouble());
-  GL_ASSIGN_OR_RETURN(config.join_jaccard, reader.ReadDouble());
   GL_ASSIGN_OR_RETURN(config.deadline_ms, reader.ReadDouble());
   GL_RETURN_IF_ERROR(DecodeEnum(reader, &config.measure));
   GL_RETURN_IF_ERROR(DecodeEnum(reader, &config.representation));

@@ -1,9 +1,10 @@
 // Score-accumulation property suite. At every entry point that decides
 // links by accumulating over the weighted postings — the snapshot and the
-// stored-corpus link query, a batch arrival under its record cutoff, and
-// a merge — the θ-graph of every live group equals the brute-force
-// |g| × |probe| cosine graph: the same groups, edges in the same order,
-// the same weight bits, and so the same decisions. The corpora include
+// stored-corpus link query, a batch arrival under its record cutoff, a
+// merge, and the self-join behind the batch edge join and Refresh — the
+// θ-graph of every group (pair) equals the brute-force cosine graph: the
+// same groups, edges in the same order, the same weight bits, and so the
+// same decisions. The corpora include
 // the hostile shapes: tombstones before a refresh, merged groups, an
 // OOV-only probe record, an all-identical corpus, a token present in
 // every record, and groups whose record ids do not ascend. The suite also
@@ -25,8 +26,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "common/metrics.h"
+#include "common/thread_pool.h"
 #include "core/incremental.h"
+#include "core/linkage_engine.h"
 #include "core/service.h"
 #include "core/snapshot.h"
 #include "data/bibliographic_generator.h"
@@ -272,8 +276,9 @@ std::vector<Scenario> Scenarios() {
   return all;
 }
 
-std::unique_ptr<IncrementalLinker> BuildLinker(const Scenario& scenario) {
-  auto created = IncrementalLinker::Create(scenario.seed, TestConfig());
+std::unique_ptr<IncrementalLinker> BuildLinker(const Scenario& scenario,
+                                               int32_t num_threads = 1) {
+  auto created = IncrementalLinker::Create(scenario.seed, TestConfig(num_threads));
   GL_CHECK(created.ok()) << created.status().message();
   auto linker = std::make_unique<IncrementalLinker>(std::move(*created));
   for (const auto& [into, from] : scenario.merges) (void)linker->MergeGroups(into, from);
@@ -426,6 +431,182 @@ TEST(AccumulateTest, PostingsStayTheTransposeOfTheLiveVectors) {
     EXPECT_EQ((*loaded)->record_vectors()[r].weights, cloned->record_vectors()[r].weights);
   }
   ASSERT_TRUE(storage::RemoveFile(path).ok());
+}
+
+/// A scenario's live corpus as the batch engine sees it: the seed after its
+/// merges and removals, live records in record-id order and live groups
+/// in slot order (the linker's own orders). `group_map[slot]` is the
+/// group's index in the dataset, -1 for a tombstone.
+Dataset LiveDataset(const Scenario& scenario, std::vector<int32_t>* group_map) {
+  const Dataset& seed = scenario.seed;
+  std::vector<std::vector<int32_t>> members;
+  for (const Group& group : seed.groups) members.push_back(group.record_ids);
+  std::vector<char> group_alive(members.size(), 1);
+  std::vector<char> record_alive(seed.records.size(), 1);
+  for (const auto& [into, from] : scenario.merges) {
+    auto& target = members[static_cast<size_t>(into)];
+    auto& source = members[static_cast<size_t>(from)];
+    target.insert(target.end(), source.begin(), source.end());
+    std::sort(target.begin(), target.end());
+    source.clear();
+    group_alive[static_cast<size_t>(from)] = 0;
+  }
+  for (const int32_t g : scenario.removals) {
+    for (const int32_t r : members[static_cast<size_t>(g)]) {
+      record_alive[static_cast<size_t>(r)] = 0;
+    }
+    members[static_cast<size_t>(g)].clear();
+    group_alive[static_cast<size_t>(g)] = 0;
+  }
+  Dataset live;
+  std::vector<int32_t> record_map(seed.records.size(), -1);
+  for (size_t r = 0; r < seed.records.size(); ++r) {
+    if (!record_alive[r]) continue;
+    record_map[r] = live.num_records();
+    live.records.push_back(seed.records[r]);
+  }
+  group_map->assign(members.size(), -1);
+  for (size_t g = 0; g < members.size(); ++g) {
+    if (!group_alive[g]) continue;
+    (*group_map)[g] = live.num_groups();
+    Group group = seed.groups[g];
+    group.record_ids.clear();
+    for (const int32_t r : members[g]) {
+      group.record_ids.push_back(record_map[static_cast<size_t>(r)]);
+    }
+    live.groups.push_back(std::move(group));
+  }
+  return live;
+}
+
+TEST(AccumulateSelfJoinTest, BucketGraphsMatchTheCosineMatrixAtAnyThreadCount) {
+  // On the unmutated corpora, every group pair (g1 < g2) whose cosine
+  // matrix has a θ-edge is exactly one bucket, in ascending order, and its
+  // graph is BuildSimilarityGraph's edge for edge and bit for bit; the
+  // work counters are equal at 1, 2 and 7 threads.
+  size_t compared = 0;
+  for (const Scenario& scenario : Scenarios()) {
+    if (!scenario.merges.empty() || !scenario.removals.empty()) continue;
+    const auto snapshot = CorpusSnapshot::Capture(*BuildLinker(scenario));
+    const std::vector<SparseVector>& vectors = snapshot->record_vectors();
+    const RecordSimFn sim = [&](int32_t a, int32_t b) {
+      return PrenormalizedCosineSimilarity(vectors[static_cast<size_t>(a)],
+                                           vectors[static_cast<size_t>(b)]);
+    };
+    RunReport reference;
+    for (const int32_t threads : {1, 2, 7}) {
+      const std::string context = scenario.name + " @ " + std::to_string(threads);
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 1) pool = std::make_unique<ThreadPool>(static_cast<size_t>(threads));
+      RunReport report;
+      const auto joined =
+          AccumulateSelfJoin(*snapshot, vectors, kTheta, pool.get(), nullptr, &report);
+      ASSERT_TRUE(joined.ok()) << context;
+      size_t next = 0;
+      for (int32_t g1 = 0; g1 < scenario.seed.num_groups(); ++g1) {
+        for (int32_t g2 = g1 + 1; g2 < scenario.seed.num_groups(); ++g2) {
+          const BipartiteGraph want = BuildSimilarityGraph(scenario.seed, g1, g2, sim, kTheta);
+          if (want.edges().empty()) continue;
+          const std::string where =
+              context + " pair " + std::to_string(g1) + "," + std::to_string(g2);
+          ASSERT_LT(next, joined->buckets.size()) << where << " has no bucket";
+          const JoinBuckets::Bucket& bucket = joined->buckets[next];
+          ASSERT_EQ(std::make_pair(bucket.g1, bucket.g2), std::make_pair(g1, g2)) << where;
+          ExpectSameGraph(joined->Graph(next), want, where);
+          ++next;
+        }
+      }
+      EXPECT_EQ(next, joined->buckets.size()) << context << ": a bucket with no edge";
+      compared += next;
+      EXPECT_EQ(report.StageCounter("bucket", "group_pairs"),
+                static_cast<int64_t>(joined->buckets.size()));
+      if (threads == 1) {
+        reference = report;
+        EXPECT_GT(report.StageCounter("join", "postings_scanned"), 0) << context;
+        continue;
+      }
+      for (const char* counter : {"record_candidates", "edges", "postings_scanned"}) {
+        EXPECT_EQ(report.StageCounter("join", counter),
+                  reference.StageCounter("join", counter))
+            << context << " " << counter;
+      }
+    }
+  }
+  EXPECT_GT(compared, 0u) << "the property must not hold vacuously";
+}
+
+TEST(AccumulateSelfJoinTest, AJoinThatSkipsRecordsKeepsOnlyCompleteBuckets) {
+  // Eight groups of three identical records: every cross-group record
+  // pair is an edge. The execution.deadline fault stops the serial join
+  // before record 8 (one poll before the shard, then one per record), so
+  // groups 0 and 1 are complete and group 2 is cut after two of its
+  // records. Its buckets with groups 0 and 1 would hold 6 of their 9
+  // edges; they must be dropped, leaving only the complete bucket (0, 1).
+  const Dataset seed = Uniform(8, 3, "group linkage of author records");
+  const auto linker = IncrementalLinker::Create(seed, TestConfig());
+  ASSERT_TRUE(linker.ok());
+  const auto snapshot = CorpusSnapshot::Capture(*linker);
+  const std::vector<SparseVector>& vectors = snapshot->record_vectors();
+  const RecordSimFn sim = [&](int32_t a, int32_t b) {
+    return PrenormalizedCosineSimilarity(vectors[static_cast<size_t>(a)],
+                                         vectors[static_cast<size_t>(b)]);
+  };
+  ScopedFaultClear clear;
+  ASSERT_TRUE(FaultInjector::Default().ArmFromSpec("execution.deadline:after=9").ok());
+  ExecutionContext ctx;
+  RunReport report;
+  const auto joined = AccumulateSelfJoin(*snapshot, vectors, kTheta, nullptr, &ctx, &report);
+  ASSERT_TRUE(joined.ok());
+  EXPECT_TRUE(ctx.degraded());
+  EXPECT_EQ(report.StageCounter("join", "probes_skipped"), 24 - 8);
+  ASSERT_EQ(joined->buckets.size(), 1u);
+  EXPECT_EQ(std::make_pair(joined->buckets[0].g1, joined->buckets[0].g2), std::make_pair(0, 1));
+  ExpectSameGraph(joined->Graph(0), BuildSimilarityGraph(seed, 0, 1, sim, kTheta), "bucket 0,1");
+}
+
+TEST(AccumulateSelfJoinTest, EdgeJoinLinksEqualAllPairsWithAndWithoutBounds) {
+  for (const Scenario& scenario : Scenarios()) {
+    if (!scenario.merges.empty() || !scenario.removals.empty()) continue;
+    for (const bool bounds : {true, false}) {
+      LinkageConfig all_pairs = TestConfig();
+      all_pairs.candidates = CandidateMethod::kAllPairs;
+      all_pairs.use_filter_refine = bounds;
+      const auto want = RunGroupLinkage(scenario.seed, all_pairs);
+      ASSERT_TRUE(want.ok());
+      for (const int32_t threads : {1, 2, 7}) {
+        LinkageConfig edge_join = TestConfig(threads);
+        edge_join.use_edge_join = true;
+        edge_join.use_filter_refine = bounds;
+        const auto got = RunGroupLinkage(scenario.seed, edge_join);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(got->linked_pairs, want->linked_pairs)
+            << scenario.name << " bounds=" << bounds << " @ " << threads;
+      }
+    }
+  }
+}
+
+TEST(AccumulateSelfJoinTest, RefreshEqualsTheBatchEngineOnEveryCorpus) {
+  // Tombstones and merged groups included: Refresh's edge join over the
+  // live postings reproduces the per-pair batch run of engine_config() on
+  // the live corpus.
+  for (const Scenario& scenario : Scenarios()) {
+    std::vector<int32_t> group_map;
+    const Dataset live = LiveDataset(scenario, &group_map);
+    for (const int32_t threads : {1, 2, 7}) {
+      const auto linker = BuildLinker(scenario, threads);
+      linker->Refresh();
+      const auto batch = RunGroupLinkage(live, linker->engine_config());
+      ASSERT_TRUE(batch.ok());
+      std::vector<std::pair<int32_t, int32_t>> mapped;
+      for (const auto& [a, b] : linker->linked_pairs()) {
+        mapped.emplace_back(group_map[static_cast<size_t>(a)],
+                            group_map[static_cast<size_t>(b)]);
+      }
+      EXPECT_EQ(mapped, batch->linked_pairs) << scenario.name << " @ " << threads;
+      EXPECT_FALSE(mapped.empty()) << scenario.name;
+    }
+  }
 }
 
 /// A corpus whose one posting names record 1, which its group (0) does not

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 
+#include "common/fault_injection.h"
+#include "common/metrics.h"
+#include "core/incremental.h"
 #include "core/linkage_engine.h"
 #include "data/bibliographic_generator.h"
 #include "data/household_generator.h"
@@ -20,22 +25,31 @@ BibliographicConfig SmallConfig() {
   return config;
 }
 
-LinkageConfig EdgeJoinLinkage(double join_jaccard = 0.15) {
+using Pairs = std::vector<std::pair<int32_t, int32_t>>;
+
+LinkageConfig EdgeJoinLinkage() {
   LinkageConfig config;
   config.theta = 0.35;
   config.group_threshold = 0.2;
   config.use_edge_join = true;
-  config.join_jaccard = join_jaccard;
   return config;
+}
+
+LinkageConfig AllPairsLinkage() {
+  LinkageConfig config = EdgeJoinLinkage();
+  config.use_edge_join = false;
+  config.candidates = CandidateMethod::kAllPairs;
+  return config;
+}
+
+bool IsSubset(const Pairs& sub, const Pairs& super) {
+  return std::includes(super.begin(), super.end(), sub.begin(), sub.end());
 }
 
 TEST(EdgeJoinTest, MatchesPerPairPipelineOnBibliographicData) {
   const Dataset dataset = GenerateBibliographic(SmallConfig());
-  LinkageConfig per_pair = EdgeJoinLinkage();
-  per_pair.use_edge_join = false;
-  per_pair.candidates = CandidateMethod::kAllPairs;
   const auto a = RunGroupLinkage(dataset, EdgeJoinLinkage());
-  const auto b = RunGroupLinkage(dataset, per_pair);
+  const auto b = RunGroupLinkage(dataset, AllPairsLinkage());
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->linked_pairs, b->linked_pairs);
@@ -46,11 +60,8 @@ TEST(EdgeJoinTest, MatchesPerPairPipelineOnHouseholdData) {
   config.num_households = 80;
   config.noise = 0.25;
   const Dataset dataset = GenerateHouseholds(config);
-  LinkageConfig per_pair = EdgeJoinLinkage();
-  per_pair.use_edge_join = false;
-  per_pair.candidates = CandidateMethod::kAllPairs;
   const auto a = RunGroupLinkage(dataset, EdgeJoinLinkage());
-  const auto b = RunGroupLinkage(dataset, per_pair);
+  const auto b = RunGroupLinkage(dataset, AllPairsLinkage());
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->linked_pairs, b->linked_pairs);
@@ -64,6 +75,8 @@ TEST(EdgeJoinTest, StatsAreConsistent) {
   EXPECT_GT(report.StageCounter("join", "record_candidates"), 0);
   EXPECT_GT(report.StageCounter("join", "edges"), 0);
   EXPECT_LE(report.StageCounter("join", "edges"),
+            report.StageCounter("join", "record_candidates"));
+  EXPECT_GE(report.StageCounter("join", "postings_scanned"),
             report.StageCounter("join", "record_candidates"));
   EXPECT_GT(report.StageCounter("bucket", "group_pairs"), 0);
   EXPECT_EQ(report.StageCounter("bucket", "group_pairs"),
@@ -99,7 +112,7 @@ TEST(EdgeJoinTest, ClusteringStillComputed) {
 
 TEST(EdgeJoinTest, QualityComparableToExhaustive) {
   const Dataset dataset = GenerateBibliographic(SmallConfig());
-  const auto result = RunGroupLinkage(dataset, EdgeJoinLinkage(0.3));
+  const auto result = RunGroupLinkage(dataset, EdgeJoinLinkage());
   ASSERT_TRUE(result.ok());
   const PairMetrics metrics = EvaluatePairs(result->linked_pairs, dataset.TruePairs());
   EXPECT_GT(metrics.f1, 0.9);
@@ -150,6 +163,7 @@ TEST(EdgeJoinTest, OutputIdenticalAcrossThreadCounts) {
     for (const auto& [stage, counter] :
          {std::pair<const char*, const char*>{"join", "record_candidates"},
           {"join", "edges"},
+          {"join", "postings_scanned"},
           {"bucket", "group_pairs"},
           {"score", "ub_pruned"},
           {"score", "lb_accepted"},
@@ -163,58 +177,183 @@ TEST(EdgeJoinTest, OutputIdenticalAcrossThreadCounts) {
 }
 
 TEST(EdgeJoinTest, DirectCallHonorsExternalPool) {
-  // Tiny hand-built workload so EdgeJoinLink can be exercised directly: a
+  // Tiny hand-built postings so EdgeJoinLink can be exercised directly: a
   // caller-owned pool must be used (threads_used reports its size) and the
-  // output must match the serial call.
-  Dataset dataset;
-  std::vector<std::vector<int32_t>> record_tokens;
-  const auto add = [&](const std::string& id,
-                       std::vector<std::vector<int32_t>> token_sets) {
-    Group group;
-    group.id = id;
-    for (std::vector<int32_t>& tokens : token_sets) {
-      Record record;
-      record.id = id + std::to_string(group.record_ids.size());
-      group.record_ids.push_back(static_cast<int32_t>(dataset.records.size()));
-      dataset.records.push_back(std::move(record));
-      record_tokens.push_back(std::move(tokens));
-    }
-    dataset.groups.push_back(std::move(group));
+  // output must match the serial call. Unit vectors over token ids:
+  // identical sets score 1, disjoint ones 0.
+  std::vector<SparseVector> vectors;
+  const auto unit = [](std::vector<int32_t> ids) {
+    SparseVector vector;
+    vector.weights.assign(ids.size(), 1.0 / std::sqrt(static_cast<double>(ids.size())));
+    vector.ids = std::move(ids);
+    return vector;
   };
-  add("a", {{0, 1, 2}, {3, 4, 5}});
-  add("b", {{0, 1, 2}, {3, 4, 5}});
-  add("c", {{6, 7, 8}});
-  const std::vector<int32_t> record_group = dataset.RecordToGroup();
-  // Token-overlap similarity: identical sets score 1, disjoint 0.
-  const RecordSimFn sim = [&](int32_t a, int32_t b) {
-    return record_tokens[static_cast<size_t>(a)] ==
-                   record_tokens[static_cast<size_t>(b)]
-               ? 1.0
-               : 0.0;
-  };
+  // Groups a = {0, 1}, b = {2, 3}, c = {4}; b repeats a.
+  for (int copy = 0; copy < 2; ++copy) {
+    vectors.push_back(unit({0, 1, 2}));
+    vectors.push_back(unit({3, 4, 5}));
+  }
+  vectors.push_back(unit({6, 7, 8}));
+  const std::vector<int32_t> record_group = {0, 0, 1, 1, 2};
+  const std::vector<std::vector<int32_t>> group_records = {{0, 1}, {2, 3}, {4}};
+  const WeightedPostings postings = WeightedPostings::Transpose(vectors, 9);
+  const InMemoryPostings corpus(postings, record_group, group_records);
 
   FilterRefineConfig ladder;
   ladder.theta = 0.5;
   ladder.group_threshold = 0.3;
-  const double join_jaccard = 0.5;
 
   RunReport serial_report;
-  const auto serial = EdgeJoinLink(dataset, record_tokens, 9, record_group, sim,
-                                   ladder, join_jaccard, &serial_report);
+  const auto serial = EdgeJoinLink(corpus, vectors, ladder, &serial_report);
+  ASSERT_TRUE(serial.ok());
   EXPECT_EQ(serial_report.StageCounter("join", "threads_used"), 1);
 
   ThreadPool pool(3);
   RunReport pooled_report;
-  const auto pooled = EdgeJoinLink(dataset, record_tokens, 9, record_group, sim,
-                                   ladder, join_jaccard, &pooled_report, &pool);
+  const auto pooled = EdgeJoinLink(corpus, vectors, ladder, &pooled_report, &pool);
+  ASSERT_TRUE(pooled.ok());
   EXPECT_EQ(pooled_report.StageCounter("join", "threads_used"), 3);
-  EXPECT_EQ(pooled, serial);
-  ASSERT_EQ(serial.size(), 1u);
-  EXPECT_EQ(serial[0], std::make_pair(0, 1));
-  EXPECT_EQ(pooled_report.StageCounter("join", "edges"),
-            serial_report.StageCounter("join", "edges"));
+  EXPECT_EQ(*pooled, *serial);
+  ASSERT_EQ(serial->size(), 1u);
+  EXPECT_EQ((*serial)[0], std::make_pair(0, 1));
+  // Records 2 and 3 each share their tokens with one earlier record.
+  EXPECT_EQ(serial_report.StageCounter("join", "record_candidates"), 2);
+  EXPECT_EQ(serial_report.StageCounter("join", "edges"), 2);
+  EXPECT_EQ(serial_report.StageCounter("join", "postings_scanned"), 6);
+  for (const char* counter : {"record_candidates", "edges", "postings_scanned"}) {
+    EXPECT_EQ(pooled_report.StageCounter("join", counter),
+              serial_report.StageCounter("join", counter))
+        << counter;
+  }
   EXPECT_EQ(pooled_report.StageCounter("bucket", "group_pairs"),
             serial_report.StageCounter("bucket", "group_pairs"));
+
+  // A pair at exactly θ is an edge (sim >= θ), as in BuildSimilarityGraph.
+  ladder.theta = PrenormalizedCosineSimilarity(vectors[0], vectors[2]);
+  RunReport boundary_report;
+  ASSERT_TRUE(EdgeJoinLink(corpus, vectors, ladder, &boundary_report).ok());
+  EXPECT_EQ(boundary_report.StageCounter("join", "edges"), 2);
+}
+
+TEST(EdgeJoinTest, JoinPollsForAStopBeforeEveryRecord) {
+  // The execution.deadline fault trips on the (K+1)-th stop poll. Serially
+  // the join's one shard is polled once before it starts and then once
+  // before each record, so exactly K - 1 records are accumulated and the
+  // rest are skipped: a stop lands within one record.
+  const Dataset dataset = GenerateBibliographic(SmallConfig());
+  constexpr int64_t kPolls = 40;
+  ScopedFaultClear clear;
+  ASSERT_TRUE(FaultInjector::Default()
+                  .ArmFromSpec("execution.deadline:after=" + std::to_string(kPolls))
+                  .ok());
+  const auto result = RunGroupLinkage(dataset, EdgeJoinLinkage());
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->report().degraded);
+  EXPECT_EQ(result->report().stop_reason, "fault-injected");
+  EXPECT_EQ(dataset.num_records() - result->report().StageCounter("join", "probes_skipped"),
+            kPolls - 1);
+  EXPECT_TRUE(result->linked_pairs.empty()) << "a sticky stop sheds every bucket";
+}
+
+TEST(EdgeJoinTest, FailedShardDropsTheBucketsItLeftIncomplete) {
+  // A failed shard leaves its records unaccumulated. The buckets of their
+  // groups are dropped, so every bucket still decided holds its complete
+  // graph: the links are a subset of the unconstrained run's, and the
+  // other shards' groups still link.
+  BibliographicConfig data_config = SmallConfig();
+  data_config.num_entities = 80;
+  const Dataset dataset = GenerateBibliographic(data_config);
+  LinkageConfig config = EdgeJoinLinkage();
+  config.num_threads = 4;
+  const auto full = RunGroupLinkage(dataset, config);
+  ASSERT_TRUE(full.ok());
+
+  ScopedFaultClear clear;
+  ASSERT_TRUE(FaultInjector::Default().ArmFromSpec("thread_pool.fail_task:max_fires=1").ok());
+  const auto result = RunGroupLinkage(dataset, config);
+  ASSERT_TRUE(result.ok());
+  const RunReport& report = result->report();
+  EXPECT_TRUE(report.degraded);
+  EXPECT_EQ(report.stop_reason, "");
+  EXPECT_GT(report.StageCounter("join", "probes_skipped"), 0);
+  EXPECT_LT(report.StageCounter("bucket", "group_pairs"),
+            full->report().StageCounter("bucket", "group_pairs"));
+  EXPECT_TRUE(IsSubset(result->linked_pairs, full->linked_pairs));
+  EXPECT_GT(result->linked_pairs.size(), 0u);
+}
+
+// The hostile inputs of the join: a token present in every record, whose
+// posting list is the whole corpus (the join is quadratic in it), and an
+// all-identical corpus, where every cross-group record pair is an edge.
+std::vector<std::pair<std::string, Dataset>> HostileCorpora() {
+  std::vector<std::pair<std::string, Dataset>> corpora;
+  BibliographicConfig config;
+  config.num_entities = 80;
+  config.noise = 0.25;
+  config.num_topics = 5;
+  config.offtopic_word_prob = 0.5;
+  config.seed = 5;
+  Dataset ubiquitous = GenerateBibliographic(config);
+  for (Record& record : ubiquitous.records) record.text += " ubiquitous";
+  corpora.emplace_back("token-in-every-record", std::move(ubiquitous));
+
+  Dataset identical;
+  for (int32_t g = 0; g < 200; ++g) {
+    Group group;
+    group.id = std::to_string(g);
+    group.label = "g" + std::to_string(g);
+    for (int32_t i = 0; i < 3; ++i) {
+      group.record_ids.push_back(identical.num_records());
+      identical.records.push_back(
+          {std::to_string(identical.num_records()), "group linkage of author records", {}});
+    }
+    identical.groups.push_back(std::move(group));
+  }
+  corpora.emplace_back("all-identical", std::move(identical));
+  return corpora;
+}
+
+TEST(EdgeJoinHostileTest, EdgeJoinEqualsAllPairsAndDegradesToASubset) {
+  for (const auto& [name, dataset] : HostileCorpora()) {
+    const auto exact = RunGroupLinkage(dataset, EdgeJoinLinkage());
+    const auto all_pairs = RunGroupLinkage(dataset, AllPairsLinkage());
+    ASSERT_TRUE(exact.ok() && all_pairs.ok()) << name;
+    EXPECT_EQ(exact->linked_pairs, all_pairs->linked_pairs) << name;
+    EXPECT_FALSE(exact->report().degraded) << name;
+    EXPECT_FALSE(exact->linked_pairs.empty()) << name;
+
+    LinkageConfig limited = EdgeJoinLinkage();
+    limited.deadline_ms = 1.0;
+    const auto degraded = RunGroupLinkage(dataset, limited);
+    ASSERT_TRUE(degraded.ok()) << name;
+    EXPECT_TRUE(degraded->report().degraded) << name;
+    EXPECT_EQ(degraded->report().stop_reason, "deadline") << name;
+    EXPECT_TRUE(IsSubset(degraded->linked_pairs, exact->linked_pairs)) << name;
+  }
+}
+
+TEST(EdgeJoinHostileTest, RefreshEqualsAllPairsAndDegradesToASubset) {
+  Counter& degraded_refreshes =
+      MetricsRegistry::Default().CounterRef("incremental.degraded_refreshes");
+  for (const auto& [name, dataset] : HostileCorpora()) {
+    const auto all_pairs = RunGroupLinkage(dataset, AllPairsLinkage());
+    ASSERT_TRUE(all_pairs.ok()) << name;
+    auto linker = IncrementalLinker::Create(dataset, EdgeJoinLinkage());
+    ASSERT_TRUE(linker.ok()) << name;
+    uint64_t before = degraded_refreshes.Value();
+    linker->Refresh();
+    EXPECT_EQ(linker->linked_pairs(), all_pairs->linked_pairs) << name;
+    EXPECT_EQ(degraded_refreshes.Value(), before) << name;
+
+    LinkageConfig limited = EdgeJoinLinkage();
+    limited.deadline_ms = 1.0;
+    auto slow = IncrementalLinker::Create(dataset, limited);
+    ASSERT_TRUE(slow.ok()) << name;
+    before = degraded_refreshes.Value();
+    slow->Refresh();
+    EXPECT_EQ(degraded_refreshes.Value(), before + 1) << name;
+    EXPECT_TRUE(IsSubset(slow->linked_pairs(), linker->linked_pairs())) << name;
+  }
 }
 
 TEST(EdgeJoinTest, DirectCallOnTinyDataset) {

@@ -56,21 +56,10 @@ TEST(LinkageConfigTest, ValidateRejectsEachBadField) {
   EXPECT_TRUE(rejects([](LinkageConfig& c) { c.binary_cutoff = 1.1; }));
   EXPECT_TRUE(rejects([](LinkageConfig& c) { c.candidate_jaccard = -0.2; }));
   EXPECT_TRUE(rejects([](LinkageConfig& c) { c.candidate_jaccard = 1.2; }));
-  EXPECT_TRUE(rejects([](LinkageConfig& c) { c.join_jaccard = -0.2; }));
-  EXPECT_TRUE(rejects([](LinkageConfig& c) { c.join_jaccard = 1.2; }));
   EXPECT_TRUE(rejects([](LinkageConfig& c) { c.neighborhood_window = 0; }));
   EXPECT_TRUE(rejects([](LinkageConfig& c) { c.minhash_bands = 0; }));
   EXPECT_TRUE(rejects([](LinkageConfig& c) { c.minhash_rows = -1; }));
   EXPECT_TRUE(rejects([](LinkageConfig& c) { c.num_threads = 0; }));
-  // join_jaccard above theta is only a problem when the edge join runs.
-  EXPECT_TRUE(rejects([](LinkageConfig& c) {
-    c.use_edge_join = true;
-    c.join_jaccard = 0.9;
-  }));
-  LinkageConfig per_pair;
-  per_pair.theta = 0.6;
-  per_pair.join_jaccard = 0.9;
-  EXPECT_TRUE(per_pair.Validate().ok());
 }
 
 TEST(LinkageConfigTest, ValidateRejectsNonFiniteAndResilienceFields) {
@@ -102,10 +91,6 @@ TEST(LinkageConfigTest, ValidateRejectsNonFiniteAndResilienceFields) {
               c.candidate_jaccard = std::numeric_limits<double>::quiet_NaN();
             }),
             "candidate_jaccard must be a finite number");
-  EXPECT_EQ(rejection([](LinkageConfig& c) {
-              c.join_jaccard = std::numeric_limits<double>::infinity();
-            }),
-            "join_jaccard must be a finite number");
   EXPECT_EQ(rejection([](LinkageConfig& c) {
               c.deadline_ms = std::numeric_limits<double>::quiet_NaN();
             }),

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "data/bibliographic_generator.h"
 #include "eval/metrics.h"
@@ -85,9 +86,20 @@ TEST(IncrementalLinkerTest, StreamingConfigRejectsBadValues) {
   StreamingConfig ratio;
   ratio.refresh_on_oov_ratio = 1.5;
   EXPECT_FALSE(ratio.Validate().ok());
+  // NaN fails every range comparison; without an explicit check it would
+  // silently switch the OOV trigger off.
+  StreamingConfig nan_ratio;
+  nan_ratio.refresh_on_oov_ratio = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(nan_ratio.Validate().code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(StreamingConfig().Validate().ok());
 
   EXPECT_FALSE(IncrementalLinker::Create(SeedDataset(10), TestConfig(), negative).ok());
+  const auto created = IncrementalLinker::Create(SeedDataset(10), TestConfig(), nan_ratio);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(created.status().message().find("StreamingConfig: refresh_on_oov_ratio"),
+            std::string::npos)
+      << created.status().message();
 }
 
 TEST(IncrementalLinkerTest, DuplicateGroupLinksToItsTwin) {

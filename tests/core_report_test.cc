@@ -37,7 +37,6 @@ LinkageConfig PerPairConfig() {
 LinkageConfig EdgeJoinLinkage(int32_t threads = 1) {
   LinkageConfig config = PerPairConfig();
   config.use_edge_join = true;
-  config.join_jaccard = 0.15;
   config.num_threads = threads;
   return config;
 }
@@ -66,8 +65,7 @@ KeyLayout CounterKeys(const RunReport& report) {
 // per-pair run mirrors its score stage into filter_refine.*, an edge join
 // its score stage plus the thread-invariant join counters into
 // edge_join.*, and a baseline measure mirrors nothing. Counters the run
-// did not write read 0; edge_join.sim_evaluations is counted on the
-// verify path itself, not mirrored.
+// did not write read 0.
 void ExpectRegistryMirrorsReport(const RunReport& report) {
   std::map<std::string, int64_t> want;
   const bool edge_join = report.strategy == "edge-join";
@@ -78,7 +76,7 @@ void ExpectRegistryMirrorsReport(const RunReport& report) {
     }
     if (edge_join) {
       for (const auto& [key, value] : report.FindStage("join")->counters) {
-        if (key != "threads_used" && key != "verify_batches") want[prefix + key] = value;
+        if (key != "threads_used") want[prefix + key] = value;
       }
     }
   }
@@ -90,7 +88,7 @@ void ExpectRegistryMirrorsReport(const RunReport& report) {
   for (const auto& [name, value] : snapshot.counters) {
     const bool mirrored_family =
         name.rfind("filter_refine.", 0) == 0 || name.rfind("edge_join.", 0) == 0;
-    if (!mirrored_family || name == "edge_join.sim_evaluations") continue;
+    if (!mirrored_family) continue;
     const auto it = want.find(name);
     EXPECT_EQ(value, it == want.end() ? 0u : static_cast<uint64_t>(it->second)) << name;
   }
@@ -175,8 +173,8 @@ TEST(RunReportTest, RegistryCountersIdenticalAcrossThreadCounts) {
   const auto reference = RunGroupLinkage(dataset, EdgeJoinLinkage(1));
   ASSERT_TRUE(reference.ok());
   const MetricsSnapshot want = registry.Snapshot();
-  ASSERT_GT(want.counters.at("edge_join.sim_evaluations"), 0u);
-  ASSERT_GT(want.counters.at("prefix_filter.postings_scanned"), 0u);
+  ASSERT_GT(want.counters.at("edge_join.postings_scanned"), 0u);
+  ASSERT_GT(want.counters.at("edge_join.edges"), 0u);
 
   for (const int32_t threads : {2, 7}) {
     registry.ResetAll();
@@ -303,7 +301,7 @@ TEST(RunReportTest, CleanRunsPinTheirStageCounterKeys) {
       cluster};
   const KeyLayout edge_join = {
       prepare,
-      {"join", {"record_candidates", "edges", "threads_used", "verify_batches"}},
+      {"join", {"record_candidates", "edges", "postings_scanned", "threads_used"}},
       {"bucket", {"group_pairs"}},
       {"score", {"group_pairs", "ub_pruned", "lb_accepted", "refined", "linked"}},
       cluster};

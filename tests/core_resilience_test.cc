@@ -39,10 +39,7 @@ LinkageConfig TestConfig(int32_t threads = 1, bool edge_join = false) {
   config.theta = 0.35;
   config.group_threshold = 0.2;
   config.num_threads = threads;
-  if (edge_join) {
-    config.use_edge_join = true;
-    config.join_jaccard = 0.2;
-  }
+  config.use_edge_join = edge_join;
   return config;
 }
 

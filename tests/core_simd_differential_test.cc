@@ -105,25 +105,37 @@ TEST_F(SimdDifferentialTest, BatchedPathMatchesCustomSimPath) {
   // Run(sim) scores per pair through the std::function; Run() scores
   // through the batched VectorStore kernels. Passing the engine's own
   // default similarity as the custom sim must yield identical links —
-  // the strongest per-pair vs batched equivalence we can assert.
+  // the strongest per-pair vs batched equivalence we can assert. (A
+  // custom sim never takes the edge join, whose postings only compute
+  // the default similarity.)
   const Dataset dataset = GenerateBibliographic(E5ShapedConfig());
-  for (const bool edge_join : {false, true}) {
-    auto batched_or = LinkageEngine::Create(&dataset, E5Linkage(edge_join, 1));
-    ASSERT_TRUE(batched_or.ok());
-    LinkageEngine& batched = *batched_or;
-    const auto batched_links = batched.Run().linked_pairs;
+  auto batched_or = LinkageEngine::Create(&dataset, E5Linkage(false, 1));
+  ASSERT_TRUE(batched_or.ok());
+  LinkageEngine& batched = *batched_or;
+  const auto batched_links = batched.Run().linked_pairs;
 
-    auto per_pair_or = LinkageEngine::Create(&dataset, E5Linkage(edge_join, 1));
-    ASSERT_TRUE(per_pair_or.ok());
-    LinkageEngine& per_pair = *per_pair_or;
-    const auto per_pair_links =
-        per_pair
-            .Run([&per_pair](int32_t a, int32_t b) {
-              return per_pair.DefaultRecordSimilarity(a, b);
-            })
-            .linked_pairs;
-    EXPECT_EQ(batched_links, per_pair_links) << "edge_join=" << edge_join;
-  }
+  auto per_pair_or = LinkageEngine::Create(&dataset, E5Linkage(false, 1));
+  ASSERT_TRUE(per_pair_or.ok());
+  LinkageEngine& per_pair = *per_pair_or;
+  const auto per_pair_links =
+      per_pair
+          .Run([&per_pair](int32_t a, int32_t b) {
+            return per_pair.DefaultRecordSimilarity(a, b);
+          })
+          .linked_pairs;
+  EXPECT_EQ(batched_links, per_pair_links);
+}
+
+TEST_F(SimdDifferentialTest, CustomSimNeverTakesTheEdgeJoin) {
+  const Dataset dataset = GenerateBibliographic(E5ShapedConfig());
+  auto engine_or = LinkageEngine::Create(&dataset, E5Linkage(true, 1));
+  ASSERT_TRUE(engine_or.ok());
+  LinkageEngine& engine = *engine_or;
+  const LinkageResult result = engine.Run(
+      [&engine](int32_t a, int32_t b) { return engine.DefaultRecordSimilarity(a, b); });
+  EXPECT_EQ(result.report().strategy, "per-pair");
+  EXPECT_EQ(result.report().FindStage("join"), nullptr);
+  EXPECT_EQ(result.linked_pairs, RunLinks(dataset, E5Linkage(false, 1)));
 }
 
 TEST_F(SimdDifferentialTest, ReportNamesTheActiveKernel) {
@@ -134,8 +146,8 @@ TEST_F(SimdDifferentialTest, ReportNamesTheActiveKernel) {
   LinkageEngine& engine = *engine_or;
   const LinkageResult result = engine.Run();
   EXPECT_EQ(result.report().kernel, "scalar");
-  // The edge join must attribute verify time and batches in its report.
-  EXPECT_GT(result.report().StageCounter("join", "verify_batches"), 0);
+  // The edge join attributes its accumulation work in its report.
+  EXPECT_GT(result.report().StageCounter("join", "postings_scanned"), 0);
 }
 
 }  // namespace

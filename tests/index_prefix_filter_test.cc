@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <set>
 
 #include "common/random.h"
@@ -117,106 +116,6 @@ TEST(PrefixFilterTest, PrunesComparedToAllPairs) {
   const auto candidates = PrefixFilterSelfJoin(docs, 500, 0.6);
   const size_t all_pairs = docs.size() * (docs.size() - 1) / 2;
   EXPECT_LT(candidates.size(), all_pairs / 4);
-}
-
-// The streaming join must emit exactly the batch join's candidate set,
-// each pair exactly once.
-class StreamingJoinTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(StreamingJoinTest, AgreesWithBatchJoin) {
-  const double threshold = GetParam();
-  Rng rng(static_cast<uint64_t>(threshold * 100) + 3);
-  constexpr int32_t kNumTokens = 30;
-  for (int trial = 0; trial < 10; ++trial) {
-    Docs docs;
-    const size_t num_docs = 5 + rng.Uniform(40);
-    for (size_t d = 0; d < num_docs; ++d) {
-      std::set<int32_t> tokens;
-      const size_t size = 1 + rng.Uniform(10);
-      while (tokens.size() < size) {
-        tokens.insert(static_cast<int32_t>(rng.Uniform(kNumTokens)));
-      }
-      docs.emplace_back(tokens.begin(), tokens.end());
-    }
-    const auto batch = PrefixFilterSelfJoin(docs, kNumTokens, threshold);
-    Pairs streamed;
-    PrefixFilterSelfJoinStreaming(docs, kNumTokens, threshold,
-                                  [&](int32_t a, int32_t b) {
-                                    streamed.emplace_back(a, b);
-                                  });
-    // No duplicates even before sorting.
-    Pairs sorted = streamed;
-    std::sort(sorted.begin(), sorted.end());
-    EXPECT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end());
-    EXPECT_EQ(sorted, batch) << "threshold " << threshold << " trial " << trial;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Thresholds, StreamingJoinTest,
-                         ::testing::Values(0.2, 0.4, 0.6, 0.8, 1.0));
-
-TEST(StreamingJoinTest, EmptyCorpusEmitsNothing) {
-  int calls = 0;
-  PrefixFilterSelfJoinStreaming({}, 10, 0.5, [&](int32_t, int32_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-}
-
-// The sharded join, with per-shard buffers concatenated in shard index
-// order, must reproduce the serial streaming emission *sequence* exactly —
-// for every shard count and pool size. This is the determinism invariant
-// the parallel edge join relies on.
-class ShardedJoinTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(ShardedJoinTest, ShardOrderedConcatenationMatchesStreaming) {
-  const double threshold = GetParam();
-  Rng rng(static_cast<uint64_t>(threshold * 100) + 11);
-  constexpr int32_t kNumTokens = 30;
-  for (int trial = 0; trial < 5; ++trial) {
-    Docs docs;
-    const size_t num_docs = 5 + rng.Uniform(40);
-    for (size_t d = 0; d < num_docs; ++d) {
-      std::set<int32_t> tokens;
-      const size_t size = 1 + rng.Uniform(10);
-      while (tokens.size() < size) {
-        tokens.insert(static_cast<int32_t>(rng.Uniform(kNumTokens)));
-      }
-      docs.emplace_back(tokens.begin(), tokens.end());
-    }
-    Pairs streamed;
-    PrefixFilterSelfJoinStreaming(docs, kNumTokens, threshold,
-                                  [&](int32_t a, int32_t b) {
-                                    streamed.emplace_back(a, b);
-                                  });
-    for (const size_t num_shards : {size_t{1}, size_t{3}, size_t{8}, num_docs + 5}) {
-      for (const size_t pool_threads : {size_t{0}, size_t{2}, size_t{5}}) {
-        std::unique_ptr<ThreadPool> pool;
-        if (pool_threads > 0) pool = std::make_unique<ThreadPool>(pool_threads);
-        std::vector<Pairs> per_shard(num_shards);
-        PrefixFilterSelfJoinSharded(
-            docs, kNumTokens, threshold, pool.get(), num_shards,
-            [&](size_t shard, int32_t a, int32_t b) {
-              per_shard[shard].emplace_back(a, b);
-            });
-        Pairs concatenated;
-        for (const Pairs& shard : per_shard) {
-          concatenated.insert(concatenated.end(), shard.begin(), shard.end());
-        }
-        EXPECT_EQ(concatenated, streamed)
-            << "threshold " << threshold << " trial " << trial << " shards "
-            << num_shards << " threads " << pool_threads;
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Thresholds, ShardedJoinTest,
-                         ::testing::Values(0.2, 0.5, 0.8));
-
-TEST(ShardedJoinTest, EmptyCorpusEmitsNothing) {
-  int calls = 0;
-  PrefixFilterSelfJoinSharded({}, 10, 0.5, nullptr, 4,
-                              [&](size_t, int32_t, int32_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
 }
 
 TEST(PrefixFilterTest, CandidatesSortedAndUnique) {

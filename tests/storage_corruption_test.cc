@@ -158,29 +158,33 @@ TEST_F(StorageCorruptionTest, EveryStridedBitFlipAcrossTheFileIsFatal) {
 }
 
 TEST_F(StorageCorruptionTest, StoreOfTheFormerFormatVersionIsDataLoss) {
-  // A version-1 store (unweighted postings plus a per-record vectors
-  // segment) must fail cleanly, not be read as the current layout. Set
-  // the header's version field to 1 and re-seal the header page, so the
-  // version is the only thing wrong.
-  std::vector<uint8_t> bytes = clean_;
-  const size_t version_at = kPageHeaderBytes + sizeof(kFileMagic);
-  bytes[version_at] = 1;
-  bytes[version_at + 1] = bytes[version_at + 2] = bytes[version_at + 3] = 0;
-  const uint32_t payload_len = static_cast<uint32_t>(bytes[12]) |
-                               static_cast<uint32_t>(bytes[13]) << 8 |
-                               static_cast<uint32_t>(bytes[14]) << 16 |
-                               static_cast<uint32_t>(bytes[15]) << 24;
-  SealPageFrame(0, PageType::kHeader, payload_len, bytes.data(), 512);
-  WriteAll(path_, bytes);
-  const auto loaded = SnapshotStore::Load(path_);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(loaded.status().message().find("unsupported store version 1"),
-            std::string::npos)
-      << loaded.status().message();
-  const auto opened = StoredCorpus::Open(path_);
-  ASSERT_FALSE(opened.ok());
-  EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss);
+  // Stores of the former versions must fail cleanly, not be read as the
+  // current layout: version 1 (unweighted postings plus a per-record
+  // vectors segment) and version 2 (the deleted edge-join threshold in
+  // the config metadata). Set the header's version field and re-seal the
+  // header page, so the version is the only thing wrong.
+  for (const uint8_t version : {uint8_t{1}, uint8_t{2}}) {
+    std::vector<uint8_t> bytes = clean_;
+    const size_t version_at = kPageHeaderBytes + sizeof(kFileMagic);
+    bytes[version_at] = version;
+    bytes[version_at + 1] = bytes[version_at + 2] = bytes[version_at + 3] = 0;
+    const uint32_t payload_len = static_cast<uint32_t>(bytes[12]) |
+                                 static_cast<uint32_t>(bytes[13]) << 8 |
+                                 static_cast<uint32_t>(bytes[14]) << 16 |
+                                 static_cast<uint32_t>(bytes[15]) << 24;
+    SealPageFrame(0, PageType::kHeader, payload_len, bytes.data(), 512);
+    WriteAll(path_, bytes);
+    const auto loaded = SnapshotStore::Load(path_);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(loaded.status().message().find("unsupported store version " +
+                                             std::to_string(version)),
+              std::string::npos)
+        << loaded.status().message();
+    const auto opened = StoredCorpus::Open(path_);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss);
+  }
 }
 
 TEST_F(StorageCorruptionTest, TruncationIsDataLoss) {
