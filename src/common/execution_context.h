@@ -44,10 +44,15 @@ const char* StopReasonName(StopReason reason);
 /// the token, or an armed `execution.deadline` fault, every later call
 /// returns true and stop_reason() names the first observed cause.
 ///
-/// Degradation semantics (see DESIGN.md §8): deadline/cancellation trips
-/// shed whole items, which only ever *removes* links (BM similarity is
-/// monotone in the edge set), so a stopped run's links are a subset of
-/// the full run's. Budget trips (candidate cap, matcher cost) are
+/// Degradation semantics (see DESIGN.md §8): a degraded run's links are a
+/// subset of the full run's because each degraded path only loses links.
+/// Deadline, cancellation and the candidate cap shed whole items, and a
+/// shed pair is never linked. The edge join drops every bucket of a group
+/// with an unaccumulated record, so each graph it decides is complete.
+/// The matcher-budget fallback links only when GreedyLowerBound ≥ Θ, and
+/// that bound is ≤ BM. BM is *not* monotone in the edge set (a graph
+/// missing an edge can score higher), so no path decides a graph with
+/// edges missing. Budget trips (candidate cap, matcher cost) are
 /// per-item deterministic — they depend only on the item, never on
 /// timing — so budget-degraded runs are bit-identical across thread
 /// counts and repeats.

@@ -15,13 +15,17 @@ namespace {
 /// A thread's dense accumulator, reused across calls: one sum per corpus
 /// record, a generation stamp marking the sums the current probe record
 /// touched (so nothing is cleared between probe records), the touched
-/// list, and the decode scratch of paged postings.
+/// list, and the fetched postings. Every buffer keeps its capacity, so a
+/// warm thread allocates nothing per query.
 struct Accumulator {
   std::vector<double> sum;
   std::vector<uint32_t> stamp;
   std::vector<int32_t> touched;
   uint32_t generation = 0;
-  PostingList decoded;
+  FetchedPostings fetched;
+  /// A probe's distinct tokens, ascending, and one probe record's lists.
+  std::vector<int32_t> tokens;
+  std::vector<std::span<const WeightedPosting>> record_lists;
 };
 
 Accumulator& ThreadAccumulator(size_t num_records) {
@@ -34,25 +38,25 @@ Accumulator& ThreadAccumulator(size_t num_records) {
 }
 
 /// The one accumulation loop: sums `vector` against every record below
-/// `cutoff` that shares a token with it. Afterwards acc.touched lists
-/// those records and acc.sum holds their cosines.
-Status AccumulateRecord(const PostingsCorpus& corpus, const SparseVector& vector,
-                        int32_t cutoff, Accumulator& acc, size_t* postings_scanned) {
+/// `cutoff` that shares a token with it, where lists[k] holds the postings
+/// of vector.ids[k]. Afterwards acc.touched lists those records and
+/// acc.sum holds their cosines.
+void AccumulateRecord(const SparseVector& vector,
+                      const std::span<const WeightedPosting>* lists, int32_t cutoff,
+                      Accumulator& acc, size_t* postings_scanned) {
   if (++acc.generation == 0) {  // Wrapped: no stale stamp may match.
     std::fill(acc.stamp.begin(), acc.stamp.end(), 0);
     acc.generation = 1;
   }
   acc.touched.clear();
   for (size_t k = 0; k < vector.size(); ++k) {
-    GL_ASSIGN_OR_RETURN(const PostingList* list,
-                        corpus.TokenPostings(vector.ids[k], &acc.decoded));
     const double probe_weight = vector.weights[k];
-    const WeightedPosting* entry = list->data();
-    const WeightedPosting* const end = entry + list->size();
+    const WeightedPosting* entry = lists[k].data();
+    const WeightedPosting* const end = entry + lists[k].size();
     // Lists ascend by record id, so the cutoff ends the walk.
     for (; entry != end && entry->record < cutoff; ++entry) {
       const size_t r = static_cast<size_t>(entry->record);
-      GL_DCHECK_LT(r, corpus.record_group().size());
+      GL_DCHECK_LT(r, acc.sum.size());
       if (acc.stamp[r] != acc.generation) {
         acc.stamp[r] = acc.generation;
         acc.sum[r] = 0.0;
@@ -62,9 +66,8 @@ Status AccumulateRecord(const PostingsCorpus& corpus, const SparseVector& vector
       // tokens' products in DotProduct's own order.
       acc.sum[r] += entry->weight * probe_weight;
     }
-    *postings_scanned += static_cast<size_t>(entry - list->data());
+    *postings_scanned += static_cast<size_t>(entry - lists[k].data());
   }
-  return Status::Ok();
 }
 
 Status Unlisted() {
@@ -103,10 +106,27 @@ Result<std::vector<GroupGraph>> AccumulateGraphs(
     ProbePlacement placement, double theta, size_t* postings_scanned) {
   const std::vector<int32_t>& record_group = corpus.record_group();
   Accumulator& acc = ThreadAccumulator(record_group.size());
+  // Each distinct probe token's list is fetched once, in ascending token
+  // id, so a paged corpus reads its lists once per query, in store order.
+  acc.tokens.clear();
+  for (const SparseVector& vector : probe) {
+    acc.tokens.insert(acc.tokens.end(), vector.ids.begin(), vector.ids.end());
+  }
+  std::sort(acc.tokens.begin(), acc.tokens.end());
+  acc.tokens.erase(std::unique(acc.tokens.begin(), acc.tokens.end()), acc.tokens.end());
+  GL_RETURN_IF_ERROR(corpus.FetchPostings(acc.tokens, &acc.fetched));
+
   std::vector<FoundEdge> edges;
   for (size_t j = 0; j < probe.size(); ++j) {
-    GL_RETURN_IF_ERROR(AccumulateRecord(corpus, probe[j], placement.record_cutoff, acc,
-                                        postings_scanned));
+    // The record's ids ascend through the ascending distinct tokens.
+    acc.record_lists.clear();
+    size_t slot = 0;
+    for (const int32_t token : probe[j].ids) {
+      while (acc.tokens[slot] != token) ++slot;
+      acc.record_lists.push_back(acc.fetched.lists[slot]);
+    }
+    AccumulateRecord(probe[j], acc.record_lists.data(), placement.record_cutoff, acc,
+                     postings_scanned);
     for (const int32_t r : acc.touched) {
       const double weight = acc.sum[static_cast<size_t>(r)];
       if (weight < theta) continue;
@@ -247,8 +267,9 @@ Result<JoinBuckets> AccumulateSelfJoin(const PostingsCorpus& corpus,
   // group) bucket.
   const auto join_record = [&](int32_t r, JoinShard& shard) -> Status {
     Accumulator& acc = ThreadAccumulator(n);
-    GL_RETURN_IF_ERROR(AccumulateRecord(corpus, vectors[static_cast<size_t>(r)], r, acc,
-                                        &shard.postings_scanned));
+    const SparseVector& vector = vectors[static_cast<size_t>(r)];
+    GL_RETURN_IF_ERROR(corpus.FetchPostings(vector.ids, &acc.fetched));
+    AccumulateRecord(vector, acc.fetched.lists.data(), r, acc, &shard.postings_scanned);
     shard.record_pairs += acc.touched.size();
     const int32_t g = record_group[static_cast<size_t>(r)];
     const int32_t p = position[static_cast<size_t>(r)];

@@ -19,7 +19,7 @@
 namespace grouplink {
 
 /// The reads score accumulation makes of a corpus: the weighted postings
-/// of one token, the record -> group map that buckets them, and group
+/// of a token set, the record -> group map that buckets them, and group
 /// membership. CorpusSnapshot serves them from RAM, storage::StoredCorpus
 /// through its buffer pool, and InMemoryPostings from the postings the
 /// streaming linker maintains or the batch engine builds for a run.
@@ -27,12 +27,14 @@ namespace grouplink {
 /// nothing mutates them.
 class PostingsCorpus {
  public:
-  /// Weighted postings of epoch token `token` — ascending record ids, each
-  /// below record_group().size() — as a pointer into the corpus's own
-  /// memory, or to `*scratch` after decoding into it. Valid until the next
-  /// call with the same scratch.
-  [[nodiscard]] virtual Result<const PostingList*> TokenPostings(
-      int32_t token, PostingList* scratch) const = 0;
+  /// Fetches the weighted postings of `tokens` — epoch token ids,
+  /// ascending and distinct — into out->lists, one per token in order:
+  /// each ascending by record id, every id below record_group().size().
+  /// A corpus in RAM points the lists at its own memory; a paged corpus
+  /// reads them in store order and decodes them into out->decoded. Valid
+  /// until the next fetch into `out`.
+  [[nodiscard]] virtual Status FetchPostings(std::span<const int32_t> tokens,
+                                             FetchedPostings* out) const = 0;
   /// Group of every record id.
   [[nodiscard]] virtual const std::vector<int32_t>& record_group() const = 0;
   /// Record ids of group `g`.
@@ -51,9 +53,10 @@ class InMemoryPostings final : public PostingsCorpus {
                    const std::vector<std::vector<int32_t>>& group_records)
       : postings_(postings), record_group_(record_group), group_records_(group_records) {}
 
-  Result<const PostingList*> TokenPostings(int32_t token,
-                                           PostingList* /*scratch*/) const override {
-    return &postings_.List(token);
+  Status FetchPostings(std::span<const int32_t> tokens,
+                       FetchedPostings* out) const override {
+    postings_.Fetch(tokens, out);
+    return Status::Ok();
   }
   const std::vector<int32_t>& record_group() const override { return record_group_; }
   const std::vector<int32_t>& GroupRecords(int32_t g) const override {
@@ -88,13 +91,15 @@ struct GroupGraph {
   BipartiteGraph graph;
 };
 
-/// Score accumulation over weighted postings. For each probe record it
-/// walks the record's vector in ascending token id and adds w_r · w_p over
-/// that token's postings, so every touched record r ends with exactly
-/// PrenormalizedCosineSimilarity(vector_r, probe record): the same
-/// ascending-id sum from 0.0, with no fused multiply-add (this translation
-/// unit carries no ISA target). The records with a sum ≥ `theta` are the
-/// edges. The self-join below runs the same loop.
+/// Score accumulation over weighted postings. The postings of the probe's
+/// distinct tokens are fetched once, in ascending token id (a paged corpus
+/// reads each list once per call, in store order). For each probe record
+/// it then walks the record's vector in ascending token id and adds
+/// w_r · w_p over that token's postings, so every touched record r ends
+/// with exactly PrenormalizedCosineSimilarity(vector_r, probe record): the
+/// same ascending-id sum from 0.0, with no fused multiply-add (this
+/// translation unit carries no ISA target). The records with a sum ≥
+/// `theta` are the edges. The self-join below runs the same loop.
 ///
 /// Returns the θ-graph of every group with at least one edge, ascending by
 /// group. Each graph is edge for edge the one the full |g| × |probe|

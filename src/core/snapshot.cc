@@ -43,6 +43,7 @@ std::shared_ptr<const CorpusSnapshot> CorpusSnapshot::Capture(
   snapshot->index_vocab_ = linker.index_vocab_;
   snapshot->token_index_ = linker.token_index_;
   snapshot->epoch_vocab_ = linker.epoch_vocab_;
+  snapshot->idf_table_ = snapshot->epoch_vocab_.IdfTable();
   snapshot->record_vectors_ = linker.record_vectors_;
   snapshot->postings_ = linker.postings_;
   snapshot->record_group_ = linker.record_group_;
@@ -90,6 +91,7 @@ Result<std::shared_ptr<const CorpusSnapshot>> CorpusSnapshot::FromParts(
   snapshot->index_vocab_ = std::move(parts.index_vocab);
   snapshot->token_index_ = std::move(parts.token_index);
   snapshot->epoch_vocab_ = std::move(parts.epoch_vocab);
+  snapshot->idf_table_ = snapshot->epoch_vocab_.IdfTable();
   snapshot->record_vectors_ = std::move(parts.record_vectors);
   const size_t num_tokens = snapshot->epoch_vocab_.size();
   for (const SparseVector& vector : snapshot->record_vectors_) {
@@ -135,12 +137,12 @@ Result<CorpusSnapshot::QueryResult> RunLinkQuery(
 
   // Probe preparation mirrors the arrival path (AddGroups phases A-C) on
   // the frozen epoch: tokenize, count the tokens the epoch vocabulary
-  // lacks, vectorize against it. Unseen tokens carry no weight, so they
-  // reach no posting.
+  // lacks, vectorize against it with the epoch's IDF column. Unseen tokens
+  // carry no weight, so they reach no posting.
   const Vocabulary& epoch_vocab = corpus.epoch_vocab();
   const size_t probe_size = group.record_texts.size();
   std::vector<SparseVector> probe_vectors(probe_size);
-  const TfIdfVectorizer vectorizer(&epoch_vocab);
+  const TfIdfVectorizer vectorizer(&epoch_vocab, corpus.idf_table());
   for (size_t i = 0; i < probe_size; ++i) {
     const std::vector<std::string> raw = Tokenize(group.record_texts[i]);
     for (const std::string& token : ToTokenSet(raw)) {

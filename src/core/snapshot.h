@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,6 +34,9 @@ class QueryCorpus : public PostingsCorpus {
   /// The epoch TF-IDF statistics probes are vectorized against; its ids
   /// key the weighted postings.
   [[nodiscard]] virtual const Vocabulary& epoch_vocab() const = 0;
+  /// epoch_vocab().IdfTable(), computed once per epoch: every probe is
+  /// vectorized with it.
+  [[nodiscard]] virtual std::span<const double> idf_table() const = 0;
 
  protected:
   // Implementations are owned and destroyed as themselves.
@@ -195,6 +199,7 @@ class CorpusSnapshot final : public QueryCorpus {
   /// referenced state is immutable for the snapshot's lifetime.
   const Vocabulary& index_vocab() const { return index_vocab_; }
   const Vocabulary& epoch_vocab() const override { return epoch_vocab_; }
+  std::span<const double> idf_table() const override { return idf_table_; }
   const InvertedIndex& token_index() const { return token_index_; }
   const std::vector<SparseVector>& record_vectors() const {
     return record_vectors_;
@@ -217,9 +222,10 @@ class CorpusSnapshot final : public QueryCorpus {
   const std::vector<char>& group_alive() const { return group_alive_; }
 
   // QueryCorpus, served from the frozen postings in RAM (never fails).
-  Result<const PostingList*> TokenPostings(int32_t token,
-                                           PostingList* /*scratch*/) const override {
-    return &postings_.List(token);
+  Status FetchPostings(std::span<const int32_t> tokens,
+                       FetchedPostings* out) const override {
+    postings_.Fetch(tokens, out);
+    return Status::Ok();
   }
   const std::vector<int32_t>& GroupRecords(int32_t g) const override {
     return group_records_[static_cast<size_t>(g)];
@@ -237,9 +243,10 @@ class CorpusSnapshot final : public QueryCorpus {
   Vocabulary index_vocab_;
   InvertedIndex token_index_;
 
-  // Epoch TF-IDF statistics, the per-record vectors under them, and
-  // their transpose that queries accumulate over.
+  // Epoch TF-IDF statistics and their IDF column, the per-record vectors
+  // under them, and their transpose that queries accumulate over.
   Vocabulary epoch_vocab_;
+  std::vector<double> idf_table_;
   std::vector<SparseVector> record_vectors_;
   WeightedPostings postings_;
   std::vector<int32_t> record_group_;

@@ -56,4 +56,9 @@ const PostingList& WeightedPostings::List(int32_t token) const {
   return t < lists_.size() ? lists_[t] : empty_;
 }
 
+void WeightedPostings::Fetch(std::span<const int32_t> tokens, FetchedPostings* out) const {
+  out->lists.clear();
+  for (const int32_t token : tokens) out->lists.emplace_back(List(token));
+}
+
 }  // namespace grouplink

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "text/tfidf.h"
@@ -20,6 +21,16 @@ struct WeightedPosting {
 
 /// A weighted posting list, ascending by record id.
 using PostingList = std::vector<WeightedPosting>;
+
+/// The posting lists of one token set, as one fetch returns them
+/// (PostingsCorpus::FetchPostings). Reused across fetches, so a warm
+/// caller allocates nothing.
+struct FetchedPostings {
+  /// lists[i]: the postings of the i-th token asked for.
+  std::vector<std::span<const WeightedPosting>> lists;
+  /// The entries of lists a corpus decoded rather than held in RAM.
+  PostingList decoded;
+};
 
 /// Token id -> weighted posting list: the transpose of a corpus's
 /// per-record sparse vectors. Entry (r, w) in list t means record r's
@@ -50,6 +61,8 @@ class WeightedPostings {
 
   /// The list of `token` (empty past the last token).
   [[nodiscard]] const PostingList& List(int32_t token) const;
+  /// Points out->lists at the lists of `tokens`, in order.
+  void Fetch(std::span<const int32_t> tokens, FetchedPostings* out) const;
 
   [[nodiscard]] size_t num_tokens() const { return lists_.size(); }
 

@@ -180,11 +180,5 @@ Status SegmentReader::ReadAt(uint64_t offset, size_t n, uint8_t* out) const {
   return Status::Ok();
 }
 
-Result<std::vector<uint8_t>> SegmentReader::ReadAt(uint64_t offset, size_t n) const {
-  std::vector<uint8_t> out(n);
-  GL_RETURN_IF_ERROR(ReadAt(offset, n, out.data()));
-  return out;
-}
-
 }  // namespace storage
 }  // namespace grouplink

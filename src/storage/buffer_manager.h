@@ -135,8 +135,6 @@ class SegmentReader {
 
   /// Copies `[offset, offset + n)` of the segment into `out`.
   [[nodiscard]] Status ReadAt(uint64_t offset, size_t n, uint8_t* out) const;
-  /// Same, into a fresh buffer.
-  [[nodiscard]] Result<std::vector<uint8_t>> ReadAt(uint64_t offset, size_t n) const;
 
   [[nodiscard]] uint64_t length() const { return length_; }
 

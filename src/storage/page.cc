@@ -8,22 +8,35 @@ namespace grouplink {
 namespace storage {
 namespace {
 
-/// Software CRC-32 table (polynomial 0xEDB88320, the reflected IEEE
-/// form). Built once; table lookup keeps page verification cheap enough
-/// to run on every buffer-pool miss without showing up in profiles.
-const std::array<uint32_t, 256>& CrcTable() {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
+/// Slicing-by-8 CRC-32 tables (polynomial 0xEDB88320, the reflected IEEE
+/// form). Row 0 is the classic bytewise table; row k advances a byte's
+/// contribution through k further zero bytes, so one step folds eight
+/// input bytes with eight independent lookups. Built once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+const CrcTables& Tables() {
+  static const CrcTables tables = [] {
+    CrcTables t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (size_t k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
+}
+
+uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 Status Truncated(const char* what) {
@@ -33,10 +46,19 @@ Status Truncated(const char* what) {
 }  // namespace
 
 uint32_t Crc32(const uint8_t* data, size_t size, uint32_t seed) {
-  const auto& table = CrcTable();
+  const CrcTables& t = Tables();
   uint32_t crc = seed ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  // Eight bytes per step: the running crc folds into the first four, and
+  // each byte's table row accounts for the bytes that follow it.
+  for (; size >= 8; data += 8, size -= 8) {
+    const uint32_t lo = crc ^ LoadLe32(data);
+    const uint32_t hi = LoadLe32(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+          t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -181,17 +203,11 @@ uint32_t SealPageFrame(uint32_t page_id, PageType type, uint32_t payload_len,
 
 Result<PageView> VerifyPageFrame(const uint8_t* frame, uint32_t page_bytes,
                                  uint64_t expected_page_id) {
-  const auto read32 = [frame](size_t at) {
-    return static_cast<uint32_t>(frame[at]) |
-           static_cast<uint32_t>(frame[at + 1]) << 8 |
-           static_cast<uint32_t>(frame[at + 2]) << 16 |
-           static_cast<uint32_t>(frame[at + 3]) << 24;
-  };
-  if (read32(0) != Crc32(frame + 4, page_bytes - 4)) {
+  if (LoadLe32(frame) != Crc32(frame + 4, page_bytes - 4)) {
     return Status::DataLoss("page checksum mismatch at page " +
                             std::to_string(expected_page_id));
   }
-  if (read32(4) != expected_page_id) {
+  if (LoadLe32(frame + 4) != expected_page_id) {
     return Status::DataLoss("page id mismatch at page " +
                             std::to_string(expected_page_id));
   }
@@ -204,7 +220,7 @@ Result<PageView> VerifyPageFrame(const uint8_t* frame, uint32_t page_bytes,
   }
   PageView view;
   view.type = static_cast<PageType>(type_raw);
-  view.payload_len = read32(12);
+  view.payload_len = LoadLe32(frame + 12);
   if (view.payload_len > PagePayloadCapacity(page_bytes)) {
     return Status::DataLoss("page payload overflow at page " +
                             std::to_string(expected_page_id));

@@ -35,7 +35,7 @@ inline constexpr uint32_t kPageHeaderBytes = 16;
 inline constexpr uint32_t kMinPageBytes = 256;
 inline constexpr uint32_t kMaxPageBytes = 1u << 20;
 /// Store format version; bumped on any layout change.
-inline constexpr uint32_t kFormatVersion = 3;
+inline constexpr uint32_t kFormatVersion = 4;
 /// First 8 payload bytes of the header page.
 inline constexpr char kFileMagic[8] = {'G', 'L', 'S', 'N', 'A', 'P', '0', '1'};
 /// Seal sentinel, written as the very last page of a persist. A store
@@ -54,8 +54,9 @@ inline constexpr uint32_t PagePayloadCapacity(uint32_t page_bytes) {
   return page_bytes - kPageHeaderBytes;
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) of `data`. `seed` chains
-/// incremental computation: Crc32(b, Crc32(a)) == Crc32(a+b).
+/// CRC-32 (IEEE 802.3 polynomial, reflected) of `data`, computed eight
+/// bytes per step (slicing-by-8); the value is the bytewise table's. `seed`
+/// chains incremental computation: Crc32(b, Crc32(a)) == Crc32(a+b).
 [[nodiscard]] uint32_t Crc32(const uint8_t* data, size_t size, uint32_t seed = 0);
 
 // --- Append-only encoders over a growable byte buffer. All integers in

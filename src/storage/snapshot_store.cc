@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <memory>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -12,6 +15,7 @@
 #include "storage/page.h"
 #include "storage/page_file.h"
 #include "storage/store_format.h"
+#include "text/tfidf.h"
 
 namespace grouplink {
 namespace storage {
@@ -69,12 +73,102 @@ Status WriteSinglePage(PageWriter& writer, uint64_t page_id, PageType type,
   return Status::Ok();
 }
 
+/// The stored form of a snapshot's weighted postings: per epoch token the
+/// (record, tf) entries, ascending by record, and per record the norm its
+/// weights divide by. Both are derived from the raw token ids the way
+/// TfIdfVectorizer::Vectorize derives the vectors.
+struct StoredLists {
+  std::vector<std::vector<StoredPosting>> lists;
+  std::vector<double> record_norm;
+};
+
+Result<StoredLists> DeriveStoredLists(const CorpusSnapshot& snapshot) {
+  const Vocabulary& epoch_vocab = snapshot.epoch_vocab();
+  const Vocabulary& index_vocab = snapshot.index_vocab();
+  const std::span<const double> idf = snapshot.idf_table();
+  // Index-vocabulary id -> epoch id: raw ids outside the epoch carry no
+  // weight, as Vectorize drops out-of-vocabulary tokens.
+  std::vector<int32_t> epoch_id(index_vocab.size(), Vocabulary::kUnknownToken);
+  for (size_t e = 0; e < epoch_vocab.size(); ++e) {
+    const int32_t id = index_vocab.GetId(epoch_vocab.TokenOf(static_cast<int32_t>(e)));
+    GL_CHECK_NE(id, Vocabulary::kUnknownToken);
+    epoch_id[static_cast<size_t>(id)] = static_cast<int32_t>(e);
+  }
+  const size_t n_records = static_cast<size_t>(snapshot.num_records());
+  StoredLists stored;
+  stored.lists.resize(epoch_vocab.size());
+  stored.record_norm.assign(n_records, 0.0);
+  std::vector<int32_t> ids;
+  SparseVector unnormalized;
+  for (size_t r = 0; r < n_records; ++r) {
+    ids.clear();
+    for (const int32_t raw : snapshot.record_token_ids()[r]) {
+      if (raw < 0 || static_cast<size_t>(raw) >= epoch_id.size()) {
+        return Status::FailedPrecondition("raw token id out of the index vocabulary");
+      }
+      const int32_t e = epoch_id[static_cast<size_t>(raw)];
+      if (e != Vocabulary::kUnknownToken) ids.push_back(e);
+    }
+    std::sort(ids.begin(), ids.end());
+    unnormalized.weights.clear();
+    for (size_t i = 0; i < ids.size();) {
+      size_t j = i;
+      while (j < ids.size() && ids[j] == ids[i]) ++j;
+      const size_t t = static_cast<size_t>(ids[i]);
+      stored.lists[t].push_back({static_cast<int32_t>(r), static_cast<uint32_t>(j - i)});
+      unnormalized.weights.push_back(static_cast<double>(j - i) * idf[t]);
+      i = j;
+    }
+    stored.record_norm[r] = L2Norm(unnormalized);
+  }
+  return stored;
+}
+
 /// Encodes every segment byte stream from the snapshot's frozen parts.
-std::array<std::vector<uint8_t>, kNumSegments> EncodeSegments(
+/// FailedPrecondition when a posting weight does not rebuild exactly from
+/// the raw token ids — a store of it would answer differently.
+Result<std::array<std::vector<uint8_t>, kNumSegments>> EncodeSegments(
     const CorpusSnapshot& snapshot) {
   std::array<std::vector<uint8_t>, kNumSegments> segments;
   const InvertedIndex& index = snapshot.token_index();
   const size_t n_records = static_cast<size_t>(snapshot.num_records());
+  GL_ASSIGN_OR_RETURN(StoredLists stored, DeriveStoredLists(snapshot));
+
+  // Weighted postings + directory: one list per epoch token id. They hold
+  // the only copy of the TF-IDF weights, as tf plus the resident norms and
+  // IDF column. Every list is decoded back and must equal the snapshot's
+  // bit for bit, which the differential suite turns into link-set
+  // identity; Load transposes the decoded lists back into the vectors.
+  const WeightedPostings& postings = snapshot.postings();
+  const size_t n_tokens = snapshot.epoch_vocab().size();
+  std::vector<uint64_t> dir_lengths;
+  dir_lengths.reserve(n_tokens);
+  PostingList decoded;
+  for (size_t t = 0; t < n_tokens; ++t) {
+    const size_t before = segments[kPostings].size();
+    EncodePostingList(stored.lists[t], segments[kPostings]);
+    dir_lengths.push_back(segments[kPostings].size() - before);
+    decoded.clear();
+    const Status status =
+        DecodePostingList(segments[kPostings].data() + before, dir_lengths.back(),
+                          snapshot.idf_table()[t], stored.record_norm, &decoded);
+    const PostingList& want = postings.List(static_cast<int32_t>(t));
+    const bool same =
+        status.ok() && decoded.size() == want.size() &&
+        std::equal(decoded.begin(), decoded.end(), want.begin(),
+                   [](const WeightedPosting& a, const WeightedPosting& b) {
+                     return a.record == b.record &&
+                            std::bit_cast<uint64_t>(a.weight) ==
+                                std::bit_cast<uint64_t>(b.weight);
+                   });
+    if (!same) {
+      return Status::FailedPrecondition(
+          "the postings of epoch token " + std::to_string(t) +
+          " do not rebuild from the raw token ids; nothing was written");
+    }
+  }
+  PutVarint(segments[kPostingsDir], dir_lengths.size());
+  for (const uint64_t length : dir_lengths) PutVarint(segments[kPostingsDir], length);
 
   MetaData meta;
   meta.config = snapshot.engine_config();
@@ -82,8 +176,8 @@ std::array<std::vector<uint8_t>, kNumSegments> EncodeSegments(
   meta.num_records = static_cast<int64_t>(n_records);
   meta.num_groups = snapshot.num_groups();
   meta.num_alive_groups = snapshot.num_alive_groups();
-  const std::vector<int32_t>& record_group = snapshot.record_group();
-  meta.record_group = record_group;
+  meta.record_group = snapshot.record_group();
+  meta.record_norm = std::move(stored.record_norm);
   meta.record_removed.resize(n_records);
   for (size_t r = 0; r < n_records; ++r) {
     meta.record_removed[r] = index.IsRemoved(static_cast<int32_t>(r)) ? 1 : 0;
@@ -98,22 +192,6 @@ std::array<std::vector<uint8_t>, kNumSegments> EncodeSegments(
   EncodeIndexVocab(snapshot.index_vocab(), segments[kDictIndex]);
   EncodeEpochVocab(snapshot.epoch_vocab(), snapshot.index_vocab(),
                    segments[kDictEpoch]);
-
-  // Weighted postings + directory: one list per epoch token id. They hold
-  // the only copy of the TF-IDF weights (raw IEEE-754 bits, so the round
-  // trip is bit-identical, which the differential suite turns into
-  // link-set identity); Load transposes them back into the vectors.
-  const WeightedPostings& postings = snapshot.postings();
-  const size_t n_tokens = snapshot.epoch_vocab().size();
-  std::vector<uint64_t> dir_lengths;
-  dir_lengths.reserve(n_tokens);
-  for (size_t t = 0; t < n_tokens; ++t) {
-    const size_t before = segments[kPostings].size();
-    EncodePostingList(postings.List(static_cast<int32_t>(t)), segments[kPostings]);
-    dir_lengths.push_back(segments[kPostings].size() - before);
-  }
-  PutVarint(segments[kPostingsDir], dir_lengths.size());
-  for (const uint64_t length : dir_lengths) PutVarint(segments[kPostingsDir], length);
 
   // Per-record index token sets, exactly as AddDocument received them
   // (post-compaction tombstones have empty sets; replaying AddDocument
@@ -149,8 +227,8 @@ Status SnapshotStore::Persist(const CorpusSnapshot& snapshot,
   }
   GL_CHECK(snapshot.CheckConsistency()) << "Persist requires a sealed snapshot";
 
-  const std::array<std::vector<uint8_t>, kNumSegments> segments =
-      EncodeSegments(snapshot);
+  // Encoding validates the weights, so a failure here writes nothing.
+  GL_ASSIGN_OR_RETURN(const auto segments, EncodeSegments(snapshot));
 
   StoreInfo info;
   info.page_bytes = options.page_bytes;
@@ -218,12 +296,14 @@ Result<std::shared_ptr<const CorpusSnapshot>> SnapshotStore::Load(
     std::vector<uint64_t> offsets;
     GL_RETURN_IF_ERROR(DecodeDirectory(segments[kPostingsDir], parts.epoch_vocab.size(),
                                        segments[kPostings].size(), &offsets));
+    const std::vector<double> idf = parts.epoch_vocab.IdfTable();
     parts.record_vectors.resize(n_records);
     PostingList list;
     for (size_t t = 0; t + 1 < offsets.size(); ++t) {
+      list.clear();
       GL_RETURN_IF_ERROR(DecodePostingList(segments[kPostings].data() + offsets[t],
-                                           offsets[t + 1] - offsets[t],
-                                           meta.num_records, &list));
+                                           offsets[t + 1] - offsets[t], idf[t],
+                                           meta.record_norm, &list));
       for (const WeightedPosting& entry : list) {
         SparseVector& vector = parts.record_vectors[static_cast<size_t>(entry.record)];
         vector.ids.push_back(static_cast<int32_t>(t));

@@ -1,6 +1,7 @@
 #include "storage/store_format.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "common/logging.h"
@@ -198,11 +199,15 @@ void EncodeMeta(const MetaData& meta, std::vector<uint8_t>& out) {
   for (const int32_t g : meta.record_group) {
     PutVarint(out, static_cast<uint64_t>(g));
   }
+  PutVarint(out, meta.record_norm.size());
+  for (const double norm : meta.record_norm) PutDouble(out, norm);
   PutBitmap(meta.record_removed, out);
   PutBitmap(meta.group_alive, out);
   for (const std::string& label : meta.group_labels) PutString(out, label);
+  // A group keeps its own record order, so ids are plain varints.
   for (const std::vector<int32_t>& records : meta.group_records) {
-    PutDeltaVarints(out, records);
+    PutVarint(out, records.size());
+    for (const int32_t r : records) PutVarint(out, static_cast<uint64_t>(r));
   }
   PutVarint(out, meta.linked_pairs.size());
   for (const auto& [g1, g2] : meta.linked_pairs) {
@@ -262,6 +267,12 @@ Status DecodeMeta(const std::vector<uint8_t>& bytes, MetaData* out) {
     if (value >= out->num_groups) return BadStore("record_group out of range");
     out->record_group[r] = static_cast<int32_t>(value);
   }
+  GL_ASSIGN_OR_RETURN(const int64_t n_norms, reader.ReadCount());
+  if (n_norms != out->num_records) return BadStore("record norm count mismatch");
+  out->record_norm.resize(n_records);
+  for (double& norm : out->record_norm) {
+    GL_ASSIGN_OR_RETURN(norm, reader.ReadDouble());
+  }
   GL_RETURN_IF_ERROR(ReadBitmap(reader, n_records, &out->record_removed));
   GL_RETURN_IF_ERROR(ReadBitmap(reader, n_groups, &out->group_alive));
   out->group_labels.resize(n_groups);
@@ -269,10 +280,22 @@ Status DecodeMeta(const std::vector<uint8_t>& bytes, MetaData* out) {
     GL_ASSIGN_OR_RETURN(out->group_labels[g], reader.ReadString());
   }
   out->group_records.resize(n_groups);
+  std::vector<char> listed(n_records, 0);
   for (size_t g = 0; g < n_groups; ++g) {
-    GL_RETURN_IF_ERROR(reader.ReadDeltaVarints(&out->group_records[g]));
-    for (const int32_t r : out->group_records[g]) {
-      if (r >= out->num_records) return BadStore("group_records out of range");
+    GL_ASSIGN_OR_RETURN(const int64_t size, reader.ReadCount());
+    if (static_cast<uint64_t>(size) > reader.remaining()) {
+      return BadStore("implausible group size");
+    }
+    std::vector<int32_t>& records = out->group_records[g];
+    records.resize(static_cast<size_t>(size));
+    for (int32_t& r : records) {
+      GL_ASSIGN_OR_RETURN(value, reader.ReadCount());
+      if (value >= out->num_records) return BadStore("group_records out of range");
+      if (listed[static_cast<size_t>(value)] != 0) {
+        return BadStore("group_records lists a record twice");
+      }
+      listed[static_cast<size_t>(value)] = 1;
+      r = static_cast<int32_t>(value);
     }
   }
   GL_ASSIGN_OR_RETURN(const int64_t n_pairs, reader.ReadCount());
@@ -383,31 +406,43 @@ Status DecodeDirectory(const std::vector<uint8_t>& bytes, size_t expected_count,
   return Status::Ok();
 }
 
-void EncodePostingList(const PostingList& list, std::vector<uint8_t>& out) {
-  std::vector<int32_t> ids;
-  ids.reserve(list.size());
-  for (const WeightedPosting& entry : list) ids.push_back(entry.record);
-  PutDeltaVarints(out, ids);
-  for (const WeightedPosting& entry : list) PutDouble(out, entry.weight);
+void EncodePostingList(std::span<const StoredPosting> list, std::vector<uint8_t>& out) {
+  int32_t prev = 0;
+  for (size_t i = 0; i < list.size(); ++i) {
+    const StoredPosting& entry = list[i];
+    GL_DCHECK(i == 0 ? entry.record >= 0 : entry.record > prev);
+    GL_DCHECK_GE(entry.tf, 1u);
+    const uint64_t delta = static_cast<uint64_t>(entry.record - prev);
+    PutVarint(out, delta << 1 | (entry.tf > 1 ? 1u : 0u));
+    if (entry.tf > 1) PutVarint(out, entry.tf);
+    prev = entry.record;
+  }
 }
 
-Status DecodePostingList(const uint8_t* data, size_t size, int64_t num_records,
-                         PostingList* out) {
+Status DecodePostingList(const uint8_t* data, size_t size, double idf,
+                         std::span<const double> record_norm, PostingList* out) {
   ByteReader reader(data, size);
-  std::vector<int32_t> ids;
-  GL_RETURN_IF_ERROR(reader.ReadDeltaVarints(&ids));
-  for (size_t i = 1; i < ids.size(); ++i) {
-    if (ids[i] == ids[i - 1]) return BadStore("posting list ids do not ascend");
+  uint64_t record = 0;
+  for (bool first = true; !reader.AtEnd(); first = false) {
+    GL_ASSIGN_OR_RETURN(const uint64_t head, reader.ReadVarint());
+    const uint64_t delta = head >> 1;
+    if (delta == 0 && !first) return BadStore("posting list ids do not ascend");
+    // record < record_norm.size() held before this step, so no wrap.
+    record += delta;
+    if (record >= record_norm.size()) {
+      return BadStore("posting references a record out of range");
+    }
+    uint64_t tf = 1;
+    if ((head & 1u) != 0) {
+      GL_ASSIGN_OR_RETURN(tf, reader.ReadVarint());
+      if (tf < 2) return BadStore("posting tf flag set with tf < 2");
+    }
+    const double norm = record_norm[static_cast<size_t>(record)];
+    if (!(norm > 0.0) || !std::isfinite(norm)) {
+      return BadStore("posting references a record without a positive norm");
+    }
+    out->push_back({static_cast<int32_t>(record), (static_cast<double>(tf) * idf) / norm});
   }
-  if (!ids.empty() && ids.back() >= num_records) {
-    return BadStore("posting references a record out of range");
-  }
-  out->resize(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    (*out)[i].record = ids[i];
-    GL_ASSIGN_OR_RETURN((*out)[i].weight, reader.ReadDouble());
-  }
-  if (!reader.AtEnd()) return BadStore("trailing bytes in posting list");
   return Status::Ok();
 }
 

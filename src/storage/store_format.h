@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,7 +29,8 @@ namespace storage {
 
 enum SegmentId : uint32_t {
   /// Engine config, epoch, group membership/liveness/labels, record ->
-  /// group map, tombstone bitmap, link pairs, cluster labels.
+  /// group map, per-record norms, tombstone bitmap, link pairs, cluster
+  /// labels.
   kMeta = 0,
   /// Index vocabulary: the one token dictionary holding strings. Token
   /// id i is the i-th entry (string + document frequency).
@@ -40,10 +42,13 @@ enum SegmentId : uint32_t {
   /// Per-epoch-token byte length of each weighted posting list in
   /// kPostings (prefix sums give random access).
   kPostingsDir = 3,
-  /// Weighted posting lists, one per epoch token id: delta+varint record
-  /// ids (ascending), then each entry's TF-IDF weight as raw IEEE-754
-  /// bits (bit-identical round trip). The only copy of the weights:
-  /// recovery rebuilds the per-record vectors by transposing them.
+  /// Weighted posting lists, one per epoch token id, ascending by record.
+  /// Each entry is one varint (record delta << 1) | (tf > 1), then a
+  /// varint tf only when tf > 1; the first delta is from record 0. The
+  /// weight is rebuilt on decode from tf, the token's epoch IDF and the
+  /// record's norm (kMeta), bit for bit the in-RAM one. The only copy of
+  /// the weights: recovery rebuilds the per-record vectors by transposing
+  /// the decoded lists.
   kPostings = 4,
   /// Per-record sorted index token sets as passed to
   /// InvertedIndex::AddDocument — including entries of tombstoned,
@@ -100,6 +105,10 @@ struct MetaData {
   int64_t num_groups = 0;
   int32_t num_alive_groups = 0;
   std::vector<int32_t> record_group;
+  /// Per record, the L2 norm of its unnormalized TF-IDF vector, which its
+  /// posting weights divide by (raw IEEE-754 bits); 0 for a record with
+  /// no postings.
+  std::vector<double> record_norm;
   std::vector<char> record_removed;  // Index tombstones, per record.
   std::vector<char> group_alive;
   std::vector<std::string> group_labels;
@@ -128,13 +137,25 @@ void EncodeEpochVocab(const Vocabulary& epoch_vocab, const Vocabulary& index_voc
                                      size_t expected_count, uint64_t expected_total,
                                      std::vector<uint64_t>* offsets);
 
-/// Appends one kPostings list.
-void EncodePostingList(const PostingList& list, std::vector<uint8_t>& out);
-/// Decodes one whole kPostings list of `size` bytes. DataLoss unless the
-/// record ids strictly ascend, each is below `num_records`, and the list
-/// fills the bytes exactly.
-[[nodiscard]] Status DecodePostingList(const uint8_t* data, size_t size,
-                                       int64_t num_records, PostingList* out);
+/// One stored posting: a record and its term frequency (>= 1) for the
+/// list's token.
+struct StoredPosting {
+  int32_t record = 0;
+  uint32_t tf = 0;
+};
+
+/// Appends one kPostings list; `list` ascends by record.
+void EncodePostingList(std::span<const StoredPosting> list, std::vector<uint8_t>& out);
+/// Decodes one whole kPostings list of `size` bytes, appending its
+/// (record, weight) entries — at most one per byte — to `*out`, each
+/// weight (tf * idf) / record_norm[record] — the expression
+/// TfIdfVectorizer::Vectorize and L2Normalize evaluate. DataLoss unless
+/// the record ids strictly ascend, each is below record_norm.size() and
+/// has a finite positive norm, the tf flag marks a tf of at least 2, and
+/// the entries fill the bytes exactly.
+[[nodiscard]] Status DecodePostingList(const uint8_t* data, size_t size, double idf,
+                                       std::span<const double> record_norm,
+                                       PostingList* out);
 
 }  // namespace storage
 }  // namespace grouplink

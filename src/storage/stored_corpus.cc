@@ -1,6 +1,9 @@
 #include "storage/stored_corpus.h"
 
 #include <utility>
+#include <vector>
+
+#include "common/logging.h"
 
 namespace grouplink {
 namespace storage {
@@ -33,6 +36,7 @@ Result<std::unique_ptr<StoredCorpus>> StoredCorpus::Open(
   GL_RETURN_IF_ERROR(DecodeDirectory(postings_dir, corpus->epoch_vocab_.size(),
                                      info.segments[kPostings].length,
                                      &corpus->postings_offsets_));
+  corpus->idf_table_ = corpus->epoch_vocab_.IdfTable();
 
   corpus->buffer_ = std::make_unique<BufferManager>(
       file, info.page_bytes, info.num_pages, options.buffer_pool_pages);
@@ -42,18 +46,35 @@ Result<std::unique_ptr<StoredCorpus>> StoredCorpus::Open(
   return corpus;
 }
 
-Result<const PostingList*> StoredCorpus::TokenPostings(int32_t token,
-                                                       PostingList* scratch) const {
-  const size_t t = static_cast<size_t>(token);
-  const uint64_t begin = postings_offsets_[t];
-  const size_t n_bytes = static_cast<size_t>(postings_offsets_[t + 1] - begin);
-  // The one paged read per probe token; the weights are the exact stored
-  // bits, so every accumulated similarity equals the in-RAM one.
-  GL_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
-                      postings_reader_.ReadAt(begin, n_bytes));
-  GL_RETURN_IF_ERROR(
-      DecodePostingList(bytes.data(), bytes.size(), meta_.num_records, scratch));
-  return scratch;
+Status StoredCorpus::FetchPostings(std::span<const int32_t> tokens,
+                                   FetchedPostings* out) const {
+  // Every entry takes at least one byte, so reserving the lists' byte
+  // count up front keeps each list's span valid while later lists append.
+  uint64_t total_bytes = 0;
+  for (const int32_t token : tokens) {
+    const size_t t = static_cast<size_t>(token);
+    total_bytes += postings_offsets_[t + 1] - postings_offsets_[t];
+  }
+  out->lists.clear();
+  out->decoded.clear();
+  out->decoded.reserve(static_cast<size_t>(total_bytes));
+  // One paged read per token, into a per-thread buffer. The decoded
+  // weights are bit for bit the in-RAM ones, so every accumulated
+  // similarity equals the in-RAM one.
+  thread_local std::vector<uint8_t> bytes;
+  for (const int32_t token : tokens) {
+    const size_t t = static_cast<size_t>(token);
+    const uint64_t begin = postings_offsets_[t];
+    const size_t n_bytes = static_cast<size_t>(postings_offsets_[t + 1] - begin);
+    bytes.resize(n_bytes);
+    GL_RETURN_IF_ERROR(postings_reader_.ReadAt(begin, n_bytes, bytes.data()));
+    const size_t first = out->decoded.size();
+    GL_RETURN_IF_ERROR(DecodePostingList(bytes.data(), n_bytes, idf_table_[t],
+                                         meta_.record_norm, &out->decoded));
+    out->lists.emplace_back(out->decoded.data() + first, out->decoded.size() - first);
+  }
+  GL_DCHECK_LE(out->decoded.size(), total_bytes) << "a decoded list outgrew the reserve";
+  return Status::Ok();
 }
 
 Result<CorpusSnapshot::QueryResult> StoredCorpus::LinkQuery(

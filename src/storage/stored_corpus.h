@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,17 +20,24 @@ namespace storage {
 /// per-record data — the weighted posting lists — stays on disk and is
 /// paged in through a fixed-budget BufferManager, so a corpus much larger
 /// than the buffer pool can be served. Only the compact metadata
-/// (dictionaries, group structure, directories) is resident.
+/// (dictionaries, group structure, the per-record norms, directories) and
+/// the epoch IDF column are resident.
 ///
 /// Decision-procedure contract: LinkQuery here answers bit-identically
 /// to CorpusSnapshot::LinkQuery over the same epoch, by construction:
 /// both run the one pipeline (RunLinkQuery) over the QueryCorpus
 /// interface, and this class only supplies the reads — the same posting
-/// lists, whose stored weights are the raw IEEE-754 bits of the in-RAM
-/// ones. The differential suite
+/// lists, each weight rebuilt as (tf * idf) / norm, the expression
+/// TfIdfVectorizer evaluates, so bit for bit the in-RAM one (Persist
+/// checks every list before it writes). The differential suite
 /// (tests/storage_differential_test.cc) remains the proof, across thread
 /// counts, buffer budgets down to a pathologically tiny pool, and
 /// admission-control options.
+///
+/// A query fetches each distinct probe token's list once, in ascending
+/// token id (store order), and keeps the decoded lists of its probe in
+/// per-thread buffers that later queries reuse: that is the transient
+/// decode memory of a paged query.
 ///
 /// Thread safety: every method is const over immutable resident state;
 /// the buffer pool is internally synchronized. Any number of threads
@@ -65,14 +73,17 @@ class StoredCorpus final : public QueryCorpus {
   [[nodiscard]] BufferStats buffer_stats() const { return buffer_->stats(); }
   [[nodiscard]] size_t pool_pages() const { return buffer_->pool_pages(); }
 
-  // QueryCorpus, served through the buffer pool: each posting list is
-  // read page by page and decoded into the caller's scratch, its record
-  // ids range-checked (DataLoss).
+  // QueryCorpus, served through the buffer pool: the lists are read page
+  // by page in store order and decoded into out->decoded, their record
+  // ids and norms checked (DataLoss).
   [[nodiscard]] const Vocabulary& epoch_vocab() const override {
     return epoch_vocab_;
   }
-  [[nodiscard]] Result<const PostingList*> TokenPostings(
-      int32_t token, PostingList* scratch) const override;
+  [[nodiscard]] std::span<const double> idf_table() const override {
+    return idf_table_;
+  }
+  [[nodiscard]] Status FetchPostings(std::span<const int32_t> tokens,
+                                     FetchedPostings* out) const override;
   [[nodiscard]] const std::vector<int32_t>& record_group() const override {
     return meta_.record_group;
   }
@@ -86,6 +97,7 @@ class StoredCorpus final : public QueryCorpus {
   // Resident metadata (immutable after Open).
   MetaData meta_;
   Vocabulary epoch_vocab_;
+  std::vector<double> idf_table_;           // epoch_vocab_.IdfTable().
   std::vector<uint64_t> postings_offsets_;  // Prefix sums, size |epoch vocab|+1.
 
   // Paged data plumbing. The BufferManager is internally synchronized;

@@ -56,7 +56,15 @@ double PrenormalizedCosineSimilarity(const SparseVector& a, const SparseVector& 
 TfIdfVectorizer::TfIdfVectorizer(const Vocabulary* vocabulary)
     : vocabulary_(vocabulary) {
   GL_CHECK(vocabulary != nullptr);
-  idf_table_ = vocabulary->IdfTable();
+  owned_idf_ = vocabulary->IdfTable();
+  idf_table_ = owned_idf_;
+}
+
+TfIdfVectorizer::TfIdfVectorizer(const Vocabulary* vocabulary,
+                                 std::span<const double> idf_table)
+    : vocabulary_(vocabulary), idf_table_(idf_table) {
+  GL_CHECK(vocabulary != nullptr);
+  GL_CHECK_EQ(idf_table.size(), vocabulary->size());
 }
 
 SparseVector TfIdfVectorizer::Vectorize(const std::vector<std::string>& tokens) const {

@@ -2,6 +2,7 @@
 #define GROUPLINK_TEXT_TFIDF_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,13 @@ class TfIdfVectorizer {
   /// `vocabulary` must outlive the vectorizer and is not modified:
   /// out-of-vocabulary tokens are dropped.
   explicit TfIdfVectorizer(const Vocabulary* vocabulary);
+  /// Borrows `idf_table`, which must be vocabulary->IdfTable() and outlive
+  /// the vectorizer: an epoch computes its IDF column once and vectorizes
+  /// every probe with it. Vectors are bit-identical to the owning form's.
+  TfIdfVectorizer(const Vocabulary* vocabulary, std::span<const double> idf_table);
+
+  TfIdfVectorizer(const TfIdfVectorizer&) = delete;
+  TfIdfVectorizer& operator=(const TfIdfVectorizer&) = delete;
 
   /// TF-IDF weights (raw term frequency × smoothed IDF), L2-normalized.
   /// Tokens may repeat; repeats raise the term frequency.
@@ -64,9 +72,11 @@ class TfIdfVectorizer {
 
  private:
   const Vocabulary* vocabulary_;
-  /// IdfTable() snapshot taken at construction: one log() per vocabulary
-  /// entry once, instead of one per token occurrence per Vectorize call.
-  std::vector<double> idf_table_;
+  /// IdfTable() snapshot taken at construction unless one was borrowed:
+  /// one log() per vocabulary entry once, instead of one per token
+  /// occurrence per Vectorize call.
+  std::vector<double> owned_idf_;
+  std::span<const double> idf_table_;
 };
 
 class ThreadPool;

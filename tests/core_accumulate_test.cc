@@ -613,9 +613,10 @@ TEST(AccumulateSelfJoinTest, RefreshEqualsTheBatchEngineOnEveryCorpus) {
 /// list: a store whose metadata and postings disagree.
 class MislistedCorpus final : public PostingsCorpus {
  public:
-  Result<const PostingList*> TokenPostings(int32_t /*token*/,
-                                           PostingList* /*scratch*/) const override {
-    return &list_;
+  Status FetchPostings(std::span<const int32_t> tokens,
+                       FetchedPostings* out) const override {
+    out->lists.assign(tokens.size(), list_);
+    return Status::Ok();
   }
   const std::vector<int32_t>& record_group() const override { return record_group_; }
   const std::vector<int32_t>& GroupRecords(int32_t /*g*/) const override {

@@ -97,6 +97,24 @@ TEST(BmMeasureTest, DisjointGroupsScoreZero) {
   EXPECT_DOUBLE_EQ(BmMeasure(graph, 3, 3).value, 0.0);
 }
 
+TEST(BmMeasureTest, IsNotMonotoneInTheEdgeSet) {
+  // Removing an edge can raise BM: the full graph's maximum-weight
+  // matching is a1-b1 alone (1.0 > 0.49 + 0.49), normalized by
+  // 2 + 2 - 1; without a1-b1 the two 0.49 edges match, normalized by
+  // 2 + 2 - 2. So a degraded path may not decide a graph with edges
+  // missing and call the answer a subset of the full one.
+  BipartiteGraph full(2, 2);
+  full.AddEdge(0, 0, 1.0);
+  full.AddEdge(0, 1, 0.49);
+  full.AddEdge(1, 0, 0.49);
+  BipartiteGraph missing(2, 2);
+  missing.AddEdge(0, 1, 0.49);
+  missing.AddEdge(1, 0, 0.49);
+  EXPECT_NEAR(BmMeasure(full, 2, 2).value, 1.0 / 3.0, 1e-12);
+  EXPECT_NEAR(BmMeasure(missing, 2, 2).value, 0.49, 1e-12);
+  EXPECT_GT(BmMeasure(missing, 2, 2).value, BmMeasure(full, 2, 2).value);
+}
+
 TEST(BmMeasureTest, ValueAlwaysInUnitInterval) {
   Rng rng(808);
   for (int trial = 0; trial < 300; ++trial) {

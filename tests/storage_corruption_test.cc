@@ -160,10 +160,11 @@ TEST_F(StorageCorruptionTest, EveryStridedBitFlipAcrossTheFileIsFatal) {
 TEST_F(StorageCorruptionTest, StoreOfTheFormerFormatVersionIsDataLoss) {
   // Stores of the former versions must fail cleanly, not be read as the
   // current layout: version 1 (unweighted postings plus a per-record
-  // vectors segment) and version 2 (the deleted edge-join threshold in
-  // the config metadata). Set the header's version field and re-seal the
-  // header page, so the version is the only thing wrong.
-  for (const uint8_t version : {uint8_t{1}, uint8_t{2}}) {
+  // vectors segment), version 2 (the deleted edge-join threshold in the
+  // config metadata) and version 3 (raw weight bits in every posting, no
+  // record norms). Set the header's version field and re-seal the header
+  // page, so the version is the only thing wrong.
+  for (const uint8_t version : {uint8_t{1}, uint8_t{2}, uint8_t{3}}) {
     std::vector<uint8_t> bytes = clean_;
     const size_t version_at = kPageHeaderBytes + sizeof(kFileMagic);
     bytes[version_at] = version;

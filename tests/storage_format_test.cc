@@ -1,7 +1,8 @@
 // Unit suite of the storage tier's byte and page codecs: varint /
 // fixed-width / delta round trips, ByteReader's rejection of truncated
-// or malformed input, CRC32 properties, page frame seal/verify, and
-// Vocabulary::Restore bit-identity.
+// or malformed input, CRC32 properties (the sliced kernel against the
+// bytewise table), page frame seal/verify, the meta and posting-list
+// codecs of format 4, and Vocabulary::Restore bit-identity.
 #include "storage/page.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -124,6 +126,42 @@ TEST(Crc32Test, SeedChainsIncrementalComputation) {
   EXPECT_EQ(chained, whole);
 }
 
+/// The one-byte-per-step CRC-32 the sliced kernel must equal.
+uint32_t BytewiseCrc32(const uint8_t* data, size_t size, uint32_t seed) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  uint32_t crc = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, SlicedKernelEqualsTheBytewiseTable) {
+  // Every length through two 1 KiB pages, from unaligned starts and under
+  // chained seeds, so every tail length meets every alignment.
+  std::vector<uint8_t> data(2100 + 8);
+  uint32_t state = 12345;
+  for (uint8_t& byte : data) {
+    state = state * 1103515245u + 12345u;
+    byte = static_cast<uint8_t>(state >> 16);
+  }
+  EXPECT_EQ(Crc32(data.data(), 0), 0u);
+  EXPECT_EQ(BytewiseCrc32(reinterpret_cast<const uint8_t*>("123456789"), 9, 0),
+            0xCBF43926u);  // The IEEE check value.
+  for (const size_t offset : {size_t{0}, size_t{1}, size_t{3}, size_t{7}}) {
+    for (const uint32_t seed : {0u, 1u, 0xdeadbeefu, 0xFFFFFFFFu}) {
+      for (size_t length = 0; length <= 2100; ++length) {
+        const uint8_t* at = data.data() + offset;
+        ASSERT_EQ(Crc32(at, length, seed), BytewiseCrc32(at, length, seed))
+            << "offset " << offset << " seed " << seed << " length " << length;
+      }
+    }
+  }
+}
+
 TEST(PageFrameTest, SealThenVerifyRoundTrips) {
   const uint32_t page_bytes = kMinPageBytes;
   std::vector<uint8_t> frame(page_bytes, 0);
@@ -215,10 +253,12 @@ TEST(MetaCodecTest, MetaRoundTripsEveryField) {
   meta.num_groups = 3;
   meta.num_alive_groups = 2;
   meta.record_group = {0, 0, 1, 2, 2};
+  meta.record_norm = {1.5, 0.0, 1.0 / 3.0, 2.75, 0.0};
   meta.record_removed = {0, 0, 1, 0, 1};
   meta.group_alive = {1, 1, 0};
   meta.group_labels = {"ullman", "garcia-molina", ""};
-  meta.group_records = {{0, 1}, {2}, {3, 4}};
+  // Group 0 lists its records descending: group order is kept as is.
+  meta.group_records = {{1, 0}, {2}, {3, 4}};
   meta.linked_pairs = {{0, 1}};
   meta.cluster_labels = {0, 0, 2};
 
@@ -236,6 +276,11 @@ TEST(MetaCodecTest, MetaRoundTripsEveryField) {
   EXPECT_EQ(decoded.epoch, meta.epoch);
   EXPECT_EQ(decoded.num_records, meta.num_records);
   EXPECT_EQ(decoded.record_group, meta.record_group);
+  ASSERT_EQ(decoded.record_norm.size(), meta.record_norm.size());
+  for (size_t r = 0; r < meta.record_norm.size(); ++r) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(decoded.record_norm[r]),
+              std::bit_cast<uint64_t>(meta.record_norm[r]));
+  }
   EXPECT_EQ(decoded.record_removed, meta.record_removed);
   EXPECT_EQ(decoded.group_alive, meta.group_alive);
   EXPECT_EQ(decoded.group_labels, meta.group_labels);
@@ -248,82 +293,155 @@ TEST(MetaCodecTest, MetaRoundTripsEveryField) {
   EXPECT_EQ(DecodeMeta(bytes, &decoded).code(), StatusCode::kDataLoss);
 }
 
-TEST(MetaCodecTest, GroupRecordOutOfRangeIsDataLoss) {
-  // A well-formed encoding whose group list names record 9 of 5: the
-  // paged reader would index the vectors directory past its end.
+/// Two groups over five records; group 1 lists its records descending.
+MetaData TwoGroupMeta() {
   MetaData meta;
   meta.num_records = 5;
   meta.num_groups = 2;
   meta.num_alive_groups = 2;
   meta.record_group = {0, 0, 1, 1, 1};
+  meta.record_norm = {1.0, 1.0, 1.0, 1.0, 1.0};
   meta.record_removed = {0, 0, 0, 0, 0};
   meta.group_alive = {1, 1};
   meta.group_labels = {"a", "b"};
-  meta.group_records = {{0, 1}, {2, 3, 9}};
+  meta.group_records = {{0, 1}, {4, 3, 2}};
   meta.cluster_labels = {0, 1};
+  return meta;
+}
 
+StatusCode DecodeMetaCode(const MetaData& meta) {
   std::vector<uint8_t> bytes;
   EncodeMeta(meta, bytes);
   MetaData decoded;
-  EXPECT_EQ(DecodeMeta(bytes, &decoded).code(), StatusCode::kDataLoss);
+  return DecodeMeta(bytes, &decoded).code();
+}
 
-  meta.group_records[1].back() = 4;  // The same meta, in range, decodes.
-  bytes.clear();
+TEST(MetaCodecTest, DescendingGroupRecordsRoundTrip) {
+  const MetaData meta = TwoGroupMeta();
+  std::vector<uint8_t> bytes;
   EncodeMeta(meta, bytes);
-  EXPECT_TRUE(DecodeMeta(bytes, &decoded).ok());
+  MetaData decoded;
+  ASSERT_TRUE(DecodeMeta(bytes, &decoded).ok());
+  EXPECT_EQ(decoded.group_records, meta.group_records);
 }
 
-PostingList SamplePostings() {
-  return {{0, 0.5}, {3, 0.25}, {4, -0.0}, {130, 1.0 / 3.0}};
+TEST(MetaCodecTest, GroupRecordOutOfRangeOrRepeatedIsDataLoss) {
+  // A well-formed encoding whose group list names record 9 of 5: the
+  // paged reader would index the record arrays past their end.
+  MetaData meta = TwoGroupMeta();
+  meta.group_records[1] = {4, 3, 9};
+  EXPECT_EQ(DecodeMetaCode(meta), StatusCode::kDataLoss);
+  // A record listed twice, within a group and across groups.
+  meta.group_records[1] = {4, 3, 3};
+  EXPECT_EQ(DecodeMetaCode(meta), StatusCode::kDataLoss);
+  meta.group_records[1] = {4, 3, 1};
+  EXPECT_EQ(DecodeMetaCode(meta), StatusCode::kDataLoss);
+  meta.group_records[1] = {4, 3, 2};  // The same meta, well formed, decodes.
+  EXPECT_EQ(DecodeMetaCode(meta), StatusCode::kOk);
 }
 
-TEST(PostingListCodecTest, RoundTripsIdsAndWeightBits) {
-  for (const PostingList& list : {PostingList{}, SamplePostings()}) {
+TEST(MetaCodecTest, NormCountOtherThanTheRecordCountIsDataLoss) {
+  MetaData meta = TwoGroupMeta();
+  meta.record_norm.pop_back();
+  EXPECT_EQ(DecodeMetaCode(meta), StatusCode::kDataLoss);
+  meta.record_norm.assign(6, 1.0);
+  EXPECT_EQ(DecodeMetaCode(meta), StatusCode::kDataLoss);
+}
+
+// Records 0, 3, 4 and 130 (the last of 131) with tfs 1, 2, 1 and 300.
+std::vector<StoredPosting> SamplePostings() {
+  return {{0, 1}, {3, 2}, {4, 1}, {130, 300}};
+}
+
+std::vector<double> SampleNorms(size_t num_records) {
+  std::vector<double> norms(num_records);
+  for (size_t r = 0; r < num_records; ++r) norms[r] = 0.5 + 1.0 / static_cast<double>(r + 3);
+  return norms;
+}
+
+TEST(PostingListCodecTest, RoundTripsRecordsAndRebuildsWeightBits) {
+  constexpr double kIdf = 2.0794415416798357;  // ln(8) + 1, not a round number.
+  const std::vector<double> norms = SampleNorms(131);
+  for (const std::vector<StoredPosting>& list :
+       {std::vector<StoredPosting>{}, SamplePostings()}) {
     std::vector<uint8_t> bytes;
     EncodePostingList(list, bytes);
-    PostingList decoded = {{9, 9.0}};  // Overwritten, not appended to.
-    ASSERT_TRUE(DecodePostingList(bytes.data(), bytes.size(), 131, &decoded).ok());
-    ASSERT_EQ(decoded.size(), list.size());
+    PostingList decoded = {{9, 9.0}};  // Appended to, not overwritten.
+    ASSERT_TRUE(DecodePostingList(bytes.data(), bytes.size(), kIdf, norms, &decoded).ok());
+    ASSERT_EQ(decoded.size(), list.size() + 1);
+    EXPECT_EQ(decoded[0], (WeightedPosting{9, 9.0}));
     for (size_t i = 0; i < list.size(); ++i) {
-      EXPECT_EQ(decoded[i].record, list[i].record);
-      EXPECT_EQ(std::bit_cast<uint64_t>(decoded[i].weight),
-                std::bit_cast<uint64_t>(list[i].weight));
+      const size_t r = static_cast<size_t>(list[i].record);
+      EXPECT_EQ(decoded[i + 1].record, list[i].record);
+      // The Vectorize-then-L2Normalize expression, bit for bit.
+      const double want = (static_cast<double>(list[i].tf) * kIdf) / norms[r];
+      EXPECT_EQ(std::bit_cast<uint64_t>(decoded[i + 1].weight),
+                std::bit_cast<uint64_t>(want));
     }
+    EXPECT_LE(list.size(), bytes.size());  // At most one entry per byte.
   }
+  // One byte per entry of tf 1 and a small gap; a tf above 1 adds its own.
+  std::vector<uint8_t> bytes;
+  EncodePostingList(SamplePostings(), bytes);
+  EXPECT_EQ(bytes.size(), 1u + 2u + 1u + 2u + 2u);
 }
 
 TEST(PostingListCodecTest, MalformedListsAreDataLoss) {
+  const std::vector<double> norms = SampleNorms(131);
   std::vector<uint8_t> clean;
   EncodePostingList(SamplePostings(), clean);
   PostingList out;
-  const auto decode = [&](const std::vector<uint8_t>& bytes, int64_t num_records) {
-    return DecodePostingList(bytes.data(), bytes.size(), num_records, &out).code();
+  const auto decode = [&](const std::vector<uint8_t>& bytes,
+                          std::span<const double> record_norm) {
+    out.clear();
+    return DecodePostingList(bytes.data(), bytes.size(), 1.5, record_norm, &out).code();
   };
-  ASSERT_EQ(decode(clean, 131), StatusCode::kOk);
+  ASSERT_EQ(decode(clean, norms), StatusCode::kOk);
 
-  // Truncated: cut inside the ids, inside the weights, and to nothing.
-  for (const size_t keep : {size_t{2}, clean.size() - 1, size_t{0}}) {
+  // Truncated: inside the tf of record 3, and inside the tf of the last.
+  for (const size_t keep : {size_t{2}, clean.size() - 1}) {
     const std::vector<uint8_t> cut(clean.begin(), clean.begin() + static_cast<long>(keep));
-    EXPECT_EQ(decode(cut, 131), StatusCode::kDataLoss) << "kept " << keep;
+    EXPECT_EQ(decode(cut, norms), StatusCode::kDataLoss) << "kept " << keep;
+  }
+
+  // The tf flag set on a tf below 2.
+  for (const uint64_t tf : {uint64_t{0}, uint64_t{1}}) {
+    std::vector<uint8_t> flagged;
+    PutVarint(flagged, 5u << 1 | 1u);
+    PutVarint(flagged, tf);
+    EXPECT_EQ(decode(flagged, norms), StatusCode::kDataLoss) << "tf " << tf;
   }
 
   // A non-ascending id: a zero gap after the first entry repeats an id.
   std::vector<uint8_t> repeated;
-  PutVarint(repeated, 2);
-  PutVarint(repeated, 5);
-  PutVarint(repeated, 0);
-  PutDouble(repeated, 0.5);
-  PutDouble(repeated, 0.5);
-  EXPECT_EQ(decode(repeated, 131), StatusCode::kDataLoss);
-
-  // An id at or past num_records: record 130 of 130, and of 0.
-  EXPECT_EQ(decode(clean, 130), StatusCode::kDataLoss);
-  EXPECT_EQ(decode(clean, 0), StatusCode::kDataLoss);
-
-  // Trailing bytes after a well-formed list.
+  PutVarint(repeated, 5u << 1);
+  PutVarint(repeated, 0u << 1);
+  EXPECT_EQ(decode(repeated, norms), StatusCode::kDataLoss);
+  // A trailing zero byte after a well-formed list is such an entry too.
   std::vector<uint8_t> trailing = clean;
   trailing.push_back(0);
-  EXPECT_EQ(decode(trailing, 131), StatusCode::kDataLoss);
+  EXPECT_EQ(decode(trailing, norms), StatusCode::kDataLoss);
+
+  // An id at or past the record count: record 130 of 130, and of 0.
+  EXPECT_EQ(decode(clean, std::span<const double>(norms).first(130)), StatusCode::kDataLoss);
+  EXPECT_EQ(decode(clean, {}), StatusCode::kDataLoss);
+  // A gap so large the running id would wrap.
+  std::vector<uint8_t> huge;
+  PutVarint(huge, 3u << 1);
+  PutVarint(huge, std::numeric_limits<uint64_t>::max() & ~uint64_t{1});
+  EXPECT_EQ(decode(huge, norms), StatusCode::kDataLoss);
+
+  // A posting whose record has a norm of 0, a negative norm or NaN.
+  for (const double bad : {0.0, -0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    std::vector<double> broken = norms;
+    broken[4] = bad;
+    EXPECT_EQ(decode(clean, broken), StatusCode::kDataLoss) << "norm " << bad;
+  }
+  // A zero norm on a record the list does not name is fine.
+  std::vector<double> unlisted = norms;
+  unlisted[5] = 0.0;
+  EXPECT_EQ(decode(clean, unlisted), StatusCode::kOk);
 }
 
 TEST(PostingListCodecTest, DirectoryCountMustMatchTheVocabulary) {

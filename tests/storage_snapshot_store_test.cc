@@ -1,11 +1,16 @@
 // SnapshotStore round-trip suite: Persist followed by Load reproduces a
 // sealed snapshot bit-identically (link set, cluster labels, every query
 // surface), across page sizes, after remove/merge mutations, and through
-// the warm-restart writer rebuild (IncrementalLinker::FromSnapshot).
+// the warm-restart writer rebuild (IncrementalLinker::FromSnapshot). Every
+// stored posting list decodes to the snapshot's own, weight bits
+// included, and a snapshot whose weights cannot be rebuilt from its raw
+// tokens is refused before anything is written.
 #include "storage/snapshot_store.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
@@ -15,6 +20,7 @@
 #include "core/snapshot.h"
 #include "data/bibliographic_generator.h"
 #include "storage/page_file.h"
+#include "storage/store_format.h"
 
 namespace grouplink {
 namespace storage {
@@ -107,6 +113,97 @@ TEST(SnapshotStoreTest, RoundTripSurvivesRemovalsMergesAndArrivals) {
   const auto loaded = SnapshotStore::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
   ExpectSnapshotsEquivalent(*snapshot, **loaded, dataset);
+  ASSERT_TRUE(RemoveFile(path).ok());
+}
+
+TEST(SnapshotStoreTest, EveryDecodedListEqualsTheSnapshotPostingsBitForBit) {
+  // Every third record repeats a token (tf > 1), then arrivals, a removal
+  // and a merge leave tombstones and un-refreshed vectors behind.
+  Dataset dataset = MakeCorpus(20, 5);
+  for (size_t r = 0; r < dataset.records.size(); r += 3) {
+    dataset.records[r].text += " linkage linkage linkage";
+  }
+  auto linker = IncrementalLinker::Create(dataset, TestConfig());
+  ASSERT_TRUE(linker.ok());
+  (void)linker->AddGroup("arrival", {"linkage linkage of unseen words", "linkage"});
+  linker->RemoveGroup(4);
+  (void)linker->MergeGroups(6, 7);
+  const auto snapshot = CorpusSnapshot::Capture(*linker);
+  const std::string path = StorePath("decoded_lists.glsnap");
+  ASSERT_TRUE(SnapshotStore::Persist(*snapshot, path).ok());
+
+  auto file = PageFile::Open(path);
+  ASSERT_TRUE(file.ok());
+  const auto info = ReadStoreInfo(**file);
+  ASSERT_TRUE(info.ok());
+  const auto meta_bytes = ReadWholeSegment(**file, *info, kMeta);
+  const auto dir_bytes = ReadWholeSegment(**file, *info, kPostingsDir);
+  const auto postings_bytes = ReadWholeSegment(**file, *info, kPostings);
+  ASSERT_TRUE(meta_bytes.ok() && dir_bytes.ok() && postings_bytes.ok());
+  MetaData meta;
+  ASSERT_TRUE(DecodeMeta(*meta_bytes, &meta).ok());
+  std::vector<uint64_t> offsets;
+  ASSERT_TRUE(DecodeDirectory(*dir_bytes, snapshot->epoch_vocab().size(),
+                              postings_bytes->size(), &offsets)
+                  .ok());
+  // The lists take far less than the 8-byte weights of format 3 would.
+  size_t entries = 0;
+  PostingList decoded;
+  for (size_t t = 0; t + 1 < offsets.size(); ++t) {
+    decoded.clear();
+    ASSERT_TRUE(DecodePostingList(postings_bytes->data() + offsets[t],
+                                  offsets[t + 1] - offsets[t], snapshot->idf_table()[t],
+                                  meta.record_norm, &decoded)
+                    .ok());
+    const PostingList& want = snapshot->postings().List(static_cast<int32_t>(t));
+    ASSERT_EQ(decoded.size(), want.size()) << "token " << t;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(decoded[i].record, want[i].record) << "token " << t;
+      EXPECT_EQ(std::bit_cast<uint64_t>(decoded[i].weight),
+                std::bit_cast<uint64_t>(want[i].weight))
+          << "token " << t << " record " << want[i].record;
+    }
+    entries += want.size();
+  }
+  EXPECT_GT(entries, 0u);
+  EXPECT_LT(postings_bytes->size(), 3 * entries);
+  ASSERT_TRUE(RemoveFile(path).ok());
+}
+
+TEST(SnapshotStoreTest, PersistOfWeightsThatDoNotRebuildWritesNothing) {
+  const Dataset dataset = MakeCorpus(10, 9);
+  auto linker = IncrementalLinker::Create(dataset, TestConfig());
+  ASSERT_TRUE(linker.ok());
+  const auto captured = CorpusSnapshot::Capture(*linker);
+  CorpusSnapshot::Parts parts;
+  parts.config = captured->engine_config();
+  parts.epoch = captured->epoch();
+  parts.index_vocab = captured->index_vocab();
+  parts.token_index = captured->token_index();
+  parts.epoch_vocab = captured->epoch_vocab();
+  parts.record_vectors = captured->record_vectors();
+  parts.record_group = captured->record_group();
+  parts.record_token_ids = captured->record_token_ids();
+  parts.group_records = captured->group_records();
+  parts.group_labels = captured->group_labels();
+  parts.group_alive = captured->group_alive();
+  parts.num_alive_groups = captured->num_alive_groups();
+  parts.linked_pairs = captured->linked_pairs();
+  parts.cluster_labels = captured->cluster_labels();
+  // One weight one ulp off: a consistent epoch no tf and norm can store.
+  double& weight = parts.record_vectors[0].weights.back();
+  weight = std::nextafter(weight, 2.0);
+  const auto skewed = CorpusSnapshot::FromParts(std::move(parts));
+  ASSERT_TRUE(skewed.ok()) << skewed.status().message();
+
+  const std::string path = StorePath("unrebuildable.glsnap");
+  (void)RemoveFile(path);
+  const Status status = SnapshotStore::Persist(**skewed, path);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status.message();
+  EXPECT_FALSE(FileExists(path));
+  EXPECT_FALSE(FileExists(path + ".tmp"));
+  // The captured epoch itself persists.
+  ASSERT_TRUE(SnapshotStore::Persist(*captured, path).ok());
   ASSERT_TRUE(RemoveFile(path).ok());
 }
 
