@@ -1,6 +1,7 @@
 #include "common/execution_context.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/fault_injection.h"
 
@@ -18,6 +19,13 @@ const char* StopReasonName(StopReason reason) {
       return "fault-injected";
   }
   return "";
+}
+
+ExecutionContext::ExecutionContext(double deadline_ms, CancellationToken cancellation,
+                                   int64_t max_candidate_pairs, int64_t max_matcher_cost)
+    : max_candidate_pairs_(max_candidate_pairs), max_matcher_cost_(max_matcher_cost) {
+  SetDeadline(deadline_ms);
+  SetCancellation(std::move(cancellation));
 }
 
 void ExecutionContext::SetDeadline(double ms) {

@@ -59,6 +59,12 @@ const char* StopReasonName(StopReason reason);
 class ExecutionContext {
  public:
   ExecutionContext() = default;
+  /// A context armed with all four limits at once, as SetDeadline,
+  /// SetCancellation, SetMaxCandidatePairs and SetMaxMatcherCost would arm
+  /// them (a deadline <= 0 and budgets of 0 mean no limit). Every pipeline
+  /// entry point builds its context this way from its config or options.
+  ExecutionContext(double deadline_ms, CancellationToken cancellation,
+                   int64_t max_candidate_pairs, int64_t max_matcher_cost);
 
   /// Arms a deadline `ms` milliseconds from now. Disarms instead when `ms`
   /// is <= 0 or NaN, or lies past the steady clock's range (+inf

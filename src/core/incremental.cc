@@ -17,6 +17,14 @@
 namespace grouplink {
 namespace {
 
+// A record's tokens sorted by string, repeats kept and adjacent: the order
+// every per-record token list of the linker is held in.
+std::vector<std::string> SortedTokens(const std::string& text) {
+  std::vector<std::string> tokens = Tokenize(text);
+  std::sort(tokens.begin(), tokens.end());
+  return tokens;
+}
+
 struct IncrementalMetrics {
   Counter& groups_added;
   Counter& batches;
@@ -107,18 +115,16 @@ std::unique_ptr<IncrementalLinker> IncrementalLinker::Clone() const {
   // builds its own on first parallel use — so clone and original can run
   // on different threads with zero shared mutable state.
   std::unique_ptr<IncrementalLinker> clone(new IncrementalLinker(config_, streaming_));
-  clone->record_raw_tokens_ = record_raw_tokens_;
-  clone->record_token_sets_ = record_token_sets_;
+  clone->record_token_ids_ = record_token_ids_;
   clone->record_vectors_ = record_vectors_;
   clone->record_group_ = record_group_;
-  clone->record_alive_ = record_alive_;
   clone->group_records_ = group_records_;
   clone->group_labels_ = group_labels_;
   clone->group_alive_ = group_alive_;
   clone->num_alive_groups_ = num_alive_groups_;
   clone->index_vocab_ = index_vocab_;
-  clone->token_index_ = token_index_;
   clone->epoch_vocab_ = epoch_vocab_;
+  clone->epoch_id_ = epoch_id_;
   clone->postings_ = postings_;
   clone->linked_pairs_ = linked_pairs_;
   clone->clusters_ = clusters_;
@@ -139,34 +145,16 @@ Result<std::unique_ptr<IncrementalLinker>> IncrementalLinker::FromSnapshot(
   // the constructor's normalization is idempotent on it.
   std::unique_ptr<IncrementalLinker> linker(
       new IncrementalLinker(snapshot.engine_config(), streaming));
-  const Vocabulary& vocab = snapshot.index_vocab();
-  const size_t n = snapshot.record_token_ids().size();
-  linker->record_raw_tokens_.resize(n);
-  linker->record_token_sets_.resize(n);
-  for (size_t r = 0; r < n; ++r) {
-    // Token strings come back from the dictionary; tombstoned records
-    // persisted empty occurrence lists, so they rebuild with the cleared
-    // raw tokens and token sets RemoveGroup leaves behind.
-    const std::vector<int32_t>& ids = snapshot.record_token_ids()[r];
-    std::vector<std::string>& raw = linker->record_raw_tokens_[r];
-    raw.reserve(ids.size());
-    for (const int32_t id : ids) raw.push_back(vocab.TokenOf(id));
-    linker->record_token_sets_[r] = ToTokenSet(raw);
-  }
+  linker->record_token_ids_ = snapshot.record_token_ids();
   linker->record_vectors_ = snapshot.record_vectors();
   linker->record_group_ = snapshot.record_group();
-  linker->record_alive_.resize(n);
-  for (size_t r = 0; r < n; ++r) {
-    linker->record_alive_[r] =
-        snapshot.token_index().IsRemoved(static_cast<int32_t>(r)) ? 0 : 1;
-  }
   linker->group_records_ = snapshot.group_records();
   linker->group_labels_ = snapshot.group_labels();
   linker->group_alive_ = snapshot.group_alive();
   linker->num_alive_groups_ = snapshot.num_alive_groups();
-  linker->index_vocab_ = vocab;
-  linker->token_index_ = snapshot.token_index();
+  linker->index_vocab_ = snapshot.index_vocab();
   linker->epoch_vocab_ = snapshot.epoch_vocab();
+  linker->epoch_id_ = VocabularyIdMap(linker->index_vocab_, linker->epoch_vocab_);
   linker->postings_ = snapshot.postings();
   linker->linked_pairs_ = snapshot.linked_pairs();
   linker->epoch_ = snapshot.epoch();
@@ -198,8 +186,16 @@ ThreadPool* IncrementalLinker::pool() {
   return pool_.get();
 }
 
-std::vector<std::string> IncrementalLinker::TokenizeText(const std::string& text) const {
-  return Tokenize(text);
+std::vector<int32_t> IncrementalLinker::ToIndexIds(
+    const std::vector<std::string>& sorted_tokens) {
+  std::vector<int32_t> ids(sorted_tokens.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = i > 0 && sorted_tokens[i] == sorted_tokens[i - 1]
+                 ? ids[i - 1]
+                 : index_vocab_.GetOrInsertId(sorted_tokens[i]);
+  }
+  epoch_id_.resize(index_vocab_.size(), Vocabulary::kUnknownToken);
+  return ids;
 }
 
 Status IncrementalLinker::Initialize(const Dataset& dataset) {
@@ -207,29 +203,13 @@ Status IncrementalLinker::Initialize(const Dataset& dataset) {
   GL_RETURN_IF_ERROR(dataset.Validate());
 
   const size_t n = dataset.records.size();
-  record_raw_tokens_.resize(n);
-  record_token_sets_.resize(n);
-  ParallelFor(pool(), n, [&](size_t r) {
-    record_raw_tokens_[r] = TokenizeText(dataset.records[r].text);
-    record_token_sets_[r] = ToTokenSet(record_raw_tokens_[r]);
-  });
+  std::vector<std::vector<std::string>> tokens(n);
+  ParallelFor(pool(), n, [&](size_t r) { tokens[r] = SortedTokens(dataset.records[r].text); });
+  // Id assignment is a serial pass in record-id order: index token ids
+  // depend on first-seen order.
+  record_token_ids_.resize(n);
+  for (size_t r = 0; r < n; ++r) record_token_ids_[r] = ToIndexIds(tokens[r]);
   record_group_ = dataset.RecordToGroup();
-  record_alive_.assign(n, 1);
-  record_vectors_.resize(n);  // Filled by the Refresh below.
-
-  // Index ingestion is a serial pass in record-id order: index token ids
-  // depend on first-seen order, and AddDocument assigns doc id == record
-  // id by appending.
-  for (size_t r = 0; r < n; ++r) {
-    std::vector<int32_t> ids;
-    ids.reserve(record_token_sets_[r].size());
-    for (const std::string& token : record_token_sets_[r]) {
-      ids.push_back(index_vocab_.GetOrInsertId(token));
-    }
-    std::sort(ids.begin(), ids.end());
-    const int32_t doc = token_index_.AddDocument(std::move(ids));
-    GL_CHECK_EQ(static_cast<size_t>(doc), r);
-  }
 
   const size_t num_seed_groups = dataset.groups.size();
   group_records_.reserve(num_seed_groups);
@@ -271,56 +251,47 @@ std::vector<IncrementalLinker::AddResult> IncrementalLinker::AddGroups(
 
   // Phase A (parallel, pure): tokenize every arriving record into
   // per-record slots; nothing here depends on ids.
-  std::vector<std::vector<std::vector<std::string>>> raw(batch_size);
-  std::vector<std::vector<std::vector<std::string>>> sets(batch_size);
+  std::vector<std::vector<std::vector<std::string>>> tokens(batch_size);
   {
     std::vector<std::pair<size_t, size_t>> flat;  // (arrival, record)
     flat.reserve(batch_records);
     for (size_t k = 0; k < batch_size; ++k) {
-      raw[k].resize(batch[k].record_texts.size());
-      sets[k].resize(batch[k].record_texts.size());
+      tokens[k].resize(batch[k].record_texts.size());
       for (size_t i = 0; i < batch[k].record_texts.size(); ++i) flat.emplace_back(k, i);
     }
     ParallelFor(pool(), flat.size(), [&](size_t f) {
       const auto [k, i] = flat[f];
-      raw[k][i] = TokenizeText(batch[k].record_texts[i]);
-      sets[k][i] = ToTokenSet(raw[k][i]);
+      tokens[k][i] = SortedTokens(batch[k].record_texts[i]);
     });
   }
 
-  // Phase B (serial, batch order): assign group/record ids, register
-  // records in the live index (absorbing new tokens immediately), count
-  // OOV against the epoch vocabulary. Everything id-dependent happens
-  // here, so the outcome is fixed by arrival order alone — never by
-  // thread scheduling.
+  // Phase B (serial, batch order): assign group/record ids, map every
+  // token to its index id (absorbing new tokens immediately), count each
+  // distinct token the epoch lacks as OOV. Everything id-dependent
+  // happens here, so the outcome is fixed by arrival order alone — never
+  // by thread scheduling.
   std::vector<AddResult> results(batch_size);
   std::vector<int32_t> first_record(batch_size);
   const int32_t base_group = num_groups();
   for (size_t k = 0; k < batch_size; ++k) {
     const int32_t group = base_group + static_cast<int32_t>(k);
     results[k].group_index = group;
-    first_record[k] = static_cast<int32_t>(record_raw_tokens_.size());
+    first_record[k] = static_cast<int32_t>(record_token_ids_.size());
     std::vector<int32_t> records;
-    records.reserve(raw[k].size());
-    for (size_t i = 0; i < raw[k].size(); ++i) {
-      const int32_t r = static_cast<int32_t>(record_raw_tokens_.size());
-      std::vector<int32_t> ids;
-      ids.reserve(sets[k][i].size());
-      for (const std::string& token : sets[k][i]) {
-        ids.push_back(index_vocab_.GetOrInsertId(token));
+    records.reserve(tokens[k].size());
+    for (const std::vector<std::string>& record_tokens : tokens[k]) {
+      const int32_t r = static_cast<int32_t>(record_token_ids_.size());
+      std::vector<int32_t> ids = ToIndexIds(record_tokens);
+      for (size_t i = 0; i < ids.size(); ++i) {
+        if (i > 0 && ids[i] == ids[i - 1]) continue;  // Same token.
         ++tokens_since_refresh_;
-        if (epoch_vocab_.GetId(token) == Vocabulary::kUnknownToken) {
+        if (epoch_id_[static_cast<size_t>(ids[i])] == Vocabulary::kUnknownToken) {
           ++oov_since_refresh_;
           ++results[k].oov_tokens;
         }
       }
-      std::sort(ids.begin(), ids.end());
-      const int32_t doc = token_index_.AddDocument(std::move(ids));
-      GL_CHECK_EQ(doc, r);
-      record_raw_tokens_.push_back(std::move(raw[k][i]));
-      record_token_sets_.push_back(std::move(sets[k][i]));
+      record_token_ids_.push_back(std::move(ids));
       record_group_.push_back(group);
-      record_alive_.push_back(1);
       records.push_back(r);
     }
     group_records_.push_back(std::move(records));
@@ -336,13 +307,13 @@ std::vector<IncrementalLinker::AddResult> IncrementalLinker::AddGroups(
 
   // Phase C (parallel, pure): vectorize the new records against the
   // frozen epoch statistics.
-  record_vectors_.resize(record_raw_tokens_.size());
+  record_vectors_.resize(record_token_ids_.size());
   {
     const TfIdfVectorizer vectorizer(&epoch_vocab_);
     const size_t first = static_cast<size_t>(first_record[0]);
-    ParallelFor(pool(), record_raw_tokens_.size() - first, [&](size_t i) {
+    ParallelFor(pool(), record_token_ids_.size() - first, [&](size_t i) {
       const size_t r = first + i;
-      record_vectors_[r] = vectorizer.Vectorize(record_raw_tokens_[r]);
+      record_vectors_[r] = vectorizer.Vectorize(record_token_ids_[r], epoch_id_);
     });
     // Serial, in record-id order, so every list stays ascending and
     // phase D reads the same postings at any thread count.
@@ -359,14 +330,11 @@ std::vector<IncrementalLinker::AddResult> IncrementalLinker::AddGroups(
   // adding the groups one at a time.
   //
   // This is the one phase the batch's ExecutionContext governs: phases
-  // A-C are unconditional (skipping them would leave the index or the
+  // A-C are unconditional (skipping them would leave the token ids or the
   // vectors inconsistent), while a skipped scoring pass only costs links
   // — which the next Refresh() recovers.
-  ExecutionContext ctx;
-  if (config_.deadline_ms > 0.0) ctx.SetDeadline(config_.deadline_ms);
-  ctx.SetCancellation(config_.cancellation);
-  ctx.SetMaxCandidatePairs(config_.max_candidate_pairs);
-  ctx.SetMaxMatcherCost(config_.max_matcher_cost);
+  ExecutionContext ctx(config_.deadline_ms, config_.cancellation,
+                       config_.max_candidate_pairs, config_.max_matcher_cost);
   std::vector<std::vector<int32_t>> linked(batch_size);
   std::vector<char> scored(batch_size, 0);
   const InMemoryPostings corpus(postings_, record_group_, group_records_);
@@ -445,15 +413,10 @@ void IncrementalLinker::RemoveGroup(int32_t group) {
   GL_TRACE_SPAN("incremental.remove");
   const size_t g = static_cast<size_t>(group);
   for (const int32_t r : group_records_[g]) {
-    record_alive_[static_cast<size_t>(r)] = 0;
-    token_index_.RemoveDocument(r);
     postings_.Erase(r, record_vectors_[static_cast<size_t>(r)]);
     // Free the per-record state; dead record ids are never reused.
     record_vectors_[static_cast<size_t>(r)] = SparseVector();
-    record_raw_tokens_[static_cast<size_t>(r)].clear();
-    record_raw_tokens_[static_cast<size_t>(r)].shrink_to_fit();
-    record_token_sets_[static_cast<size_t>(r)].clear();
-    record_token_sets_[static_cast<size_t>(r)].shrink_to_fit();
+    record_token_ids_[static_cast<size_t>(r)] = std::vector<int32_t>();
   }
   group_records_[g].clear();
   group_alive_[g] = 0;
@@ -482,7 +445,7 @@ IncrementalLinker::AddResult IncrementalLinker::MergeGroups(int32_t into,
   target.insert(target.end(), source.begin(), source.end());
   std::sort(target.begin(), target.end());
   source.clear();
-  group_alive_[static_cast<size_t>(from)] = 0;  // Records stay alive and indexed.
+  group_alive_[static_cast<size_t>(from)] = 0;  // Its records live on in `into`.
   --num_alive_groups_;
 
   // The merged group is the probe: it accumulates against every record
@@ -527,20 +490,43 @@ void IncrementalLinker::Refresh() {
   [[maybe_unused]] const int64_t entry_epoch = epoch_;
   GL_DCHECK_GE(entry_epoch, 0);
 
-  token_index_.Compact();
-
-  // Rebuild the epoch vocabulary over live records in record-id order —
-  // the exact AddDocument sequence the batch engine's Prepare issues for
-  // a dataset holding these records in arrival order, so the id space
-  // (and every downstream vector) is bitwise identical.
-  epoch_vocab_ = Vocabulary();
-  const size_t n = record_raw_tokens_.size();
+  // Epoch ids in first-seen order over live records in record-id order,
+  // each record's distinct tokens (its runs) in string order: the order
+  // ToTokenSet hands BuildVocabulary in the batch engine's Prepare for a
+  // dataset holding these records in arrival order, so the id space (and
+  // every downstream vector) is bitwise identical.
+  const size_t n = record_token_ids_.size();
+  epoch_id_.assign(index_vocab_.size(), Vocabulary::kUnknownToken);
+  std::vector<std::string> epoch_tokens;
+  std::vector<int64_t> document_frequencies;
+  int64_t num_documents = 0;
   for (size_t r = 0; r < n; ++r) {
-    if (record_alive_[r]) epoch_vocab_.AddDocument(record_token_sets_[r]);
+    // A record is live iff its group is: a removal keeps the record's
+    // group, and a merge moves the record to the surviving group.
+    if (group_alive_[static_cast<size_t>(record_group_[r])] == 0) continue;
+    ++num_documents;
+    const std::vector<int32_t>& ids = record_token_ids_[r];
+    for (size_t i = 0; i < ids.size(); ++i) {
+      if (i > 0 && ids[i] == ids[i - 1]) continue;  // Same token.
+      int32_t& epoch_id = epoch_id_[static_cast<size_t>(ids[i])];
+      if (epoch_id == Vocabulary::kUnknownToken) {
+        epoch_id = static_cast<int32_t>(epoch_tokens.size());
+        epoch_tokens.push_back(index_vocab_.TokenOf(ids[i]));
+        document_frequencies.push_back(0);
+      }
+      ++document_frequencies[static_cast<size_t>(epoch_id)];
+    }
   }
-  // Dead records have empty token lists, so they get empty vectors.
-  record_vectors_ = RecomputeVectors(epoch_vocab_, record_raw_tokens_, pool());
-  GL_DCHECK_EQ(record_vectors_.size(), n);
+  epoch_vocab_ = Vocabulary::Restore(std::move(epoch_tokens),
+                                     std::move(document_frequencies), num_documents);
+  // Dead records hold no token ids, so they get empty vectors.
+  record_vectors_.resize(n);
+  {
+    const TfIdfVectorizer vectorizer(&epoch_vocab_);
+    ParallelFor(pool(), n, [&](size_t r) {
+      record_vectors_[r] = vectorizer.Vectorize(record_token_ids_[r], epoch_id_);
+    });
+  }
   postings_ = WeightedPostings::Transpose(record_vectors_, epoch_vocab_.size());
 
   // Rescore every group pair with a θ-edge through the batch edge join
@@ -548,11 +534,8 @@ void IncrementalLinker::Refresh() {
   // clock restarts here): a degraded refresh still leaves a consistent,
   // subset-valid link set, and with no limits and no faults armed it
   // reproduces the batch engine exactly.
-  ExecutionContext ctx;
-  if (config_.deadline_ms > 0.0) ctx.SetDeadline(config_.deadline_ms);
-  ctx.SetCancellation(config_.cancellation);
-  ctx.SetMaxCandidatePairs(config_.max_candidate_pairs);
-  ctx.SetMaxMatcherCost(config_.max_matcher_cost);
+  ExecutionContext ctx(config_.deadline_ms, config_.cancellation,
+                       config_.max_candidate_pairs, config_.max_matcher_cost);
   RunReport report;
   const InMemoryPostings corpus(postings_, record_group_, group_records_);
   linked_pairs_ =

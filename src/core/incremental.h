@@ -13,7 +13,6 @@
 #include "core/group.h"
 #include "core/group_measures.h"
 #include "core/linkage_engine.h"
-#include "index/inverted_index.h"
 #include "index/weighted_postings.h"
 #include "text/tfidf.h"
 #include "text/vocabulary.h"
@@ -76,8 +75,8 @@ struct GroupArrival {
 ///     too decides exactly the group pairs with a θ-edge.
 ///   * TF-IDF statistics are frozen at the last epoch refresh. New
 ///     records are vectorized against the epoch vocabulary; tokens unseen
-///     at the last refresh are dropped from the *vector* (not the index)
-///     until the next refresh.
+///     at the last refresh are dropped from the *vector* (not from the
+///     record's token ids) until the next refresh.
 ///   * Refresh() recomputes the statistics over the live corpus and
 ///     rescores every group pair with a θ-edge through the edge join's
 ///     accumulation self-join and filter-and-refine ladder. After a
@@ -121,7 +120,7 @@ class IncrementalLinker {
       const Dataset& seed, const LinkageConfig& config,
       const StreamingConfig& streaming = {});
 
-  /// Deep-copies the linker's entire state (corpus, index, epoch
+  /// Deep-copies the linker's entire state (corpus, token ids, epoch
   /// statistics, links) into an independent linker. The clone shares
   /// nothing mutable with the original — it lazily builds its own thread
   /// pool — so one side can refresh or ingest while the other serves.
@@ -132,8 +131,8 @@ class IncrementalLinker {
   /// Warm restart: rebuilds a ready-to-mutate linker from a sealed
   /// snapshot (typically one SnapshotStore::Load recovered from disk).
   /// The rebuilt linker reproduces the captured linker's frozen state —
-  /// corpus, index, epoch statistics, link set — so subsequent arrivals
-  /// link bit-identically to a linker that had never stopped. The
+  /// corpus, token ids, epoch statistics, link set — so subsequent
+  /// arrivals link bit-identically to a linker that had never stopped. The
   /// since-refresh counters (groups/OOV) restart at zero: a restarted
   /// process behaves as if the last persist had just refreshed, which
   /// only affects *when* the next automatic refresh triggers, never any
@@ -178,9 +177,9 @@ class IncrementalLinker {
   /// checked once per batch, after all its groups are linked).
   std::vector<AddResult> AddGroups(const std::vector<GroupArrival>& batch);
 
-  /// Removes a live group: its links disappear, its records are
-  /// tombstoned in the index (compacted at the next refresh), and its
-  /// index stays permanently dead. Requires a live group index.
+  /// Removes a live group: its links disappear, its records' token ids,
+  /// vectors and postings are freed, and its index stays permanently dead.
+  /// Requires a live group index.
   void RemoveGroup(int32_t group);
 
   /// Merges live group `from` into live group `into` (entity-resolution
@@ -189,8 +188,8 @@ class IncrementalLinker {
   /// current epoch statistics. Returns the rescoring outcome for `into`.
   AddResult MergeGroups(int32_t into, int32_t from);
 
-  /// Recomputes epoch TF-IDF statistics over the live corpus, compacts
-  /// the token index, re-vectorizes every record, rebuilds the weighted
+  /// Recomputes epoch TF-IDF statistics over the live corpus from its
+  /// token ids, re-vectorizes every record, rebuilds the weighted
   /// postings, and rescores every group pair with a θ-edge through
   /// EdgeJoinLink. Afterwards linked_pairs() equals the batch engine's
   /// output on the live corpus (see class comment). Also runs
@@ -233,9 +232,10 @@ class IncrementalLinker {
   const LinkageConfig& engine_config() const { return config_; }
 
  private:
-  /// CorpusSnapshot::Capture freezes the linker's state (vectors, index,
-  /// labels, links) into an immutable serving epoch; it reads the private
-  /// members directly so the snapshot layout can mirror the linker's.
+  /// CorpusSnapshot::Capture freezes the linker's state (vectors, token
+  /// ids, labels, links) into an immutable serving epoch; it reads the
+  /// private members directly so the snapshot layout can mirror the
+  /// linker's.
   friend class CorpusSnapshot;
 
   /// Normalizes `config` (see engine_config()); Create and FromSnapshot
@@ -244,7 +244,9 @@ class IncrementalLinker {
   /// Create's second half: ingests the seed dataset and runs the first
   /// refresh.
   Status Initialize(const Dataset& dataset);
-  std::vector<std::string> TokenizeText(const std::string& text) const;
+  /// The ids of a record's tokens sorted by string (repeats adjacent):
+  /// one GetOrInsertId per distinct token. Extends epoch_id_ over new ids.
+  std::vector<int32_t> ToIndexIds(const std::vector<std::string>& sorted_tokens);
   void EraseLinksInvolving(int32_t group);
   void RebuildClusters();
   ThreadPool* pool();
@@ -253,12 +255,13 @@ class IncrementalLinker {
   StreamingConfig streaming_;
   std::unique_ptr<ThreadPool> pool_;
 
-  // Per-record state; record ids are stable and never reused.
-  std::vector<std::vector<std::string>> record_raw_tokens_;  // With repeats.
-  std::vector<std::vector<std::string>> record_token_sets_;  // Sorted unique.
+  // Per-record state; record ids are stable and never reused. A record's
+  // tokens are held once, as index_vocab_ ids sorted by token string with
+  // repeats adjacent: each run is one distinct token and its length that
+  // token's tf. Removal frees them.
+  std::vector<std::vector<int32_t>> record_token_ids_;
   std::vector<SparseVector> record_vectors_;  // Under epoch statistics.
   std::vector<int32_t> record_group_;
-  std::vector<char> record_alive_;
 
   // Per-group state; tombstoned slots keep their index forever. A group's
   // record ids keep the seed dataset's order; arrivals and merged groups
@@ -268,14 +271,15 @@ class IncrementalLinker {
   std::vector<char> group_alive_;
   int32_t num_alive_groups_ = 0;
 
-  // Live token index. index_vocab_ ids are grow-only (stable across
-  // refreshes); postings absorb new tokens immediately and are
-  // tombstone-compacted at refresh.
+  // Grow-only token dictionary: ids are stable across refreshes, and new
+  // tokens are absorbed on arrival.
   Vocabulary index_vocab_;
-  InvertedIndex token_index_;
 
-  // Epoch TF-IDF statistics, rebuilt by Refresh.
+  // Epoch TF-IDF statistics, rebuilt by Refresh, and the index_vocab_ id ->
+  // epoch id table every vector is built through (kUnknownToken for a
+  // token the epoch lacks; it covers every index_vocab_ id).
   Vocabulary epoch_vocab_;
+  std::vector<int32_t> epoch_id_;
   // Transpose of record_vectors_, keyed by epoch token: rebuilt by
   // Refresh, appended to on arrival, erased from on removal.
   WeightedPostings postings_;

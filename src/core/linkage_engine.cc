@@ -288,11 +288,8 @@ LinkageResult LinkageEngine::RunInternal(const RecordSimFn& sim,
   // Every run carries a context; with the default config (no deadline,
   // no budgets, token never cancelled, no faults armed) every check in
   // the hot paths reduces to one relaxed atomic load.
-  ExecutionContext ctx;
-  if (config_.deadline_ms > 0.0) ctx.SetDeadline(config_.deadline_ms);
-  ctx.SetCancellation(config_.cancellation);
-  ctx.SetMaxCandidatePairs(config_.max_candidate_pairs);
-  ctx.SetMaxMatcherCost(config_.max_matcher_cost);
+  ExecutionContext ctx(config_.deadline_ms, config_.cancellation,
+                       config_.max_candidate_pairs, config_.max_matcher_cost);
 
   // The edge join accumulates over the TF-IDF postings, so only the
   // default similarity (the one with a store) can take it.

@@ -23,6 +23,19 @@ struct SnapshotMetrics {
   }
 };
 
+// The token index over each record's distinct ids: its runs, sorted by id.
+InvertedIndex BuildTokenIndex(const std::vector<std::vector<int32_t>>& record_token_ids) {
+  InvertedIndex index;
+  std::vector<int32_t> document;
+  for (const std::vector<int32_t>& ids : record_token_ids) {
+    document.assign(ids.begin(), ids.end());
+    document.erase(std::unique(document.begin(), document.end()), document.end());
+    std::sort(document.begin(), document.end());
+    index.AddDocument(document);
+  }
+  return index;
+}
+
 }  // namespace
 
 std::shared_ptr<const CorpusSnapshot> CorpusSnapshot::Capture(
@@ -41,25 +54,13 @@ std::shared_ptr<const CorpusSnapshot> CorpusSnapshot::Capture(
   snapshot->config_ = linker.config_;
   snapshot->epoch_ = linker.epoch_;
   snapshot->index_vocab_ = linker.index_vocab_;
-  snapshot->token_index_ = linker.token_index_;
   snapshot->epoch_vocab_ = linker.epoch_vocab_;
   snapshot->idf_table_ = snapshot->epoch_vocab_.IdfTable();
   snapshot->record_vectors_ = linker.record_vectors_;
   snapshot->postings_ = linker.postings_;
   snapshot->record_group_ = linker.record_group_;
-  // Raw occurrences re-encoded as index-vocab ids: every raw token of a
-  // live record was absorbed into the index vocabulary at arrival, so the
-  // lookup never misses; tombstoned records have empty raw tokens.
-  snapshot->record_token_ids_.resize(linker.record_raw_tokens_.size());
-  for (size_t r = 0; r < linker.record_raw_tokens_.size(); ++r) {
-    std::vector<int32_t>& ids = snapshot->record_token_ids_[r];
-    ids.reserve(linker.record_raw_tokens_[r].size());
-    for (const std::string& token : linker.record_raw_tokens_[r]) {
-      const int32_t id = linker.index_vocab_.GetId(token);
-      GL_DCHECK_NE(id, Vocabulary::kUnknownToken);
-      ids.push_back(id);
-    }
-  }
+  snapshot->record_token_ids_ = linker.record_token_ids_;
+  snapshot->token_index_ = BuildTokenIndex(snapshot->record_token_ids_);
   snapshot->group_records_ = linker.group_records_;
   snapshot->group_labels_ = linker.group_labels_;
   snapshot->group_alive_ = linker.group_alive_;
@@ -89,7 +90,6 @@ Result<std::shared_ptr<const CorpusSnapshot>> CorpusSnapshot::FromParts(
   snapshot->config_ = std::move(parts.config);
   snapshot->epoch_ = parts.epoch;
   snapshot->index_vocab_ = std::move(parts.index_vocab);
-  snapshot->token_index_ = std::move(parts.token_index);
   snapshot->epoch_vocab_ = std::move(parts.epoch_vocab);
   snapshot->idf_table_ = snapshot->epoch_vocab_.IdfTable();
   snapshot->record_vectors_ = std::move(parts.record_vectors);
@@ -102,6 +102,7 @@ Result<std::shared_ptr<const CorpusSnapshot>> CorpusSnapshot::FromParts(
   snapshot->postings_ = WeightedPostings::Transpose(snapshot->record_vectors_, num_tokens);
   snapshot->record_group_ = std::move(parts.record_group);
   snapshot->record_token_ids_ = std::move(parts.record_token_ids);
+  snapshot->token_index_ = BuildTokenIndex(snapshot->record_token_ids_);
   snapshot->group_records_ = std::move(parts.group_records);
   snapshot->group_labels_ = std::move(parts.group_labels);
   snapshot->group_alive_ = std::move(parts.group_alive);
@@ -153,11 +154,8 @@ Result<CorpusSnapshot::QueryResult> RunLinkQuery(
     probe_vectors[i] = vectorizer.Vectorize(raw);
   }
 
-  ExecutionContext ctx;
-  if (options.deadline_ms > 0.0) ctx.SetDeadline(options.deadline_ms);
-  ctx.SetCancellation(options.cancellation);
-  ctx.SetMaxCandidatePairs(options.max_candidate_pairs);
-  ctx.SetMaxMatcherCost(options.max_matcher_cost);
+  ExecutionContext ctx(options.deadline_ms, options.cancellation,
+                       options.max_candidate_pairs, options.max_matcher_cost);
 
   // The probe is outside the corpus: every group is the left side, the
   // probe the right — the arrival path's orientation.
@@ -190,7 +188,8 @@ bool CorpusSnapshot::CheckConsistency() const {
   }
   // Each listed record names its group back, once; every record with a
   // vector — a posting — is listed by a live group, so accumulation can
-  // place every edge it finds.
+  // place every edge it finds, and so is every record with token ids, so
+  // the token index holds live records only.
   std::vector<char> listed(n_records, 0);
   for (size_t g = 0; g < n_groups; ++g) {
     for (const int32_t r : group_records_[g]) {
@@ -203,7 +202,7 @@ bool CorpusSnapshot::CheckConsistency() const {
     }
   }
   for (size_t r = 0; r < n_records; ++r) {
-    if (!record_vectors_[r].empty() &&
+    if ((!record_vectors_[r].empty() || !record_token_ids_[r].empty()) &&
         (listed[r] == 0 || group_alive_[static_cast<size_t>(record_group_[r])] == 0)) {
       return false;
     }

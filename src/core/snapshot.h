@@ -44,7 +44,7 @@ class QueryCorpus : public PostingsCorpus {
 };
 
 /// An immutable, self-contained freeze of one serving epoch: the corpus
-/// TF-IDF vectors and their weighted postings, the token inverted index,
+/// TF-IDF vectors and their weighted postings, each record's token ids,
 /// group membership and labels, the link set, and the entity cluster
 /// labels — everything LinkQuery needs, copied out of an IncrementalLinker
 /// at a refresh point and never mutated again.
@@ -154,10 +154,11 @@ class CorpusSnapshot final : public QueryCorpus {
   /// Structural self-check of the frozen state: the seal sentinel written
   /// as Capture's last step, cross-array size agreement, group and record
   /// ids in range, group membership agreeing with the record -> group map
-  /// (every record with a vector listed once, by a live group), sorted
-  /// (i < j) link pairs over live groups. Soak readers call this to prove
-  /// no query ever observes a half-built epoch; any violation would mean
-  /// the publication barrier broke. Cheap enough to run per query batch.
+  /// (every record with a vector or token ids listed once, by a live
+  /// group), sorted (i < j) link pairs over live groups. Soak readers call
+  /// this to prove no query ever observes a half-built epoch; any
+  /// violation would mean the publication barrier broke. Cheap enough to
+  /// run per query batch.
   [[nodiscard]] bool CheckConsistency() const;
 
   // --- Storage-tier surface (src/storage/). A snapshot is the unit of
@@ -165,14 +166,14 @@ class CorpusSnapshot final : public QueryCorpus {
   // --- store, and FromParts rebuilds a sealed snapshot on recovery.
 
   /// The deserialized pieces of one epoch. Field-for-field the snapshot's
-  /// own frozen state, less the weighted postings, which FromParts
-  /// rebuilds from record_vectors; SnapshotStore::Load fills one of these
-  /// from disk.
+  /// own frozen state, less what FromParts derives: the weighted postings
+  /// (from record_vectors) and the token index (from record_token_ids,
+  /// whose ids must lie in index_vocab); SnapshotStore::Load fills one of
+  /// these from disk.
   struct Parts {
     LinkageConfig config;
     int64_t epoch = 0;
     Vocabulary index_vocab;
-    InvertedIndex token_index;
     Vocabulary epoch_vocab;
     std::vector<SparseVector> record_vectors;
     std::vector<int32_t> record_group;
@@ -200,6 +201,10 @@ class CorpusSnapshot final : public QueryCorpus {
   const Vocabulary& index_vocab() const { return index_vocab_; }
   const Vocabulary& epoch_vocab() const override { return epoch_vocab_; }
   std::span<const double> idf_table() const override { return idf_table_; }
+  /// Token-blocking index over each live record's distinct token ids
+  /// (index_vocab() ids; records of removed groups are empty documents).
+  /// No decision reads it: it is built at capture for the benchmark's
+  /// query replica.
   const InvertedIndex& token_index() const { return token_index_; }
   const std::vector<SparseVector>& record_vectors() const {
     return record_vectors_;
@@ -208,10 +213,10 @@ class CorpusSnapshot final : public QueryCorpus {
   /// record_vectors().
   const WeightedPostings& postings() const { return postings_; }
   const std::vector<int32_t>& record_group() const override { return record_group_; }
-  /// Per-record raw token occurrences (index-vocabulary ids, original
-  /// order, repeats preserved) — what makes a snapshot self-contained
-  /// enough to rebuild the writer without the original texts. Empty for
-  /// tombstoned records, like the linker's cleared raw tokens.
+  /// Per-record token occurrences as index-vocabulary ids, sorted by token
+  /// string with repeats adjacent — the writer's own token state, which
+  /// makes a snapshot self-contained enough to rebuild the writer without
+  /// the original texts. Empty for records of removed groups.
   const std::vector<std::vector<int32_t>>& record_token_ids() const {
     return record_token_ids_;
   }
@@ -238,8 +243,9 @@ class CorpusSnapshot final : public QueryCorpus {
   LinkageConfig config_;
   int64_t epoch_ = 0;
 
-  // Token index and the vocabulary of its id space: carried for
-  // persistence and the warm-restart writer, not consulted by LinkQuery.
+  // The vocabulary of the record token ids and the token index over them:
+  // carried for persistence, the warm-restart writer and the benchmark's
+  // replica, not consulted by LinkQuery.
   Vocabulary index_vocab_;
   InvertedIndex token_index_;
 
@@ -250,7 +256,7 @@ class CorpusSnapshot final : public QueryCorpus {
   std::vector<SparseVector> record_vectors_;
   WeightedPostings postings_;
   std::vector<int32_t> record_group_;
-  // Raw token occurrences per record in index-vocab id space (see the
+  // Token occurrences per record in index-vocab id space (see the
   // record_token_ids() accessor); carried for persistence/warm restart,
   // not consulted by LinkQuery.
   std::vector<std::vector<int32_t>> record_token_ids_;

@@ -6,12 +6,12 @@
 
 namespace grouplink {
 
-int32_t InvertedIndex::AddDocument(std::vector<int32_t> token_ids) {
+int32_t InvertedIndex::AddDocument(const std::vector<int32_t>& token_ids) {
   GL_DCHECK(std::is_sorted(token_ids.begin(), token_ids.end()))
       << "document token ids must be sorted";
   GL_DCHECK(std::adjacent_find(token_ids.begin(), token_ids.end()) == token_ids.end())
       << "document token ids must be unique";
-  const int32_t doc_id = static_cast<int32_t>(documents_.size());
+  const int32_t doc_id = num_documents_++;
   if (!token_ids.empty()) {
     GL_CHECK_GE(token_ids.front(), 0) << "token ids must be non-negative";
     // Sorted input: the last token is the largest — one growth check.
@@ -21,8 +21,6 @@ int32_t InvertedIndex::AddDocument(std::vector<int32_t> token_ids) {
   for (const int32_t token : token_ids) {
     postings_[static_cast<size_t>(token)].push_back(doc_id);
   }
-  documents_.push_back(std::move(token_ids));
-  removed_.push_back(0);
   return doc_id;
 }
 
@@ -34,38 +32,6 @@ bool InvertedIndex::PostingsAreSorted() const {
   return true;
 }
 
-void InvertedIndex::RemoveDocument(int32_t doc) {
-  GL_CHECK_GE(doc, 0);
-  GL_CHECK_LT(doc, num_documents());
-  if (removed_[static_cast<size_t>(doc)]) return;
-  removed_[static_cast<size_t>(doc)] = 1;
-  ++num_removed_;
-}
-
-bool InvertedIndex::IsRemoved(int32_t doc) const {
-  GL_CHECK_GE(doc, 0);
-  GL_CHECK_LT(doc, num_documents());
-  return removed_[static_cast<size_t>(doc)] != 0;
-}
-
-void InvertedIndex::Compact() {
-  for (std::vector<int32_t>& list : postings_) {
-    list.erase(std::remove_if(list.begin(), list.end(),
-                              [this](int32_t doc) {
-                                return removed_[static_cast<size_t>(doc)] != 0;
-                              }),
-               list.end());
-    if (list.empty()) list.shrink_to_fit();
-  }
-  for (size_t doc = 0; doc < documents_.size(); ++doc) {
-    if (removed_[doc]) {
-      documents_[doc].clear();
-      documents_[doc].shrink_to_fit();
-    }
-  }
-  GL_DCHECK(PostingsAreSorted()) << "Compact() must preserve posting order";
-}
-
 const std::vector<int32_t>& InvertedIndex::Postings(int32_t token) const {
   if (token < 0 || static_cast<size_t>(token) >= postings_.size()) {
     return empty_postings_;
@@ -73,23 +39,12 @@ const std::vector<int32_t>& InvertedIndex::Postings(int32_t token) const {
   return postings_[static_cast<size_t>(token)];
 }
 
-int64_t InvertedIndex::DocumentFrequency(int32_t token) const {
-  return static_cast<int64_t>(Postings(token).size());
-}
-
-const std::vector<int32_t>& InvertedIndex::DocumentTokens(int32_t doc) const {
-  GL_CHECK_GE(doc, 0);
-  GL_CHECK_LT(doc, num_documents());
-  return documents_[static_cast<size_t>(doc)];
-}
-
 std::vector<int32_t> InvertedIndex::DocumentsSharingToken(
     const std::vector<int32_t>& token_ids) const {
   std::vector<int32_t> result;
   for (const int32_t token : token_ids) {
-    for (const int32_t doc : Postings(token)) {
-      if (!removed_[static_cast<size_t>(doc)]) result.push_back(doc);
-    }
+    const std::vector<int32_t>& list = Postings(token);
+    result.insert(result.end(), list.begin(), list.end());
   }
   std::sort(result.begin(), result.end());
   result.erase(std::unique(result.begin(), result.end()), result.end());

@@ -91,16 +91,6 @@ void PutString(std::vector<uint8_t>& out, const std::string& value) {
   out.insert(out.end(), value.begin(), value.end());
 }
 
-void PutDeltaVarints(std::vector<uint8_t>& out, const std::vector<int32_t>& sorted) {
-  PutVarint(out, sorted.size());
-  int32_t prev = 0;
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    GL_DCHECK_GE(sorted[i], i == 0 ? 0 : prev);
-    PutVarint(out, static_cast<uint64_t>(sorted[i] - (i == 0 ? 0 : prev)));
-    prev = sorted[i];
-  }
-}
-
 Result<uint64_t> ByteReader::ReadVarint() {
   uint64_t value = 0;
   int shift = 0;
@@ -143,25 +133,6 @@ Result<std::string> ByteReader::ReadString() {
                     static_cast<size_t>(length));
   pos_ += static_cast<size_t>(length);
   return value;
-}
-
-Status ByteReader::ReadDeltaVarints(std::vector<int32_t>* out) {
-  GL_ASSIGN_OR_RETURN(const uint64_t count, ReadVarint());
-  // Every encoded entry is at least one byte, so count can never exceed
-  // the remaining bytes in a well-formed stream; rejecting early keeps a
-  // corrupt count from triggering a huge allocation.
-  if (count > remaining()) return Truncated("delta list count");
-  out->clear();
-  out->reserve(static_cast<size_t>(count));
-  int64_t prev = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    GL_ASSIGN_OR_RETURN(const uint64_t delta, ReadVarint());
-    const int64_t value = prev + static_cast<int64_t>(delta);
-    if (value < 0 || value > INT32_MAX) return Truncated("delta list range");
-    out->push_back(static_cast<int32_t>(value));
-    prev = value;
-  }
-  return Status::Ok();
 }
 
 Status ByteReader::ReadBytes(size_t n, uint8_t* out) {

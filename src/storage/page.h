@@ -35,7 +35,7 @@ inline constexpr uint32_t kPageHeaderBytes = 16;
 inline constexpr uint32_t kMinPageBytes = 256;
 inline constexpr uint32_t kMaxPageBytes = 1u << 20;
 /// Store format version; bumped on any layout change.
-inline constexpr uint32_t kFormatVersion = 4;
+inline constexpr uint32_t kFormatVersion = 5;
 /// First 8 payload bytes of the header page.
 inline constexpr char kFileMagic[8] = {'G', 'L', 'S', 'N', 'A', 'P', '0', '1'};
 /// Seal sentinel, written as the very last page of a persist. A store
@@ -70,9 +70,6 @@ void PutFixed64(std::vector<uint8_t>& out, uint64_t value);
 void PutDouble(std::vector<uint8_t>& out, double value);
 /// Varint length + raw bytes.
 void PutString(std::vector<uint8_t>& out, const std::string& value);
-/// Varint count, then the first value and successive gaps as varints.
-/// Requires `sorted` ascending with non-negative entries (GL_DCHECK).
-void PutDeltaVarints(std::vector<uint8_t>& out, const std::vector<int32_t>& sorted);
 
 /// Bounds-checked decoder over a byte range. Every read past the end or
 /// malformed varint returns Status::DataLoss — after a page passed its
@@ -88,9 +85,6 @@ class ByteReader {
   [[nodiscard]] Result<uint64_t> ReadFixed64();
   [[nodiscard]] Result<double> ReadDouble();
   [[nodiscard]] Result<std::string> ReadString();
-  /// Inverse of PutDeltaVarints; validates monotonicity and the int32
-  /// range so a decoded list is always a valid id list.
-  [[nodiscard]] Status ReadDeltaVarints(std::vector<int32_t>* out);
   [[nodiscard]] Status ReadBytes(size_t n, uint8_t* out);
   /// Varint that must fit in a non-negative int64 (all our counts/ids).
   [[nodiscard]] Result<int64_t> ReadCount();

@@ -75,7 +75,7 @@ Status WriteSinglePage(PageWriter& writer, uint64_t page_id, PageType type,
 
 /// The stored form of a snapshot's weighted postings: per epoch token the
 /// (record, tf) entries, ascending by record, and per record the norm its
-/// weights divide by. Both are derived from the raw token ids the way
+/// weights divide by. Both are derived from the record token ids the way
 /// TfIdfVectorizer::Vectorize derives the vectors.
 struct StoredLists {
   std::vector<std::vector<StoredPosting>> lists;
@@ -84,16 +84,10 @@ struct StoredLists {
 
 Result<StoredLists> DeriveStoredLists(const CorpusSnapshot& snapshot) {
   const Vocabulary& epoch_vocab = snapshot.epoch_vocab();
-  const Vocabulary& index_vocab = snapshot.index_vocab();
   const std::span<const double> idf = snapshot.idf_table();
-  // Index-vocabulary id -> epoch id: raw ids outside the epoch carry no
+  // Index-vocabulary id -> epoch id: ids outside the epoch carry no
   // weight, as Vectorize drops out-of-vocabulary tokens.
-  std::vector<int32_t> epoch_id(index_vocab.size(), Vocabulary::kUnknownToken);
-  for (size_t e = 0; e < epoch_vocab.size(); ++e) {
-    const int32_t id = index_vocab.GetId(epoch_vocab.TokenOf(static_cast<int32_t>(e)));
-    GL_CHECK_NE(id, Vocabulary::kUnknownToken);
-    epoch_id[static_cast<size_t>(id)] = static_cast<int32_t>(e);
-  }
+  const std::vector<int32_t> epoch_id = VocabularyIdMap(snapshot.index_vocab(), epoch_vocab);
   const size_t n_records = static_cast<size_t>(snapshot.num_records());
   StoredLists stored;
   stored.lists.resize(epoch_vocab.size());
@@ -104,7 +98,7 @@ Result<StoredLists> DeriveStoredLists(const CorpusSnapshot& snapshot) {
     ids.clear();
     for (const int32_t raw : snapshot.record_token_ids()[r]) {
       if (raw < 0 || static_cast<size_t>(raw) >= epoch_id.size()) {
-        return Status::FailedPrecondition("raw token id out of the index vocabulary");
+        return Status::FailedPrecondition("record token id out of the index vocabulary");
       }
       const int32_t e = epoch_id[static_cast<size_t>(raw)];
       if (e != Vocabulary::kUnknownToken) ids.push_back(e);
@@ -126,11 +120,10 @@ Result<StoredLists> DeriveStoredLists(const CorpusSnapshot& snapshot) {
 
 /// Encodes every segment byte stream from the snapshot's frozen parts.
 /// FailedPrecondition when a posting weight does not rebuild exactly from
-/// the raw token ids — a store of it would answer differently.
+/// the record token ids — a store of it would answer differently.
 Result<std::array<std::vector<uint8_t>, kNumSegments>> EncodeSegments(
     const CorpusSnapshot& snapshot) {
   std::array<std::vector<uint8_t>, kNumSegments> segments;
-  const InvertedIndex& index = snapshot.token_index();
   const size_t n_records = static_cast<size_t>(snapshot.num_records());
   GL_ASSIGN_OR_RETURN(StoredLists stored, DeriveStoredLists(snapshot));
 
@@ -164,7 +157,7 @@ Result<std::array<std::vector<uint8_t>, kNumSegments>> EncodeSegments(
     if (!same) {
       return Status::FailedPrecondition(
           "the postings of epoch token " + std::to_string(t) +
-          " do not rebuild from the raw token ids; nothing was written");
+          " do not rebuild from the record token ids; nothing was written");
     }
   }
   PutVarint(segments[kPostingsDir], dir_lengths.size());
@@ -178,10 +171,6 @@ Result<std::array<std::vector<uint8_t>, kNumSegments>> EncodeSegments(
   meta.num_alive_groups = snapshot.num_alive_groups();
   meta.record_group = snapshot.record_group();
   meta.record_norm = std::move(stored.record_norm);
-  meta.record_removed.resize(n_records);
-  for (size_t r = 0; r < n_records; ++r) {
-    meta.record_removed[r] = index.IsRemoved(static_cast<int32_t>(r)) ? 1 : 0;
-  }
   meta.group_alive = snapshot.group_alive();
   meta.group_labels = snapshot.group_labels();
   meta.group_records = snapshot.group_records();
@@ -193,16 +182,8 @@ Result<std::array<std::vector<uint8_t>, kNumSegments>> EncodeSegments(
   EncodeEpochVocab(snapshot.epoch_vocab(), snapshot.index_vocab(),
                    segments[kDictEpoch]);
 
-  // Per-record index token sets, exactly as AddDocument received them
-  // (post-compaction tombstones have empty sets; replaying AddDocument
-  // then RemoveDocument reproduces the index bit for bit either way).
-  PutVarint(segments[kDocs], n_records);
-  for (size_t r = 0; r < n_records; ++r) {
-    PutDeltaVarints(segments[kDocs], index.DocumentTokens(static_cast<int32_t>(r)));
-  }
-
-  // Raw token occurrences (order and repeats preserved — these are not
-  // sorted sets, so plain varints rather than deltas).
+  // Record token occurrences (in token-string order with repeats, not id
+  // order, so plain varints rather than deltas).
   PutVarint(segments[kRawTokens], n_records);
   for (size_t r = 0; r < n_records; ++r) {
     const std::vector<int32_t>& ids = snapshot.record_token_ids()[r];
@@ -312,36 +293,9 @@ Result<std::shared_ptr<const CorpusSnapshot>> SnapshotStore::Load(
     }
   }
 
-  // Inverted index, rebuilt through the exact mutation sequence of the
-  // original: AddDocument in id order, then the tombstones.
-  {
-    ByteReader reader(segments[kDocs].data(), segments[kDocs].size());
-    GL_ASSIGN_OR_RETURN(const int64_t count, reader.ReadCount());
-    if (static_cast<size_t>(count) != n_records) {
-      return Status::DataLoss("docs segment record count mismatch");
-    }
-    std::vector<int32_t> token_ids;
-    for (size_t r = 0; r < n_records; ++r) {
-      GL_RETURN_IF_ERROR(reader.ReadDeltaVarints(&token_ids));
-      for (const int32_t id : token_ids) {
-        if (static_cast<size_t>(id) >= n_tokens) {
-          return Status::DataLoss("document token id out of vocabulary range");
-        }
-      }
-      parts.token_index.AddDocument(token_ids);
-    }
-    if (!reader.AtEnd()) return Status::DataLoss("trailing bytes in docs segment");
-    if (meta.record_removed.size() != n_records) {
-      return Status::DataLoss("tombstone bitmap size mismatch");
-    }
-    for (size_t r = 0; r < n_records; ++r) {
-      if (meta.record_removed[r] != 0) {
-        parts.token_index.RemoveDocument(static_cast<int32_t>(r));
-      }
-    }
-  }
-
-  // Raw token occurrences.
+  // Record token occurrences, in token-string order with repeats
+  // adjacent: the writer reads each run as one token and its length as
+  // the token's tf, so any other order is DataLoss.
   {
     ByteReader reader(segments[kRawTokens].data(), segments[kRawTokens].size());
     GL_ASSIGN_OR_RETURN(const int64_t count, reader.ReadCount());
@@ -356,12 +310,16 @@ Result<std::shared_ptr<const CorpusSnapshot>> SnapshotStore::Load(
       }
       std::vector<int32_t>& ids = parts.record_token_ids[r];
       ids.resize(static_cast<size_t>(n_ids));
-      for (int32_t& id : ids) {
+      for (size_t i = 0; i < ids.size(); ++i) {
         GL_ASSIGN_OR_RETURN(const int64_t raw, reader.ReadCount());
         if (static_cast<size_t>(raw) >= n_tokens) {
           return Status::DataLoss("raw token id out of vocabulary range");
         }
-        id = static_cast<int32_t>(raw);
+        ids[i] = static_cast<int32_t>(raw);
+        if (i > 0 && ids[i] != ids[i - 1] &&
+            !(parts.index_vocab.TokenOf(ids[i - 1]) < parts.index_vocab.TokenOf(ids[i]))) {
+          return Status::DataLoss("record token ids out of token order");
+        }
       }
     }
     if (!reader.AtEnd()) {

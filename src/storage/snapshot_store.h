@@ -52,10 +52,10 @@ class SnapshotStore {
   /// of the file (recovery reads it all anyway, and a full scan turns any
   /// corruption into a deterministic Status::DataLoss). The TF-IDF
   /// vectors are rebuilt by transposing the stored weighted postings, and
-  /// the inverted index from the persisted per-record token sets through
-  /// the exact AddDocument/RemoveDocument sequence of the original, so
-  /// the recovered snapshot answers every query bit-identically. A store
-  /// of another format version is DataLoss.
+  /// the record token ids come back as persisted (any order but token
+  /// string order is DataLoss), so the recovered snapshot answers every
+  /// query bit-identically. A store of another format version is
+  /// DataLoss.
   /// Errors: NotFound (no store), DataLoss (corruption or a store that
   /// decodes into an inconsistent epoch), IoError.
   [[nodiscard]] static Result<std::shared_ptr<const CorpusSnapshot>> Load(

@@ -201,7 +201,6 @@ void EncodeMeta(const MetaData& meta, std::vector<uint8_t>& out) {
   }
   PutVarint(out, meta.record_norm.size());
   for (const double norm : meta.record_norm) PutDouble(out, norm);
-  PutBitmap(meta.record_removed, out);
   PutBitmap(meta.group_alive, out);
   for (const std::string& label : meta.group_labels) PutString(out, label);
   // A group keeps its own record order, so ids are plain varints.
@@ -273,7 +272,6 @@ Status DecodeMeta(const std::vector<uint8_t>& bytes, MetaData* out) {
   for (double& norm : out->record_norm) {
     GL_ASSIGN_OR_RETURN(norm, reader.ReadDouble());
   }
-  GL_RETURN_IF_ERROR(ReadBitmap(reader, n_records, &out->record_removed));
   GL_RETURN_IF_ERROR(ReadBitmap(reader, n_groups, &out->group_alive));
   out->group_labels.resize(n_groups);
   for (size_t g = 0; g < n_groups; ++g) {

@@ -29,8 +29,7 @@ namespace storage {
 
 enum SegmentId : uint32_t {
   /// Engine config, epoch, group membership/liveness/labels, record ->
-  /// group map, per-record norms, tombstone bitmap, link pairs, cluster
-  /// labels.
+  /// group map, per-record norms, link pairs, cluster labels.
   kMeta = 0,
   /// Index vocabulary: the one token dictionary holding strings. Token
   /// id i is the i-th entry (string + document frequency).
@@ -50,14 +49,12 @@ enum SegmentId : uint32_t {
   /// the weights: recovery rebuilds the per-record vectors by transposing
   /// the decoded lists.
   kPostings = 4,
-  /// Per-record sorted index token sets as passed to
-  /// InvertedIndex::AddDocument — including entries of tombstoned,
-  /// not-yet-compacted documents, so recovery rebuilds the exact index.
-  kDocs = 5,
-  /// Per-record raw token occurrences (index-vocab ids, original order,
-  /// repeats kept) — what the warm-restart writer rebuild ingests.
-  kRawTokens = 6,
-  kNumSegments = 7,
+  /// Per-record token occurrences as index-vocab ids, sorted by token
+  /// string with repeats adjacent (Load rejects any other order): the
+  /// writer's only per-record token state, from which recovery rebuilds
+  /// the warm-restart writer and the snapshot's token index.
+  kRawTokens = 5,
+  kNumSegments = 6,
 };
 
 /// Decoded header + seal: the structural directory of one store file.
@@ -109,7 +106,6 @@ struct MetaData {
   /// posting weights divide by (raw IEEE-754 bits); 0 for a record with
   /// no postings.
   std::vector<double> record_norm;
-  std::vector<char> record_removed;  // Index tombstones, per record.
   std::vector<char> group_alive;
   std::vector<std::string> group_labels;
   std::vector<std::vector<int32_t>> group_records;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 
 namespace grouplink {
 
@@ -68,16 +68,31 @@ TfIdfVectorizer::TfIdfVectorizer(const Vocabulary* vocabulary,
 }
 
 SparseVector TfIdfVectorizer::Vectorize(const std::vector<std::string>& tokens) const {
-  // Sort-and-run-length instead of a std::map: same sorted id order, same
-  // tf counts, same weights bit for bit — without a node allocation per
-  // distinct token.
   std::vector<int32_t> ids;
   ids.reserve(tokens.size());
   for (const std::string& token : tokens) {
     const int32_t id = vocabulary_->GetId(token);
-    if (id == Vocabulary::kUnknownToken) continue;
-    ids.push_back(id);
+    if (id != Vocabulary::kUnknownToken) ids.push_back(id);
   }
+  return Weigh(std::move(ids));
+}
+
+SparseVector TfIdfVectorizer::Vectorize(std::span<const int32_t> ids,
+                                        std::span<const int32_t> id_map) const {
+  std::vector<int32_t> mapped;
+  mapped.reserve(ids.size());
+  for (const int32_t id : ids) {
+    GL_DCHECK(id >= 0 && static_cast<size_t>(id) < id_map.size()) << "id outside the map";
+    const int32_t to = id_map[static_cast<size_t>(id)];
+    if (to != Vocabulary::kUnknownToken) mapped.push_back(to);
+  }
+  return Weigh(std::move(mapped));
+}
+
+SparseVector TfIdfVectorizer::Weigh(std::vector<int32_t> ids) const {
+  // Sort-and-run-length instead of a std::map: same sorted id order, same
+  // tf counts, same weights bit for bit — without a node allocation per
+  // distinct token.
   std::sort(ids.begin(), ids.end());
   SparseVector vector;
   vector.ids.reserve(ids.size());
@@ -92,17 +107,6 @@ SparseVector TfIdfVectorizer::Vectorize(const std::vector<std::string>& tokens) 
   }
   L2Normalize(vector);
   return vector;
-}
-
-std::vector<SparseVector> RecomputeVectors(
-    const Vocabulary& vocabulary,
-    const std::vector<std::vector<std::string>>& raw_tokens, ThreadPool* pool) {
-  const TfIdfVectorizer vectorizer(&vocabulary);
-  std::vector<SparseVector> vectors(raw_tokens.size());
-  ParallelFor(pool, raw_tokens.size(), [&](size_t r) {
-    if (!raw_tokens[r].empty()) vectors[r] = vectorizer.Vectorize(raw_tokens[r]);
-  });
-  return vectors;
 }
 
 }  // namespace grouplink

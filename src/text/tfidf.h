@@ -67,10 +67,19 @@ class TfIdfVectorizer {
   /// TF-IDF weights (raw term frequency × smoothed IDF), L2-normalized.
   /// Tokens may repeat; repeats raise the term frequency.
   SparseVector Vectorize(const std::vector<std::string>& tokens) const;
+  /// The same vector for tokens held as ids of another vocabulary:
+  /// `id_map[id]` is each token's id in this one (VocabularyIdMap), and
+  /// kUnknownToken drops it. Bit-identical to Vectorize of the strings.
+  SparseVector Vectorize(std::span<const int32_t> ids,
+                         std::span<const int32_t> id_map) const;
 
   const Vocabulary& vocabulary() const { return *vocabulary_; }
 
  private:
+  /// The weighting both forms share: sorts `ids`, counts each id's
+  /// repeats as its tf, and L2-normalizes tf × IDF.
+  SparseVector Weigh(std::vector<int32_t> ids) const;
+
   const Vocabulary* vocabulary_;
   /// IdfTable() snapshot taken at construction unless one was borrowed:
   /// one log() per vocabulary entry once, instead of one per token
@@ -78,20 +87,6 @@ class TfIdfVectorizer {
   std::vector<double> owned_idf_;
   std::span<const double> idf_table_;
 };
-
-class ThreadPool;
-
-/// Recomputes the TF-IDF vector of every token list in `raw_tokens`
-/// against `vocabulary`, in parallel across records when `pool` is
-/// non-null. Entry i of the result is Vectorize(raw_tokens[i]); an empty
-/// token list yields an empty vector. This is the epoch-refresh primitive
-/// of the streaming linker: after corpus statistics change, the whole
-/// vector store is rebuilt in one pass without re-tokenizing any text.
-/// Output is bit-identical at any thread count.
-[[nodiscard]] std::vector<SparseVector> RecomputeVectors(
-    const Vocabulary& vocabulary,
-    const std::vector<std::vector<std::string>>& raw_tokens,
-    ThreadPool* pool = nullptr);
 
 }  // namespace grouplink
 

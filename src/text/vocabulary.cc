@@ -83,4 +83,15 @@ Vocabulary BuildVocabulary(const std::vector<std::vector<std::string>>& token_se
   return vocabulary;
 }
 
+std::vector<int32_t> VocabularyIdMap(const Vocabulary& from, const Vocabulary& to) {
+  std::vector<int32_t> map(from.size(), Vocabulary::kUnknownToken);
+  for (size_t id = 0; id < to.size(); ++id) {
+    const int32_t from_id = from.GetId(to.TokenOf(static_cast<int32_t>(id)));
+    if (from_id != Vocabulary::kUnknownToken) {
+      map[static_cast<size_t>(from_id)] = static_cast<int32_t>(id);
+    }
+  }
+  return map;
+}
+
 }  // namespace grouplink

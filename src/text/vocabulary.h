@@ -66,11 +66,17 @@ class Vocabulary {
 };
 
 /// Builds a Vocabulary over `token_sets` in order. Token ids depend on
-/// first-seen order, so every consumer that feeds the same sequence —
-/// the batch engine's Prepare over a dataset's records, or the streaming
-/// linker's epoch refresh over its live records — gets an identical id
-/// space and hence bit-identical downstream vectors.
+/// first-seen order, so every consumer that assigns ids in the same
+/// sequence — the batch engine's Prepare over a dataset's records, or the
+/// streaming linker's epoch refresh over its live records — gets an
+/// identical id space and hence bit-identical downstream vectors.
 Vocabulary BuildVocabulary(const std::vector<std::vector<std::string>>& token_sets);
+
+/// The table that carries token ids of `from` into `to`: entry i is the id
+/// `to` gives from.TokenOf(i), or kUnknownToken when `to` lacks it. The
+/// streaming linker's grow-only index vocabulary reaches each epoch
+/// vocabulary through it.
+std::vector<int32_t> VocabularyIdMap(const Vocabulary& from, const Vocabulary& to);
 
 }  // namespace grouplink
 

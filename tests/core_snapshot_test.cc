@@ -273,13 +273,61 @@ TEST(CorpusSnapshotTest, UnknownTokensCountAsOovAndDoNotMatch) {
   EXPECT_EQ(query.oov_tokens, 5u);
 }
 
+TEST(CorpusSnapshotTest, TokenIndexListsExactlyTheLiveRecords) {
+  // Record liveness is derived from group liveness: a removal kills its
+  // group's records, a merge moves its records into the surviving group.
+  const Dataset dataset = MakeCorpus(20, 31);
+  auto linker = IncrementalLinker::Create(dataset, TestConfig());
+  ASSERT_TRUE(linker.ok());
+  linker->RemoveGroup(2);
+  (void)linker->MergeGroups(5, 6);
+  const auto snapshot = CorpusSnapshot::Capture(*linker);
+  ASSERT_TRUE(snapshot->CheckConsistency());
+  ASSERT_FALSE(snapshot->IsAlive(2));
+  ASSERT_FALSE(snapshot->IsAlive(6));
+  for (const int32_t r : dataset.groups[6].record_ids) {
+    EXPECT_EQ(snapshot->record_group()[static_cast<size_t>(r)], 5) << "merged record " << r;
+  }
+
+  const InvertedIndex& index = snapshot->token_index();
+  EXPECT_EQ(index.num_documents(), snapshot->num_records());
+  EXPECT_TRUE(index.PostingsAreSorted());
+  // No posting names a record of a dead group.
+  size_t entries = 0;
+  for (int32_t id = 0; id < static_cast<int32_t>(snapshot->index_vocab().size()); ++id) {
+    for (const int32_t r : index.Postings(id)) {
+      EXPECT_TRUE(snapshot->IsAlive(snapshot->record_group()[static_cast<size_t>(r)]))
+          << "record " << r << " token " << id;
+      ++entries;
+    }
+  }
+  EXPECT_GT(entries, 0u);
+  // Every live record is in the postings of each of its ids; a dead one
+  // keeps no ids.
+  size_t live_records = 0;
+  for (int32_t r = 0; r < snapshot->num_records(); ++r) {
+    const std::vector<int32_t>& ids = snapshot->record_token_ids()[static_cast<size_t>(r)];
+    if (!snapshot->IsAlive(snapshot->record_group()[static_cast<size_t>(r)])) {
+      EXPECT_TRUE(ids.empty()) << "record " << r;
+      continue;
+    }
+    ++live_records;
+    ASSERT_FALSE(ids.empty()) << "record " << r;
+    for (const int32_t id : ids) {
+      const std::vector<int32_t>& postings = index.Postings(id);
+      EXPECT_TRUE(std::binary_search(postings.begin(), postings.end(), r))
+          << "record " << r << " token " << id;
+    }
+  }
+  EXPECT_EQ(live_records, dataset.records.size() - dataset.groups[2].record_ids.size());
+}
+
 // The parts of a captured snapshot, field for field.
 CorpusSnapshot::Parts PartsOf(const CorpusSnapshot& snapshot) {
   CorpusSnapshot::Parts parts;
   parts.config = snapshot.engine_config();
   parts.epoch = snapshot.epoch();
   parts.index_vocab = snapshot.index_vocab();
-  parts.token_index = snapshot.token_index();
   parts.epoch_vocab = snapshot.epoch_vocab();
   parts.record_vectors = snapshot.record_vectors();
   parts.record_group = snapshot.record_group();

@@ -28,21 +28,7 @@ TEST(InvertedIndexTest, MissingTokenHasEmptyPostings) {
   InvertedIndex index;
   index.AddDocument({0});
   EXPECT_TRUE(index.Postings(99).empty());
-  EXPECT_EQ(index.DocumentFrequency(99), 0);
-}
-
-TEST(InvertedIndexTest, DocumentFrequency) {
-  InvertedIndex index;
-  index.AddDocument({5, 7});
-  index.AddDocument({5});
-  EXPECT_EQ(index.DocumentFrequency(5), 2);
-  EXPECT_EQ(index.DocumentFrequency(7), 1);
-}
-
-TEST(InvertedIndexTest, DocumentTokensRoundTrip) {
-  InvertedIndex index;
-  index.AddDocument({2, 4, 6});
-  EXPECT_EQ(index.DocumentTokens(0), (Doc{2, 4, 6}));
+  EXPECT_TRUE(index.Postings(-1).empty());
 }
 
 TEST(InvertedIndexTest, DocumentsSharingToken) {
@@ -58,50 +44,12 @@ TEST(InvertedIndexTest, DocumentsSharingToken) {
 }
 
 TEST(InvertedIndexTest, EmptyDocumentAllowed) {
+  // An empty document takes an id and no posting.
   InvertedIndex index;
-  index.AddDocument({});
-  EXPECT_EQ(index.num_documents(), 1);
-  EXPECT_TRUE(index.DocumentTokens(0).empty());
-}
-
-TEST(InvertedIndexTest, RemovedDocumentVanishesFromSharingQueries) {
-  InvertedIndex index;
-  index.AddDocument({0, 1});  // doc 0
-  index.AddDocument({1, 2});  // doc 1
-  index.AddDocument({1});     // doc 2
-  index.RemoveDocument(1);
-  EXPECT_TRUE(index.IsRemoved(1));
-  EXPECT_FALSE(index.IsRemoved(0));
-  EXPECT_EQ(index.num_removed(), 1);
-  // Sharing queries filter tombstones immediately...
-  EXPECT_EQ(index.DocumentsSharingToken({1}), (Doc{0, 2}));
-  EXPECT_TRUE(index.DocumentsSharingToken({2}).empty());
-  // ...while raw postings keep the entry until Compact().
-  EXPECT_EQ(index.Postings(1), (Doc{0, 1, 2}));
-  // Removing twice is a no-op.
-  index.RemoveDocument(1);
-  EXPECT_EQ(index.num_removed(), 1);
-}
-
-TEST(InvertedIndexTest, CompactErasesTombstonedPostings) {
-  InvertedIndex index;
-  index.AddDocument({0, 1});  // doc 0
-  index.AddDocument({1, 2});  // doc 1
-  index.AddDocument({2});     // doc 2
-  index.RemoveDocument(0);
-  index.RemoveDocument(2);
-  index.Compact();
-  EXPECT_EQ(index.Postings(1), (Doc{1}));
-  EXPECT_TRUE(index.Postings(0).empty());  // Posting list fully reclaimed.
-  EXPECT_EQ(index.DocumentFrequency(2), 1);
-  EXPECT_TRUE(index.DocumentTokens(0).empty());  // Token list reclaimed too.
-  EXPECT_EQ(index.DocumentTokens(1), (Doc{1, 2}));
-  // Ids are never reused: the next document continues the sequence, and
-  // removed ids stay dead.
-  EXPECT_EQ(index.AddDocument({0}), 3);
-  EXPECT_TRUE(index.IsRemoved(0));
-  EXPECT_EQ(index.num_removed(), 2);
-  EXPECT_EQ(index.DocumentsSharingToken({0}), (Doc{3}));
+  EXPECT_EQ(index.AddDocument({}), 0);
+  EXPECT_EQ(index.AddDocument({0}), 1);
+  EXPECT_EQ(index.num_documents(), 2);
+  EXPECT_EQ(index.Postings(0), (Doc{1}));
 }
 
 }  // namespace

@@ -156,6 +156,13 @@ TEST(ServiceChaosTest, StormOfEveryFaultClassRecoversAndServesProvableEpochs) {
   std::vector<ReaderLog> logs(kReaders);
   std::atomic<bool> stop{false};
   ThreadPool readers(kReaders);
+  // Declared after `readers`, so it runs before ~ThreadPool joins them on
+  // every exit path — a failed ASSERT's early return included, which
+  // would otherwise wait forever on readers that loop until `stop`.
+  struct StopOnExit {
+    std::atomic<bool>& stop;
+    ~StopOnExit() { stop.store(true, std::memory_order_release); }
+  } stop_readers{stop};
   for (size_t reader = 0; reader < kReaders; ++reader) {
     ReaderLog* log = &logs[reader];
     const SupervisedService* svc = &service;

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -114,7 +116,7 @@ TEST_F(StorageCorruptionTest, HeaderPageFlipsAreDataLoss) {
 
 TEST_F(StorageCorruptionTest, DictionaryAndPostingPageFlipsAreDataLoss) {
   // Pages 1..num_pages-2 hold the segments (meta, dictionaries, posting
-  // lists, vectors, documents). Flip a bit in the payload, the page
+  // lists, record token ids). Flip a bit in the payload, the page
   // header, and the padding of several of them.
   const size_t num_pages = clean_.size() / 512;
   ASSERT_GT(num_pages, 3u);
@@ -161,10 +163,11 @@ TEST_F(StorageCorruptionTest, StoreOfTheFormerFormatVersionIsDataLoss) {
   // Stores of the former versions must fail cleanly, not be read as the
   // current layout: version 1 (unweighted postings plus a per-record
   // vectors segment), version 2 (the deleted edge-join threshold in the
-  // config metadata) and version 3 (raw weight bits in every posting, no
-  // record norms). Set the header's version field and re-seal the header
-  // page, so the version is the only thing wrong.
-  for (const uint8_t version : {uint8_t{1}, uint8_t{2}, uint8_t{3}}) {
+  // config metadata), version 3 (raw weight bits in every posting, no
+  // record norms) and version 4 (a per-record index token set segment and
+  // a tombstone bitmap). Set the header's version field and re-seal the
+  // header page, so the version is the only thing wrong.
+  for (const uint8_t version : {uint8_t{1}, uint8_t{2}, uint8_t{3}, uint8_t{4}}) {
     std::vector<uint8_t> bytes = clean_;
     const size_t version_at = kPageHeaderBytes + sizeof(kFileMagic);
     bytes[version_at] = version;
@@ -186,6 +189,58 @@ TEST_F(StorageCorruptionTest, StoreOfTheFormerFormatVersionIsDataLoss) {
     ASSERT_FALSE(opened.ok());
     EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss);
   }
+}
+
+TEST_F(StorageCorruptionTest, RecordTokenIdsOutOfTokenOrderAreDataLoss) {
+  // Every checksum holds, but one record's token ids are reversed: the
+  // writer reads each run of ids as one token and its length as the tf, so
+  // ids out of token-string order must not load.
+  auto file = PageFile::Open(path_);
+  ASSERT_TRUE(file.ok());
+  const auto info = ReadStoreInfo(**file);
+  ASSERT_TRUE(info.ok());
+  const auto segment = ReadWholeSegment(**file, *info, kRawTokens);
+  ASSERT_TRUE(segment.ok());
+
+  ByteReader reader(segment->data(), segment->size());
+  std::vector<std::vector<int32_t>> records(static_cast<size_t>(*reader.ReadCount()));
+  for (std::vector<int32_t>& ids : records) {
+    ids.resize(static_cast<size_t>(*reader.ReadCount()));
+    for (int32_t& id : ids) id = static_cast<int32_t>(*reader.ReadCount());
+  }
+  ASSERT_TRUE(reader.AtEnd());
+  const auto reversed = std::find_if(records.begin(), records.end(), [](const auto& ids) {
+    return !ids.empty() && ids.front() != ids.back();
+  });
+  ASSERT_NE(reversed, records.end());
+  std::reverse(reversed->begin(), reversed->end());
+  // The same varints in another order: the segment keeps its length, so
+  // only its pages change.
+  std::vector<uint8_t> rewritten;
+  PutVarint(rewritten, records.size());
+  for (const std::vector<int32_t>& ids : records) {
+    PutVarint(rewritten, ids.size());
+    for (const int32_t id : ids) PutVarint(rewritten, static_cast<uint64_t>(id));
+  }
+  ASSERT_EQ(rewritten.size(), segment->size());
+
+  std::vector<uint8_t> bytes = clean_;
+  const uint64_t cap = PagePayloadCapacity(512);
+  uint64_t page = info->segments[kRawTokens].first_page;
+  for (uint64_t done = 0; done < rewritten.size(); ++page) {
+    const uint64_t take = std::min<uint64_t>(cap, rewritten.size() - done);
+    uint8_t* frame = bytes.data() + page * 512;
+    std::memcpy(frame + kPageHeaderBytes, rewritten.data() + done, take);
+    SealPageFrame(static_cast<uint32_t>(page), PageType::kSegment,
+                  static_cast<uint32_t>(take), frame, 512);
+    done += take;
+  }
+  WriteAll(path_, bytes);
+  const auto loaded = SnapshotStore::Load(path_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find("out of token order"), std::string::npos)
+      << loaded.status().message();
 }
 
 TEST_F(StorageCorruptionTest, TruncationIsDataLoss) {

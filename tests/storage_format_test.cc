@@ -59,20 +59,13 @@ TEST(ByteCodecTest, FixedWidthAndDoubleAreBitExact) {
   EXPECT_TRUE(reader.AtEnd());
 }
 
-TEST(ByteCodecTest, StringAndDeltaListRoundTrip) {
+TEST(ByteCodecTest, StringRoundTrip) {
   std::vector<uint8_t> bytes;
   PutString(bytes, "");
   PutString(bytes, std::string("with\0nul", 8));
-  PutDeltaVarints(bytes, {});
-  PutDeltaVarints(bytes, {0, 1, 2, 1000000, 2000000000});
   ByteReader reader(bytes.data(), bytes.size());
   EXPECT_EQ(*reader.ReadString(), "");
   EXPECT_EQ(*reader.ReadString(), std::string("with\0nul", 8));
-  std::vector<int32_t> list;
-  ASSERT_TRUE(reader.ReadDeltaVarints(&list).ok());
-  EXPECT_TRUE(list.empty());
-  ASSERT_TRUE(reader.ReadDeltaVarints(&list).ok());
-  EXPECT_EQ(list, (std::vector<int32_t>{0, 1, 2, 1000000, 2000000000}));
   EXPECT_TRUE(reader.AtEnd());
 }
 
@@ -96,14 +89,6 @@ TEST(ByteCodecTest, TruncatedAndMalformedInputIsDataLoss) {
     lying.push_back('x');
     ByteReader reader(lying.data(), lying.size());
     EXPECT_EQ(reader.ReadString().status().code(), StatusCode::kDataLoss);
-  }
-  {
-    // A delta list whose count exceeds the remaining bytes.
-    std::vector<uint8_t> lying;
-    PutVarint(lying, 1u << 30);
-    ByteReader reader(lying.data(), lying.size());
-    std::vector<int32_t> list;
-    EXPECT_EQ(reader.ReadDeltaVarints(&list).code(), StatusCode::kDataLoss);
   }
 }
 
@@ -254,7 +239,6 @@ TEST(MetaCodecTest, MetaRoundTripsEveryField) {
   meta.num_alive_groups = 2;
   meta.record_group = {0, 0, 1, 2, 2};
   meta.record_norm = {1.5, 0.0, 1.0 / 3.0, 2.75, 0.0};
-  meta.record_removed = {0, 0, 1, 0, 1};
   meta.group_alive = {1, 1, 0};
   meta.group_labels = {"ullman", "garcia-molina", ""};
   // Group 0 lists its records descending: group order is kept as is.
@@ -281,7 +265,6 @@ TEST(MetaCodecTest, MetaRoundTripsEveryField) {
     EXPECT_EQ(std::bit_cast<uint64_t>(decoded.record_norm[r]),
               std::bit_cast<uint64_t>(meta.record_norm[r]));
   }
-  EXPECT_EQ(decoded.record_removed, meta.record_removed);
   EXPECT_EQ(decoded.group_alive, meta.group_alive);
   EXPECT_EQ(decoded.group_labels, meta.group_labels);
   EXPECT_EQ(decoded.group_records, meta.group_records);
@@ -301,7 +284,6 @@ MetaData TwoGroupMeta() {
   meta.num_alive_groups = 2;
   meta.record_group = {0, 0, 1, 1, 1};
   meta.record_norm = {1.0, 1.0, 1.0, 1.0, 1.0};
-  meta.record_removed = {0, 0, 0, 0, 0};
   meta.group_alive = {1, 1};
   meta.group_labels = {"a", "b"};
   meta.group_records = {{0, 1}, {4, 3, 2}};

@@ -179,7 +179,6 @@ TEST(SnapshotStoreTest, PersistOfWeightsThatDoNotRebuildWritesNothing) {
   parts.config = captured->engine_config();
   parts.epoch = captured->epoch();
   parts.index_vocab = captured->index_vocab();
-  parts.token_index = captured->token_index();
   parts.epoch_vocab = captured->epoch_vocab();
   parts.record_vectors = captured->record_vectors();
   parts.record_group = captured->record_group();
@@ -268,11 +267,15 @@ TEST(SnapshotStoreTest, WarmRestartLinkerContinuesBitIdentically) {
   // The decisive warm-restart property: a writer rebuilt from the store
   // must link a stream of future arrivals exactly like the writer that
   // never stopped — including through a refresh, which rebuilds the
-  // epoch statistics from the recovered raw tokens.
+  // epoch statistics from the recovered token ids. A removal and a merge
+  // before the capture leave dead records behind, whose liveness the
+  // restarted writer derives from their groups'.
   const Dataset dataset = MakeCorpus(25, 42);
   auto original = IncrementalLinker::Create(dataset, TestConfig());
   ASSERT_TRUE(original.ok());
   (void)original->AddGroup("pre-persist arrival", {"some new tokens appear"});
+  original->RemoveGroup(3);
+  (void)original->MergeGroups(7, 8);
 
   const auto snapshot = CorpusSnapshot::Capture(*original);
   const std::string path = StorePath("warm_restart.glsnap");

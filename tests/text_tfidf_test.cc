@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "text/tokenizer.h"
 #include "text/vocabulary.h"
@@ -153,6 +157,34 @@ TEST(TfIdfVectorizerTest, RepeatedTokensIncreaseWeight) {
     return 0.0;
   };
   EXPECT_GT(weight_of(twice), weight_of(once));
+}
+
+TEST(TfIdfVectorizerTest, IdFormEqualsTheStringFormBitForBit) {
+  // Tokens held as ids of a larger vocabulary reach the epoch vocabulary
+  // through VocabularyIdMap; a token the epoch lacks maps to nothing.
+  const Vocabulary epoch = MakeCorpusVocabulary();
+  Vocabulary index;
+  for (const char* token : {"unseen", "query", "processing", "design"}) {
+    (void)index.GetOrInsertId(token);
+  }
+  const std::vector<int32_t> id_map = VocabularyIdMap(index, epoch);
+  ASSERT_EQ(id_map.size(), index.size());
+  EXPECT_EQ(id_map[static_cast<size_t>(index.GetId("unseen"))], Vocabulary::kUnknownToken);
+  EXPECT_EQ(id_map[static_cast<size_t>(index.GetId("design"))], epoch.GetId("design"));
+
+  const std::vector<std::string> tokens = {"query", "unseen", "design", "query", "processing"};
+  std::vector<int32_t> ids;
+  for (const std::string& token : tokens) ids.push_back(index.GetId(token));
+  const TfIdfVectorizer vectorizer(&epoch);
+  const SparseVector from_strings = vectorizer.Vectorize(tokens);
+  const SparseVector from_ids = vectorizer.Vectorize(ids, id_map);
+  ASSERT_EQ(from_ids.ids, from_strings.ids);
+  ASSERT_EQ(from_ids.weights.size(), from_strings.weights.size());
+  for (size_t i = 0; i < from_ids.weights.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(from_ids.weights[i]),
+              std::bit_cast<uint64_t>(from_strings.weights[i]));
+  }
+  EXPECT_EQ(from_ids.size(), 3u);  // "unseen" dropped, "query" counted twice.
 }
 
 }  // namespace
