@@ -167,11 +167,9 @@ int main(int argc, char** argv) {
     report.links = static_cast<int64_t>(cold->linked_pairs().size());
     report.AddStage("cold-restart", cold_seconds);
     report.AddStage("persist", persist_seconds);
-    report.AddStage("warm-restart", warm_seconds);
-    // The warm restart's two steps. They split warm-restart, so this
-    // run's seconds_total counts the warm restart twice.
-    report.AddStage("load", load_seconds);
-    report.AddStage("rebuild", rebuild_seconds);
+    report.AddStage("warm-restart", warm_seconds)
+        .AddTiming("load", load_seconds)
+        .AddTiming("rebuild", rebuild_seconds);
     report.AddExtra("restart_speedup", restart_speedup);
     reports.push_back(std::move(report));
   }

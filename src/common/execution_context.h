@@ -48,7 +48,8 @@ const char* StopReasonName(StopReason reason);
 /// subset of the full run's because each degraded path only loses links.
 /// Deadline, cancellation and the candidate cap shed whole items, and a
 /// shed pair is never linked. The edge join drops every bucket of a group
-/// with an unaccumulated record, so each graph it decides is complete.
+/// with an unaccumulated record, and a query or arrival stopped between
+/// its probe records decides no graph, so each graph decided is complete.
 /// The matcher-budget fallback links only when GreedyLowerBound ≥ Θ, and
 /// that bound is ≤ BM. BM is *not* monotone in the edge set (a graph
 /// missing an edge can score higher), so no path decides a graph with

@@ -12,16 +12,23 @@
 namespace grouplink {
 namespace {
 
+/// A record whose accumulated sum reached θ, and that sum.
+struct Hit {
+  int32_t record;
+  double sum;
+};
+
 /// A thread's dense accumulator, reused across calls: one sum per corpus
-/// record, a generation stamp marking the sums the current probe record
-/// touched (so nothing is cleared between probe records), the touched
-/// list, and the fetched postings. Every buffer keeps its capacity, so a
-/// warm thread allocates nothing per query.
+/// record, the hits of the last AccumulateRecord, and the fetched
+/// postings. Invariant: every sum is +0.0 whenever no AccumulateRecord is
+/// running, so nothing is cleared between probe records, and a return
+/// between records (a failed fetch, a stop, DataLoss) leaves the
+/// accumulator clean for the thread's next call, on any corpus. Every
+/// buffer keeps its capacity, so a warm thread allocates nothing per
+/// query.
 struct Accumulator {
   std::vector<double> sum;
-  std::vector<uint32_t> stamp;
-  std::vector<int32_t> touched;
-  uint32_t generation = 0;
+  std::vector<Hit> hits;
   FetchedPostings fetched;
   /// A probe's distinct tokens, ascending, and one probe record's lists.
   std::vector<int32_t> tokens;
@@ -30,44 +37,61 @@ struct Accumulator {
 
 Accumulator& ThreadAccumulator(size_t num_records) {
   thread_local Accumulator accumulator;
-  if (accumulator.sum.size() < num_records) {
-    accumulator.sum.resize(num_records);
-    accumulator.stamp.resize(num_records, 0);
-  }
+  if (accumulator.sum.size() < num_records) accumulator.sum.resize(num_records, 0.0);
   return accumulator;
 }
 
-/// The one accumulation loop: sums `vector` against every record below
+/// The one accumulation kernel: sums `vector` against every record below
 /// `cutoff` that shares a token with it, where lists[k] holds the postings
-/// of vector.ids[k]. Afterwards acc.touched lists those records and
-/// acc.sum holds their cosines.
-void AccumulateRecord(const SparseVector& vector,
-                      const std::span<const WeightedPosting>* lists, int32_t cutoff,
-                      Accumulator& acc, size_t* postings_scanned) {
-  if (++acc.generation == 0) {  // Wrapped: no stale stamp may match.
-    std::fill(acc.stamp.begin(), acc.stamp.end(), 0);
-    acc.generation = 1;
-  }
-  acc.touched.clear();
-  for (size_t k = 0; k < vector.size(); ++k) {
-    const double probe_weight = vector.weights[k];
-    const WeightedPosting* entry = lists[k].data();
-    const WeightedPosting* const end = entry + lists[k].size();
-    // Lists ascend by record id, so the cutoff ends the walk.
-    for (; entry != end && entry->record < cutoff; ++entry) {
-      const size_t r = static_cast<size_t>(entry->record);
-      GL_DCHECK_LT(r, acc.sum.size());
-      if (acc.stamp[r] != acc.generation) {
-        acc.stamp[r] = acc.generation;
-        acc.sum[r] = 0.0;
-        acc.touched.push_back(entry->record);
-      }
-      // Tokens arrive in ascending id, so each sum adds the shared
-      // tokens' products in DotProduct's own order.
-      acc.sum[r] += entry->weight * probe_weight;
+/// of vector.ids[k] (cut at the cutoff in place). Afterwards acc.hits
+/// holds each such record whose sum is >= `theta` (> 0), in the order the
+/// walk first reaches it, and the return value counts the distinct
+/// records touched.
+///
+/// Pass 1 adds w_r · w_p over each list with no test per entry. Tokens
+/// arrive in ascending id, so each sum is 0.0 plus the shared tokens'
+/// products in DotProduct's own order. Pass 2 walks the same entries,
+/// reads each sum once, keeps it when it reaches θ and writes +0.0 back,
+/// which restores the all-zero invariant. A record under several of the
+/// tokens is read at its full sum first and at 0.0 afterwards, so it is
+/// kept at most once; and since every TF-IDF weight is positive, a touched
+/// record's sum is > 0, so the nonzero reads count the distinct records.
+size_t AccumulateRecord(const SparseVector& vector,
+                        std::span<std::span<const WeightedPosting>> lists, int32_t cutoff,
+                        double theta, Accumulator& acc, size_t* postings_scanned) {
+  GL_DCHECK_GT(theta, 0.0);
+  GL_DCHECK_EQ(lists.size(), vector.size());
+  for (std::span<const WeightedPosting>& list : lists) {
+    // Lists ascend by record id, so the cutoff ends each one.
+    if (cutoff != ProbePlacement::kNone) {
+      list = list.first(static_cast<size_t>(
+          std::lower_bound(list.begin(), list.end(), cutoff,
+                           [](const WeightedPosting& entry, int32_t r) {
+                             return entry.record < r;
+                           }) -
+          list.begin()));
     }
-    *postings_scanned += static_cast<size_t>(entry - lists[k].data());
+    *postings_scanned += list.size();
   }
+  double* const sum = acc.sum.data();
+  for (size_t k = 0; k < lists.size(); ++k) {
+    const double probe_weight = vector.weights[k];
+    for (const WeightedPosting& entry : lists[k]) {
+      GL_DCHECK_LT(static_cast<size_t>(entry.record), acc.sum.size());
+      sum[entry.record] += entry.weight * probe_weight;
+    }
+  }
+  acc.hits.clear();
+  size_t touched = 0;
+  for (const std::span<const WeightedPosting> list : lists) {
+    for (const WeightedPosting& entry : list) {
+      const double s = sum[entry.record];
+      if (s >= theta) acc.hits.push_back({entry.record, s});
+      touched += s != 0.0 ? 1 : 0;
+      sum[entry.record] = 0.0;
+    }
+  }
+  return touched;
 }
 
 Status Unlisted() {
@@ -103,7 +127,14 @@ struct JoinShard {
 
 Result<std::vector<GroupGraph>> AccumulateGraphs(
     const PostingsCorpus& corpus, std::span<const SparseVector> probe,
-    ProbePlacement placement, double theta, size_t* postings_scanned) {
+    ProbePlacement placement, double theta, const ExecutionContext* ctx,
+    size_t* postings_scanned, bool* stopped) {
+  const auto stop = [ctx, stopped] {
+    if (ctx == nullptr || !ctx->StopRequested()) return false;
+    *stopped = true;
+    return true;
+  };
+  if (stop()) return std::vector<GroupGraph>();
   const std::vector<int32_t>& record_group = corpus.record_group();
   Accumulator& acc = ThreadAccumulator(record_group.size());
   // Each distinct probe token's list is fetched once, in ascending token
@@ -118,6 +149,8 @@ Result<std::vector<GroupGraph>> AccumulateGraphs(
 
   std::vector<FoundEdge> edges;
   for (size_t j = 0; j < probe.size(); ++j) {
+    // Record 0 was polled before the fetch.
+    if (j > 0 && stop()) return std::vector<GroupGraph>();
     // The record's ids ascend through the ascending distinct tokens.
     acc.record_lists.clear();
     size_t slot = 0;
@@ -125,14 +158,12 @@ Result<std::vector<GroupGraph>> AccumulateGraphs(
       while (acc.tokens[slot] != token) ++slot;
       acc.record_lists.push_back(acc.fetched.lists[slot]);
     }
-    AccumulateRecord(probe[j], acc.record_lists.data(), placement.record_cutoff, acc,
+    AccumulateRecord(probe[j], acc.record_lists, placement.record_cutoff, theta, acc,
                      postings_scanned);
-    for (const int32_t r : acc.touched) {
-      const double weight = acc.sum[static_cast<size_t>(r)];
-      if (weight < theta) continue;
-      const int32_t g = record_group[static_cast<size_t>(r)];
+    for (const Hit& hit : acc.hits) {
+      const int32_t g = record_group[static_cast<size_t>(hit.record)];
       if (g == placement.group) continue;
-      edges.push_back({g, r, static_cast<int32_t>(j), weight});
+      edges.push_back({g, hit.record, static_cast<int32_t>(j), hit.sum});
     }
   }
 
@@ -190,13 +221,14 @@ Result<AccumulateOutcome> AccumulateAndDecide(const PostingsCorpus& corpus,
                                               const FilterRefineConfig& ladder,
                                               const ExecutionContext* ctx) {
   AccumulateOutcome outcome;
-  if (ctx != nullptr && ctx->StopRequested()) {
+  bool stopped = false;
+  GL_ASSIGN_OR_RETURN(std::vector<GroupGraph> graphs,
+                      AccumulateGraphs(corpus, probe, placement, ladder.theta, ctx,
+                                       &outcome.postings_scanned, &stopped));
+  if (stopped) {
     outcome.degraded = true;
     return outcome;
   }
-  GL_ASSIGN_OR_RETURN(std::vector<GroupGraph> graphs,
-                      AccumulateGraphs(corpus, probe, placement, ladder.theta,
-                                       &outcome.postings_scanned));
   if (ctx != nullptr) {
     // Candidate budget: truncate the ascending (hence deterministic) tail.
     const size_t cap = ctx->EffectiveCandidateCap(graphs.size());
@@ -269,19 +301,17 @@ Result<JoinBuckets> AccumulateSelfJoin(const PostingsCorpus& corpus,
     Accumulator& acc = ThreadAccumulator(n);
     const SparseVector& vector = vectors[static_cast<size_t>(r)];
     GL_RETURN_IF_ERROR(corpus.FetchPostings(vector.ids, &acc.fetched));
-    AccumulateRecord(vector, acc.fetched.lists.data(), r, acc, &shard.postings_scanned);
-    shard.record_pairs += acc.touched.size();
+    shard.record_pairs +=
+        AccumulateRecord(vector, acc.fetched.lists, r, theta, acc, &shard.postings_scanned);
     const int32_t g = record_group[static_cast<size_t>(r)];
     const int32_t p = position[static_cast<size_t>(r)];
-    for (const int32_t other : acc.touched) {
-      const double weight = acc.sum[static_cast<size_t>(other)];
-      if (weight < theta) continue;
-      const int32_t h = record_group[static_cast<size_t>(other)];
+    for (const Hit& hit : acc.hits) {
+      const int32_t h = record_group[static_cast<size_t>(hit.record)];
       if (h == g) continue;
-      const int32_t q = position[static_cast<size_t>(other)];
+      const int32_t q = position[static_cast<size_t>(hit.record)];
       if (p < 0 || q < 0) return Unlisted();
-      shard.edges.push_back(h < g ? JoinEdge{PackGroups(h, g), q, p, weight}
-                                  : JoinEdge{PackGroups(g, h), p, q, weight});
+      shard.edges.push_back(h < g ? JoinEdge{PackGroups(h, g), q, p, hit.sum}
+                                  : JoinEdge{PackGroups(g, h), p, q, hit.sum});
     }
     return Status::Ok();
   };

@@ -99,7 +99,7 @@ struct GroupGraph {
 /// with exactly PrenormalizedCosineSimilarity(vector_r, probe record): the
 /// same ascending-id sum from 0.0, with no fused multiply-add (this
 /// translation unit carries no ISA target). The records with a sum ≥
-/// `theta` are the edges. The self-join below runs the same loop.
+/// `theta` are the edges. The self-join below runs the same kernel.
 ///
 /// Returns the θ-graph of every group with at least one edge, ascending by
 /// group. Each graph is edge for edge the one the full |g| × |probe|
@@ -109,9 +109,16 @@ struct GroupGraph {
 /// the posting entries read to `*postings_scanned`. Fails when a corpus
 /// read fails, and with DataLoss when a posting names a record its group
 /// does not list.
+///
+/// With a non-null `ctx` it polls for a stop before each probe record (the
+/// first poll comes before the fetch). A stop sets `*stopped` to true and
+/// returns no graph: the records left out could add edges to any of them.
+/// The entries read by the records accumulated before the stop stay in
+/// *postings_scanned. `stopped` may be null when `ctx` is.
 [[nodiscard]] Result<std::vector<GroupGraph>> AccumulateGraphs(
     const PostingsCorpus& corpus, std::span<const SparseVector> probe,
-    ProbePlacement placement, double theta, size_t* postings_scanned);
+    ProbePlacement placement, double theta, const ExecutionContext* ctx,
+    size_t* postings_scanned, bool* stopped);
 
 /// Outcome of one AccumulateAndDecide.
 struct AccumulateOutcome {
@@ -122,16 +129,18 @@ struct AccumulateOutcome {
   /// Posting entries read (exact, independent of thread count).
   size_t postings_scanned = 0;
   /// True when `ctx` shed work: the candidate cap truncated the groups,
-  /// or a stop request came before accumulating or before a decision.
+  /// or a stop request came before a probe record or before a decision.
   bool degraded = false;
 };
 
 /// The one accumulate-and-decide of the link query, the arrival and the
-/// merge paths. Polls `ctx` for a stop, runs AccumulateGraphs, keeps the
-/// first ctx->EffectiveCandidateCap groups with an edge, and decides each
-/// graph through DecideGraphLinked under `ladder`, polling ctx before each
-/// one. A null `ctx` runs unconstrained. A degraded outcome only ever
-/// misses links; it never has extras.
+/// merge paths. Runs AccumulateGraphs under `ctx`, keeps the first
+/// ctx->EffectiveCandidateCap groups with an edge, and decides each graph
+/// through DecideGraphLinked under `ladder`, polling ctx before each one.
+/// A stop during accumulation decides no graph, because each may lack a
+/// probe record's edges and BM is not monotone in the edge set: the
+/// outcome is degraded, with no links. A null `ctx` runs unconstrained. A
+/// degraded outcome only ever misses links; it never has extras.
 [[nodiscard]] Result<AccumulateOutcome> AccumulateAndDecide(
     const PostingsCorpus& corpus, std::span<const SparseVector> probe,
     ProbePlacement placement, const FilterRefineConfig& ladder,

@@ -9,9 +9,11 @@
 // OOV-only probe record, an all-identical corpus, a token present in
 // every record, and groups whose record ids do not ascend. The suite also
 // proves the postings stay the transpose of the live vectors through
-// every mutation, pins the exact work counter, and runs concurrent
-// queries and a parallel arrival batch (the thread-sanitizer job runs
-// this binary).
+// every mutation, counts the exact work counters by brute force, keeps a
+// thread's accumulator exact across calls that fail, stop or change
+// corpus, decides no graph after a stop between probe records, and runs
+// concurrent queries and a parallel arrival batch (the thread-sanitizer
+// job runs this binary).
 #include "core/accumulate.h"
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include <algorithm>
 #include <bit>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -125,6 +128,21 @@ void ExpectSameGraph(const BipartiteGraph& got, const BipartiteGraph& want,
   }
 }
 
+/// The posting entries accumulating `probe` reads: for each probe record,
+/// the entries below `cutoff` in the lists of its tokens.
+size_t BruteForceScanned(const CorpusSnapshot& truth, std::span<const SparseVector> probe,
+                         int32_t cutoff) {
+  size_t scanned = 0;
+  for (const SparseVector& vector : probe) {
+    for (const int32_t token : vector.ids) {
+      for (const WeightedPosting& entry : truth.postings().List(token)) {
+        scanned += entry.record < cutoff ? 1 : 0;
+      }
+    }
+  }
+  return scanned;
+}
+
 /// What one accumulation over `corpus` must reproduce, computed the old
 /// way from `truth` (the in-RAM epoch the corpus serves).
 struct Checked {
@@ -145,11 +163,13 @@ Checked ExpectAccumulationMatchesBruteForce(const PostingsCorpus& corpus,
                                             ProbePlacement placement,
                                             const std::string& context) {
   Checked checked;
-  auto graphs = AccumulateGraphs(corpus, probe, placement, kTheta,
-                                 &checked.postings_scanned);
+  auto graphs = AccumulateGraphs(corpus, probe, placement, kTheta, nullptr,
+                                 &checked.postings_scanned, nullptr);
   EXPECT_TRUE(graphs.ok()) << context << ": " << graphs.status().message();
   if (!graphs.ok()) return checked;
   checked.graphs = graphs->size();
+  EXPECT_EQ(checked.postings_scanned, BruteForceScanned(truth, probe, placement.record_cutoff))
+      << context;
 
   const FilterRefineConfig ladder = truth.engine_config().Ladder();
   const int32_t probe_size = static_cast<int32_t>(probe.size());
@@ -479,47 +499,78 @@ Dataset LiveDataset(const Scenario& scenario, std::vector<int32_t>* group_map) {
   return live;
 }
 
+bool SharesToken(const SparseVector& a, const SparseVector& b) {
+  for (size_t i = 0, j = 0; i < a.ids.size() && j < b.ids.size();) {
+    if (a.ids[i] == b.ids[j]) return true;
+    a.ids[i] < b.ids[j] ? ++i : ++j;
+  }
+  return false;
+}
+
+/// Checks a self-join of the unmutated corpus `snapshot`, whose groups are
+/// `dataset`'s, against brute force: every group pair (g1 < g2) whose
+/// cosine matrix has a θ-edge is exactly one bucket, in ascending order,
+/// and its graph is BuildSimilarityGraph's edge for edge and bit for bit;
+/// the join stage's record_candidates and postings_scanned are counted
+/// record pair by record pair. Adds the buckets compared to `*compared`.
+void ExpectSelfJoinMatchesBruteForce(const CorpusSnapshot& snapshot, const Dataset& dataset,
+                                     const JoinBuckets& joined, const RunReport& report,
+                                     const std::string& context, size_t* compared) {
+  const std::vector<SparseVector>& vectors = snapshot.record_vectors();
+  const RecordSimFn sim = [&](int32_t a, int32_t b) {
+    return PrenormalizedCosineSimilarity(vectors[static_cast<size_t>(a)],
+                                         vectors[static_cast<size_t>(b)]);
+  };
+  size_t next = 0;
+  for (int32_t g1 = 0; g1 < dataset.num_groups(); ++g1) {
+    for (int32_t g2 = g1 + 1; g2 < dataset.num_groups(); ++g2) {
+      const BipartiteGraph want = BuildSimilarityGraph(dataset, g1, g2, sim, kTheta);
+      if (want.edges().empty()) continue;
+      const std::string where =
+          context + " pair " + std::to_string(g1) + "," + std::to_string(g2);
+      ASSERT_LT(next, joined.buckets.size()) << where << " has no bucket";
+      const JoinBuckets::Bucket& bucket = joined.buckets[next];
+      ASSERT_EQ(std::make_pair(bucket.g1, bucket.g2), std::make_pair(g1, g2)) << where;
+      ExpectSameGraph(joined.Graph(next), want, where);
+      ++next;
+    }
+  }
+  EXPECT_EQ(next, joined.buckets.size()) << context << ": a bucket with no edge";
+  *compared += next;
+  EXPECT_EQ(report.StageCounter("bucket", "group_pairs"),
+            static_cast<int64_t>(joined.buckets.size()))
+      << context;
+  // Record r accumulates against the records below it.
+  int64_t record_pairs = 0;
+  size_t scanned = 0;
+  for (size_t r = 0; r < vectors.size(); ++r) {
+    scanned += BruteForceScanned(snapshot, std::span(vectors).subspan(r, 1),
+                                 static_cast<int32_t>(r));
+    for (size_t q = 0; q < r; ++q) record_pairs += SharesToken(vectors[r], vectors[q]) ? 1 : 0;
+  }
+  EXPECT_EQ(report.StageCounter("join", "record_candidates"), record_pairs) << context;
+  EXPECT_EQ(report.StageCounter("join", "postings_scanned"), static_cast<int64_t>(scanned))
+      << context;
+}
+
 TEST(AccumulateSelfJoinTest, BucketGraphsMatchTheCosineMatrixAtAnyThreadCount) {
-  // On the unmutated corpora, every group pair (g1 < g2) whose cosine
-  // matrix has a θ-edge is exactly one bucket, in ascending order, and its
-  // graph is BuildSimilarityGraph's edge for edge and bit for bit; the
-  // work counters are equal at 1, 2 and 7 threads.
+  // On the unmutated corpora, the join equals brute force at 1, 2 and 7
+  // threads, and so its work counters are equal at every thread count.
   size_t compared = 0;
   for (const Scenario& scenario : Scenarios()) {
     if (!scenario.merges.empty() || !scenario.removals.empty()) continue;
     const auto snapshot = CorpusSnapshot::Capture(*BuildLinker(scenario));
-    const std::vector<SparseVector>& vectors = snapshot->record_vectors();
-    const RecordSimFn sim = [&](int32_t a, int32_t b) {
-      return PrenormalizedCosineSimilarity(vectors[static_cast<size_t>(a)],
-                                           vectors[static_cast<size_t>(b)]);
-    };
     RunReport reference;
     for (const int32_t threads : {1, 2, 7}) {
       const std::string context = scenario.name + " @ " + std::to_string(threads);
       std::unique_ptr<ThreadPool> pool;
       if (threads > 1) pool = std::make_unique<ThreadPool>(static_cast<size_t>(threads));
       RunReport report;
-      const auto joined =
-          AccumulateSelfJoin(*snapshot, vectors, kTheta, pool.get(), nullptr, &report);
+      const auto joined = AccumulateSelfJoin(*snapshot, snapshot->record_vectors(), kTheta,
+                                             pool.get(), nullptr, &report);
       ASSERT_TRUE(joined.ok()) << context;
-      size_t next = 0;
-      for (int32_t g1 = 0; g1 < scenario.seed.num_groups(); ++g1) {
-        for (int32_t g2 = g1 + 1; g2 < scenario.seed.num_groups(); ++g2) {
-          const BipartiteGraph want = BuildSimilarityGraph(scenario.seed, g1, g2, sim, kTheta);
-          if (want.edges().empty()) continue;
-          const std::string where =
-              context + " pair " + std::to_string(g1) + "," + std::to_string(g2);
-          ASSERT_LT(next, joined->buckets.size()) << where << " has no bucket";
-          const JoinBuckets::Bucket& bucket = joined->buckets[next];
-          ASSERT_EQ(std::make_pair(bucket.g1, bucket.g2), std::make_pair(g1, g2)) << where;
-          ExpectSameGraph(joined->Graph(next), want, where);
-          ++next;
-        }
-      }
-      EXPECT_EQ(next, joined->buckets.size()) << context << ": a bucket with no edge";
-      compared += next;
-      EXPECT_EQ(report.StageCounter("bucket", "group_pairs"),
-                static_cast<int64_t>(joined->buckets.size()));
+      ExpectSelfJoinMatchesBruteForce(*snapshot, scenario.seed, *joined, report, context,
+                                      &compared);
       if (threads == 1) {
         reference = report;
         EXPECT_GT(report.StageCounter("join", "postings_scanned"), 0) << context;
@@ -636,9 +687,135 @@ TEST(AccumulateTest, PostingOfAnUnlistedRecordIsDataLoss) {
   probe.weights = {1.0};
   size_t scanned = 0;
   const auto graphs =
-      AccumulateGraphs(corpus, std::vector<SparseVector>{probe}, {}, kTheta, &scanned);
+      AccumulateGraphs(corpus, std::vector<SparseVector>{probe}, {}, kTheta, nullptr, &scanned,
+                       nullptr);
   ASSERT_FALSE(graphs.ok());
   EXPECT_EQ(graphs.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(AccumulateTest, EveryCallLeavesTheThreadsAccumulatorAtZero) {
+  // Every accumulation on a thread shares one dense accumulator, whose
+  // sums are all +0.0 between calls. Interleave on this thread the calls
+  // that leave early or size it for another corpus — a DataLoss, a
+  // self-join over a larger corpus, a query stopped between records —
+  // with queries on a smaller corpus: every answer stays the brute-force
+  // one, graphs, links and postings_scanned.
+  const Dataset small_set = MakeCorpus(12, 3);
+  const Dataset large_set = MakeCorpus(40, 5);
+  auto small_linker = IncrementalLinker::Create(small_set, TestConfig());
+  auto large_linker = IncrementalLinker::Create(large_set, TestConfig());
+  ASSERT_TRUE(small_linker.ok() && large_linker.ok());
+  const auto small = CorpusSnapshot::Capture(*small_linker);
+  const auto large = CorpusSnapshot::Capture(*large_linker);
+  ASSERT_GT(large->num_records(), small->num_records());
+  const auto query_small = [&](const std::string& when) {
+    for (int32_t g = 0; g < small_set.num_groups(); g += 2) {
+      (void)ExpectAccumulationMatchesBruteForce(
+          *small, *small, Vectorize(small->epoch_vocab(), GroupTexts(small_set, g)), {},
+          when + ", probe " + std::to_string(g));
+    }
+  };
+  query_small("first");
+
+  const MislistedCorpus mislisted;
+  SparseVector token_zero;
+  token_zero.ids = {0};
+  token_zero.weights = {1.0};
+  size_t scanned = 0;
+  const auto lost = AccumulateGraphs(mislisted, std::vector<SparseVector>{token_zero}, {},
+                                     kTheta, nullptr, &scanned, nullptr);
+  EXPECT_EQ(lost.status().code(), StatusCode::kDataLoss);
+  query_small("after a DataLoss");
+
+  RunReport report;
+  const auto joined =
+      AccumulateSelfJoin(*large, large->record_vectors(), kTheta, nullptr, nullptr, &report);
+  ASSERT_TRUE(joined.ok());
+  size_t compared = 0;
+  ExpectSelfJoinMatchesBruteForce(*large, large_set, *joined, report, "larger self-join",
+                                  &compared);
+  EXPECT_GT(compared, 0u);
+  query_small("after a larger self-join");
+
+  // One poll before the fetch and one before record 1: the stop comes
+  // after the probe's first record.
+  const std::vector<SparseVector> probe =
+      Vectorize(small->epoch_vocab(), GroupTexts(small_set, 0));
+  ASSERT_GT(probe.size(), 1u);
+  {
+    ScopedFaultClear clear;
+    ASSERT_TRUE(FaultInjector::Default().ArmFromSpec("execution.deadline:after=1").ok());
+    const ExecutionContext ctx;
+    scanned = 0;
+    bool stopped = false;
+    const auto none = AccumulateGraphs(*small, probe, {}, kTheta, &ctx, &scanned, &stopped);
+    ASSERT_TRUE(none.ok());
+    EXPECT_TRUE(stopped);
+    EXPECT_TRUE(none->empty());
+    EXPECT_EQ(scanned,
+              BruteForceScanned(*small, std::span(probe).first(1), ProbePlacement::kNone));
+  }
+  query_small("after a stopped query");
+}
+
+TEST(AccumulateTest, AStopDuringAccumulationDecidesNoGraph) {
+  // A 10,000-record probe: the corpus's records, cycled. The
+  // execution.deadline fault stops it after kAccumulated records (a poll
+  // before each record, the first before the fetch; an arrival's
+  // ParallelFor polls once more, before the arrival). Its graphs then lack
+  // the other records' edges, and BM is not monotone in the edge set, so
+  // the snapshot query, the stored query and the arrival each come back
+  // degraded with no candidate and no link, having read the postings of
+  // the accumulated records only.
+  const Dataset dataset = MakeCorpus(20, 42);
+  auto linker = IncrementalLinker::Create(dataset, TestConfig());
+  ASSERT_TRUE(linker.ok());
+  const auto snapshot = CorpusSnapshot::Capture(*linker);
+  const std::string path = StorePath("accumulate_stopped.glsnap");
+  ASSERT_TRUE(storage::SnapshotStore::Persist(*snapshot, path).ok());
+  auto stored = storage::StoredCorpus::Open(path);
+  ASSERT_TRUE(stored.ok()) << stored.status().message();
+
+  constexpr size_t kAccumulated = 3;
+  GroupArrival probe{"probe", {}};
+  for (size_t i = 0; probe.record_texts.size() < 10000; ++i) {
+    probe.record_texts.push_back(dataset.records[i % dataset.records.size()].text);
+  }
+  const std::vector<SparseVector> vectors =
+      Vectorize(snapshot->epoch_vocab(), probe.record_texts);
+  const size_t accumulated = BruteForceScanned(
+      *snapshot, std::span(vectors).first(kAccumulated), ProbePlacement::kNone);
+  const auto full = snapshot->LinkQuery(probe);
+  ASSERT_FALSE(full.degraded);
+  ASSERT_GT(full.candidates, 0u);
+  ASSERT_GT(full.postings_scanned, accumulated);
+
+  ScopedFaultClear clear;
+  const auto arm = [](size_t after) {
+    return FaultInjector::Default()
+        .ArmFromSpec("execution.deadline:after=" + std::to_string(after))
+        .ok();
+  };
+  ASSERT_TRUE(arm(kAccumulated));
+  const CorpusSnapshot::QueryResult in_ram = snapshot->LinkQuery(probe);
+  ASSERT_TRUE(arm(kAccumulated));
+  const auto paged = (*stored)->LinkQuery(probe);
+  ASSERT_TRUE(paged.ok()) << paged.status().message();
+  for (const CorpusSnapshot::QueryResult* answer : {&in_ram, &*paged}) {
+    EXPECT_TRUE(answer->degraded);
+    EXPECT_TRUE(answer->linked_to.empty());
+    EXPECT_EQ(answer->candidates, 0u);
+    EXPECT_EQ(answer->postings_scanned, accumulated);
+  }
+
+  ASSERT_TRUE(arm(kAccumulated + 1));
+  const std::vector<IncrementalLinker::AddResult> added = linker->AddGroups({probe});
+  ASSERT_EQ(added.size(), 1u);
+  EXPECT_TRUE(added[0].degraded);
+  EXPECT_TRUE(added[0].linked_to.empty());
+  EXPECT_EQ(added[0].candidates, 0u);
+  EXPECT_EQ(added[0].postings_scanned, accumulated);
+  ASSERT_TRUE(storage::RemoveFile(path).ok());
 }
 
 // Four records over five epoch tokens; "apple" is in two of them.
@@ -680,7 +857,9 @@ TEST(AccumulateTest, PostingsScannedIsPinnedAndMirroredIntoTheRegistry) {
   EXPECT_EQ(add_counter.Value() - added_before, kScanned);
 }
 
-TEST(AccumulateTest, PostingsScannedIsEqualAtAnyThreadCount) {
+/// A seed corpus (the first 20 groups of a 30-entity corpus, renumbered)
+/// and an arrival batch: the other groups, then a replay of group 20.
+std::pair<Dataset, std::vector<GroupArrival>> SeedAndArrivals() {
   const Dataset full = MakeCorpus(30, 57);
   Dataset seed;
   for (int32_t g = 0; g < 20; ++g) {
@@ -697,7 +876,11 @@ TEST(AccumulateTest, PostingsScannedIsEqualAtAnyThreadCount) {
     batch.push_back({"arrival", GroupTexts(full, g)});
   }
   batch.push_back({"replay", GroupTexts(full, 20)});
+  return {std::move(seed), std::move(batch)};
+}
 
+TEST(AccumulateTest, PostingsScannedIsEqualAtAnyThreadCount) {
+  const auto [seed, batch] = SeedAndArrivals();
   std::vector<IncrementalLinker::AddResult> reference;
   for (const int32_t threads : {1, 2, 7}) {
     auto linker = IncrementalLinker::Create(seed, TestConfig(threads));
@@ -717,6 +900,46 @@ TEST(AccumulateTest, PostingsScannedIsEqualAtAnyThreadCount) {
       EXPECT_EQ(added[k].candidates, reference[k].candidates) << threads << " threads";
       EXPECT_EQ(added[k].linked_to, reference[k].linked_to) << threads << " threads";
     }
+  }
+}
+
+TEST(AccumulateTest, AStopDuringAParallelArrivalBatchDegradesArrivalsCleanly) {
+  // The batch's workers share one context, so one worker's stop reaches
+  // the others between or inside their accumulations, possibly while the
+  // first is still noting it. Whichever poll trips, every arrival reads
+  // the stop as a stop, not an error: the batch completes, an arrival
+  // that is not degraded is the unconstrained one, and a degraded arrival
+  // only loses links.
+  const auto [seed, batch] = SeedAndArrivals();
+  auto reference_linker = IncrementalLinker::Create(seed, TestConfig(4));
+  ASSERT_TRUE(reference_linker.ok());
+  const std::vector<IncrementalLinker::AddResult> reference =
+      reference_linker->AddGroups(batch);
+  for (const auto& result : reference) ASSERT_FALSE(result.degraded);
+  for (int after = 0; after < 24; ++after) {
+    auto linker = IncrementalLinker::Create(seed, TestConfig(4));
+    ASSERT_TRUE(linker.ok());
+    ScopedFaultClear clear;
+    ASSERT_TRUE(FaultInjector::Default()
+                    .ArmFromSpec("execution.deadline:after=" + std::to_string(after))
+                    .ok());
+    const std::vector<IncrementalLinker::AddResult> added = linker->AddGroups(batch);
+    ASSERT_EQ(added.size(), reference.size());
+    size_t degraded = 0;
+    for (size_t k = 0; k < added.size(); ++k) {
+      const std::string where =
+          "stop after " + std::to_string(after) + " polls, arrival " + std::to_string(k);
+      const std::vector<int32_t>& got = added[k].linked_to;
+      const std::vector<int32_t>& want = reference[k].linked_to;
+      if (!added[k].degraded) {
+        EXPECT_EQ(got, want) << where;
+        EXPECT_EQ(added[k].postings_scanned, reference[k].postings_scanned) << where;
+        continue;
+      }
+      ++degraded;
+      EXPECT_TRUE(std::includes(want.begin(), want.end(), got.begin(), got.end())) << where;
+    }
+    EXPECT_GT(degraded, 0u) << "stop after " << after << " polls";
   }
 }
 
