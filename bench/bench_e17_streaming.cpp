@@ -22,6 +22,7 @@
 #include "bench_util.h"
 #include "common/flags.h"
 #include "common/logging.h"
+#include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -185,6 +186,7 @@ int main(int argc, char** argv) {
     int64_t stream_oov = 0;
     int64_t refreshes_triggered = 0;
     int64_t degraded_arrivals = 0;
+    int64_t stream_postings = 0;
     size_t next = 0;
     while (next < arrivals.size()) {
       const size_t take =
@@ -203,6 +205,7 @@ int main(int argc, char** argv) {
         stream_oov += static_cast<int64_t>(result.oov_tokens);
         refreshes_triggered += result.triggered_refresh ? 1 : 0;
         degraded_arrivals += result.degraded ? 1 : 0;
+        stream_postings += static_cast<int64_t>(result.postings_scanned);
       }
       next += take;
     }
@@ -210,9 +213,16 @@ int main(int argc, char** argv) {
 
     // Final epoch refresh: after it, streaming must equal batch exactly
     // (or stay a subset when config limits also constrain the refresh).
+    // Its self-join counts into the registry's edge_join.*, read around it.
+    Counter& join_postings = MetricsRegistry::Default().CounterRef("edge_join.postings_scanned");
+    Counter& join_pairs = MetricsRegistry::Default().CounterRef("edge_join.record_candidates");
+    const uint64_t postings_before = join_postings.Value();
+    const uint64_t pairs_before = join_pairs.Value();
     WallTimer refresh_timer;
     linker.Refresh();
     const double refresh_seconds = refresh_timer.ElapsedSeconds();
+    const auto refresh_postings = static_cast<int64_t>(join_postings.Value() - postings_before);
+    const auto refresh_pairs = static_cast<int64_t>(join_pairs.Value() - pairs_before);
 
     const Dataset accumulated = Accumulate(seed, arrivals);
     GL_CHECK(accumulated.Validate().ok());
@@ -291,10 +301,13 @@ int main(int argc, char** argv) {
         .AddCounter("links_found", stream_links)
         .AddCounter("oov_tokens", stream_oov)
         .AddCounter("refreshes_triggered", refreshes_triggered)
-        .AddCounter("degraded_arrivals", degraded_arrivals);
+        .AddCounter("degraded_arrivals", degraded_arrivals)
+        .AddCounter("postings_scanned", stream_postings);
     report.degraded = degraded_arrivals > 0;
     report.AddStage("refresh", refresh_seconds)
-        .AddCounter("epoch", linker.epoch());
+        .AddCounter("epoch", linker.epoch())
+        .AddCounter("postings_scanned", refresh_postings)
+        .AddCounter("record_candidates", refresh_pairs);
     report.AddStage("batch-rerun", batch_seconds)
         .AddCounter("links", static_cast<int64_t>(batch_result->linked_pairs.size()));
     report.AddExtra("arrival_p50_ms", p50);

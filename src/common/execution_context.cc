@@ -50,17 +50,15 @@ void ExecutionContext::SetDeadline(double ms) {
 }
 
 void ExecutionContext::NoteStop(StopReason reason) const {
-  // First cause wins; later polls keep returning the sticky state.
-  bool expected = false;
-  if (stopped_.compare_exchange_strong(expected, true,
-                                       std::memory_order_relaxed)) {
-    stop_reason_.store(static_cast<int>(reason), std::memory_order_relaxed);
-    degraded_.store(true, std::memory_order_relaxed);
-  }
+  // First cause wins: the stop and its reason are one value, so a thread
+  // that sees the stop reads the reason with it.
+  int none = static_cast<int>(StopReason::kNone);
+  stop_reason_.compare_exchange_strong(none, static_cast<int>(reason),
+                                       std::memory_order_relaxed);
 }
 
 bool ExecutionContext::StopRequested() const {
-  if (stopped_.load(std::memory_order_relaxed)) return true;
+  if (stop_reason() != StopReason::kNone) return true;
   if (has_token_ && token_.cancelled()) {
     NoteStop(StopReason::kCancelled);
     return true;

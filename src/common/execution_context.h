@@ -110,9 +110,11 @@ class ExecutionContext {
   [[nodiscard]] size_t EffectiveCandidateCap(size_t n) const;
 
   /// Any stage that sheds or downgrades work calls this; degraded() then
-  /// feeds RunReport.degraded.
+  /// feeds RunReport.degraded. A stop is always a degradation.
   void NoteDegraded() const { degraded_.store(true, std::memory_order_relaxed); }
-  [[nodiscard]] bool degraded() const { return degraded_.load(std::memory_order_relaxed); }
+  [[nodiscard]] bool degraded() const {
+    return degraded_.load(std::memory_order_relaxed) || stop_reason() != StopReason::kNone;
+  }
 
   /// OK while running; Cancelled/DeadlineExceeded once stopped.
   [[nodiscard]] Status ToStatus() const;
@@ -127,8 +129,8 @@ class ExecutionContext {
   int64_t max_candidate_pairs_ = 0;
   int64_t max_matcher_cost_ = 0;
   // Mutable: polling from const contexts (measures take const*) must
-  // still be able to latch the sticky stop state.
-  mutable std::atomic<bool> stopped_{false};
+  // still be able to latch the sticky stop state. The one stop flag: any
+  // value but kNone is a stop, and names its first cause.
   mutable std::atomic<int> stop_reason_{static_cast<int>(StopReason::kNone)};
   mutable std::atomic<bool> degraded_{false};
 };

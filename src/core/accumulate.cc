@@ -8,15 +8,10 @@
 #include "common/logging.h"
 #include "common/timer.h"
 #include "common/trace.h"
+#include "text/simd_kernels.h"
 
 namespace grouplink {
 namespace {
-
-/// A record whose accumulated sum reached θ, and that sum.
-struct Hit {
-  int32_t record;
-  double sum;
-};
 
 /// A thread's dense accumulator, reused across calls: one sum per corpus
 /// record, the hits of the last AccumulateRecord, and the fetched
@@ -28,7 +23,7 @@ struct Hit {
 /// query.
 struct Accumulator {
   std::vector<double> sum;
-  std::vector<Hit> hits;
+  std::vector<AccumulatorHit> hits;
   FetchedPostings fetched;
   /// A probe's distinct tokens, ascending, and one probe record's lists.
   std::vector<int32_t> tokens;
@@ -44,23 +39,27 @@ Accumulator& ThreadAccumulator(size_t num_records) {
 /// The one accumulation kernel: sums `vector` against every record below
 /// `cutoff` that shares a token with it, where lists[k] holds the postings
 /// of vector.ids[k] (cut at the cutoff in place). Afterwards acc.hits
-/// holds each such record whose sum is >= `theta` (> 0), in the order the
-/// walk first reaches it, and the return value counts the distinct
-/// records touched.
+/// holds each such record whose sum is >= `theta` (> 0), and the return
+/// value counts the distinct records touched.
 ///
 /// Pass 1 adds w_r · w_p over each list with no test per entry. Tokens
 /// arrive in ascending id, so each sum is 0.0 plus the shared tokens'
-/// products in DotProduct's own order. Pass 2 walks the same entries,
-/// reads each sum once, keeps it when it reaches θ and writes +0.0 back,
-/// which restores the all-zero invariant. A record under several of the
-/// tokens is read at its full sum first and at 0.0 afterwards, so it is
-/// kept at most once; and since every TF-IDF weight is positive, a touched
-/// record's sum is > 0, so the nonzero reads count the distinct records.
+/// products in DotProduct's own order. Pass 2 reads each sum once, keeps
+/// it when it reaches θ and writes +0.0 back, which restores the all-zero
+/// invariant; since every TF-IDF weight is positive, a touched record's
+/// sum is > 0, so the nonzero reads count the distinct records. At the
+/// AVX2 tier pass 2 sweeps the slots between the lists' first and last
+/// records (SweepAccumulator), and the hits ascend by record. Otherwise it
+/// walks the same entries again, and the hits come in the order the walk
+/// first reaches them: a record under several of the tokens is read at
+/// its full sum first and at 0.0 afterwards, so it is kept at most once.
 size_t AccumulateRecord(const SparseVector& vector,
                         std::span<std::span<const WeightedPosting>> lists, int32_t cutoff,
                         double theta, Accumulator& acc, size_t* postings_scanned) {
   GL_DCHECK_GT(theta, 0.0);
   GL_DCHECK_EQ(lists.size(), vector.size());
+  // The slots pass 1 writes lie in [lo, hi).
+  size_t lo = acc.sum.size(), hi = 0;
   for (std::span<const WeightedPosting>& list : lists) {
     // Lists ascend by record id, so the cutoff ends each one.
     if (cutoff != ProbePlacement::kNone) {
@@ -72,6 +71,10 @@ size_t AccumulateRecord(const SparseVector& vector,
           list.begin()));
     }
     *postings_scanned += list.size();
+    if (!list.empty()) {
+      lo = std::min(lo, static_cast<size_t>(list.front().record));
+      hi = std::max(hi, static_cast<size_t>(list.back().record) + 1);
+    }
   }
   double* const sum = acc.sum.data();
   for (size_t k = 0; k < lists.size(); ++k) {
@@ -82,6 +85,7 @@ size_t AccumulateRecord(const SparseVector& vector,
     }
   }
   acc.hits.clear();
+  if (SweepAccumulatorApplies()) return SweepAccumulator(sum, lo, hi, theta, &acc.hits);
   size_t touched = 0;
   for (const std::span<const WeightedPosting> list : lists) {
     for (const WeightedPosting& entry : list) {
@@ -160,7 +164,7 @@ Result<std::vector<GroupGraph>> AccumulateGraphs(
     }
     AccumulateRecord(probe[j], acc.record_lists, placement.record_cutoff, theta, acc,
                      postings_scanned);
-    for (const Hit& hit : acc.hits) {
+    for (const AccumulatorHit& hit : acc.hits) {
       const int32_t g = record_group[static_cast<size_t>(hit.record)];
       if (g == placement.group) continue;
       edges.push_back({g, hit.record, static_cast<int32_t>(j), hit.sum});
@@ -261,10 +265,11 @@ BipartiteGraph JoinBuckets::Graph(size_t i) const {
   return graph;
 }
 
-Result<JoinBuckets> AccumulateSelfJoin(const PostingsCorpus& corpus,
-                                       std::span<const SparseVector> vectors, double theta,
-                                       ThreadPool* pool, ExecutionContext* ctx,
-                                       RunReport* report) {
+Status AccumulateSelfJoin(const PostingsCorpus& corpus, std::span<const SparseVector> vectors,
+                          double theta, ThreadPool* pool, ExecutionContext* ctx,
+                          RunReport* report, JoinBuckets* joined) {
+  joined->buckets.clear();
+  joined->edges.clear();
   const std::vector<int32_t>& record_group = corpus.record_group();
   const size_t n = record_group.size();
   GL_CHECK_EQ(vectors.size(), n);
@@ -305,7 +310,7 @@ Result<JoinBuckets> AccumulateSelfJoin(const PostingsCorpus& corpus,
         AccumulateRecord(vector, acc.fetched.lists, r, theta, acc, &shard.postings_scanned);
     const int32_t g = record_group[static_cast<size_t>(r)];
     const int32_t p = position[static_cast<size_t>(r)];
-    for (const Hit& hit : acc.hits) {
+    for (const AccumulatorHit& hit : acc.hits) {
       const int32_t h = record_group[static_cast<size_t>(hit.record)];
       if (h == g) continue;
       const int32_t q = position[static_cast<size_t>(hit.record)];
@@ -373,37 +378,36 @@ Result<JoinBuckets> AccumulateSelfJoin(const PostingsCorpus& corpus,
   // Buckets: the shard buffers in shard order, sorted by the packed group
   // pair, then the graph positions.
   timer.Reset();
-  JoinBuckets joined;
   {
     GL_TRACE_SPAN("edge_join.bucket");
-    joined.edges.reserve(edges);
+    joined->edges.reserve(edges);
     for (JoinShard& shard : shards) {
       for (const JoinEdge& edge : shard.edges) {
         if (incomplete[edge.groups >> 32] || incomplete[edge.groups & 0xffffffffu]) continue;
-        joined.edges.push_back(edge);
+        joined->edges.push_back(edge);
       }
       std::vector<JoinEdge>().swap(shard.edges);
     }
-    std::sort(joined.edges.begin(), joined.edges.end(),
+    std::sort(joined->edges.begin(), joined->edges.end(),
               [](const JoinEdge& a, const JoinEdge& b) {
                 return std::tie(a.groups, a.left, a.right) <
                        std::tie(b.groups, b.left, b.right);
               });
-    for (size_t begin = 0; begin < joined.edges.size();) {
-      const uint64_t groups = joined.edges[begin].groups;
+    for (size_t begin = 0; begin < joined->edges.size();) {
+      const uint64_t groups = joined->edges[begin].groups;
       size_t end = begin;
-      while (end < joined.edges.size() && joined.edges[end].groups == groups) ++end;
+      while (end < joined->edges.size() && joined->edges[end].groups == groups) ++end;
       const int32_t g1 = static_cast<int32_t>(groups >> 32);
       const int32_t g2 = static_cast<int32_t>(groups & 0xffffffffu);
-      joined.buckets.push_back({g1, g2, static_cast<int32_t>(corpus.GroupRecords(g1).size()),
-                                static_cast<int32_t>(corpus.GroupRecords(g2).size()), begin,
-                                end});
+      joined->buckets.push_back({g1, g2, static_cast<int32_t>(corpus.GroupRecords(g1).size()),
+                                 static_cast<int32_t>(corpus.GroupRecords(g2).size()), begin,
+                                 end});
       begin = end;
     }
   }
   report->AddStage("bucket", timer.ElapsedSeconds())
-      .AddCounter("group_pairs", static_cast<int64_t>(joined.buckets.size()));
-  return joined;
+      .AddCounter("group_pairs", static_cast<int64_t>(joined->buckets.size()));
+  return Status::Ok();
 }
 
 }  // namespace grouplink

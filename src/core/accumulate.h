@@ -202,11 +202,14 @@ struct JoinBuckets {
 /// into `*report`, and mirrors the thread-invariant join counters into the
 /// registry's edge_join.*. Fails when a corpus read fails, and with
 /// DataLoss when a posting names a record its group does not list.
-[[nodiscard]] Result<JoinBuckets> AccumulateSelfJoin(const PostingsCorpus& corpus,
-                                                     std::span<const SparseVector> vectors,
-                                                     double theta, ThreadPool* pool,
-                                                     ExecutionContext* ctx,
-                                                     RunReport* report);
+///
+/// Replaces the contents of `*joined` but keeps its buffers' capacity, so
+/// a caller that joins again with the same JoinBuckets (EdgeJoinLink keeps
+/// one per thread) allocates neither buffer once it is warm.
+[[nodiscard]] Status AccumulateSelfJoin(const PostingsCorpus& corpus,
+                                        std::span<const SparseVector> vectors, double theta,
+                                        ThreadPool* pool, ExecutionContext* ctx,
+                                        RunReport* report, JoinBuckets* joined);
 
 }  // namespace grouplink
 

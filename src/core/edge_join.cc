@@ -17,10 +17,13 @@ Result<std::vector<std::pair<int32_t, int32_t>>> EdgeJoinLink(
   RunReport local_report;
   RunReport& out_report = report != nullptr ? *report : local_report;
 
-  // Stages 1+2 (join + bucket).
-  GL_ASSIGN_OR_RETURN(const JoinBuckets joined,
-                      AccumulateSelfJoin(corpus, vectors, ladder.theta, pool, ctx,
-                                         &out_report));
+  // Stages 1+2 (join + bucket), into the buckets of this thread's last
+  // join, whose buffers are warm: grown afresh, they were faulted in again
+  // on every call. (A reference, so the workers below read this thread's.)
+  thread_local JoinBuckets thread_joined;
+  JoinBuckets& joined = thread_joined;
+  GL_RETURN_IF_ERROR(
+      AccumulateSelfJoin(corpus, vectors, ladder.theta, pool, ctx, &out_report, &joined));
   const size_t num_buckets = joined.buckets.size();
 
   // Stage 3 (score): buckets are independent, so decide them in parallel

@@ -135,6 +135,44 @@ __attribute__((target("avx2"))) double ScatterDotAvx2(const double* dense,
   return sum;
 }
 
+// The accumulator sweep, two 4-lane blocks a step. A true compare is -1
+// in each 64-bit lane, so subtracting the nonzero masks counts the nonzero
+// slots in four lane counters with no branch; the rare slots ≥ θ are
+// appended in lane order before the step stores its zeros. _CMP_NEQ_UQ
+// and _CMP_GE_OQ are C++'s != and >= (NaN included), as in the tail.
+__attribute__((target("avx2"))) size_t SweepAccumulatorAvx2(
+    double* sum, size_t lo, size_t hi, double theta, std::vector<AccumulatorHit>* hits) {
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d threshold = _mm256_set1_pd(theta);
+  __m256i nonzero = _mm256_setzero_si256();
+  size_t i = lo;
+  for (; i + 8 <= hi; i += 8) {
+    const __m256d a = _mm256_loadu_pd(sum + i);
+    const __m256d b = _mm256_loadu_pd(sum + i + 4);
+    nonzero = _mm256_sub_epi64(
+        nonzero, _mm256_castpd_si256(_mm256_cmp_pd(a, zero, _CMP_NEQ_UQ)));
+    nonzero = _mm256_sub_epi64(
+        nonzero, _mm256_castpd_si256(_mm256_cmp_pd(b, zero, _CMP_NEQ_UQ)));
+    int kept = _mm256_movemask_pd(_mm256_cmp_pd(a, threshold, _CMP_GE_OQ)) |
+               _mm256_movemask_pd(_mm256_cmp_pd(b, threshold, _CMP_GE_OQ)) << 4;
+    for (; kept != 0; kept &= kept - 1) {
+      const size_t slot = i + static_cast<size_t>(__builtin_ctz(static_cast<unsigned>(kept)));
+      hits->push_back({static_cast<int32_t>(slot), sum[slot]});
+    }
+    _mm256_storeu_pd(sum + i, zero);
+    _mm256_storeu_pd(sum + i + 4, zero);
+  }
+  alignas(32) int64_t lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), nonzero);
+  size_t count = static_cast<size_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
+  for (; i < hi; ++i) {
+    if (sum[i] >= theta) hits->push_back({static_cast<int32_t>(i), sum[i]});
+    count += sum[i] != 0.0 ? 1 : 0;
+    sum[i] = 0.0;
+  }
+  return count;
+}
+
 #endif  // GROUPLINK_SIMD_X86
 
 }  // namespace
@@ -191,6 +229,27 @@ double ScatterDot(const double* dense, const int32_t* ids, const double* weights
   if (level >= SimdLevel::kSse42) return ScatterDotSse42(dense, ids, weights, n);
 #endif
   return ScatterDotScalar(dense, ids, weights, n);
+}
+
+bool SweepAccumulatorApplies() {
+#if defined(GROUPLINK_SIMD_X86)
+  return ActiveSimdLevel() >= SimdLevel::kAvx2;
+#else
+  return false;
+#endif
+}
+
+size_t SweepAccumulator([[maybe_unused]] double* sum, [[maybe_unused]] size_t lo,
+                        [[maybe_unused]] size_t hi, [[maybe_unused]] double theta,
+                        [[maybe_unused]] std::vector<AccumulatorHit>* hits) {
+#if defined(GROUPLINK_SIMD_X86)
+  GL_DCHECK(SweepAccumulatorApplies());
+  GL_DCHECK_LE(hi, size_t{1} << 31);
+  return SweepAccumulatorAvx2(sum, lo, hi, theta, hits);
+#else
+  GL_CHECK(false) << "SweepAccumulator without a vector tier";
+  return 0;
+#endif
 }
 
 bool BitParallelEditDistanceApplies(size_t len_a, size_t len_b) {

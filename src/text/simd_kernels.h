@@ -4,14 +4,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 namespace grouplink {
 
 /// Batched, branch-light kernels behind the verify/score hot path:
 /// sorted-set intersection (Jaccard overlap), scatter/gather TF-IDF
-/// cosine, and bit-parallel edit distance. Each has a scalar reference
-/// implementation and vectorized tiers selected by ActiveSimdLevel()
-/// (common/simd_dispatch.h).
+/// cosine, the score accumulator's sweep, and bit-parallel edit distance.
+/// Each has a scalar path and vectorized tiers selected by
+/// ActiveSimdLevel() (common/simd_dispatch.h); the sweep's scalar path is
+/// the postings walk it replaces, in core/accumulate.cc.
 ///
 /// THE contract (PR 1 determinism, extended in DESIGN.md §10): every
 /// kernel returns a bit-identical result at every dispatch tier. The
@@ -56,6 +58,36 @@ namespace grouplink {
 /// which is ascending token order — bit-identical to the scalar path.
 [[nodiscard]] double ScatterDot(const double* dense, const int32_t* ids,
                                 const double* weights, size_t n);
+
+// ---------------------------------------------------------------------------
+// Accumulator sweep (pass 2 of score accumulation, core/accumulate.cc).
+// ---------------------------------------------------------------------------
+// A score accumulator holds one sum per corpus record and is all +0.0
+// between probe records. Its pass 2 reads each sum pass 1 wrote, keeps it
+// when it reaches θ, and writes +0.0 back. The scalar and SSE4.2 tiers do
+// that by re-walking the probe record's postings, so their cost follows
+// the posting entries; the AVX2 tier sweeps the slots pass 1 could have
+// written instead, so its cost follows their range. Both only compare and
+// zero, so they keep the same sums and the same count of nonzero slots;
+// only the order of the kept slots differs (ascending after a sweep).
+
+/// A record whose accumulated sum reached θ, and that sum.
+struct AccumulatorHit {
+  int32_t record;
+  double sum;
+};
+
+/// True when pass 2 sweeps (SweepAccumulator) instead of walking the
+/// postings: at the AVX2 tier only, where a sweep beats the walk.
+[[nodiscard]] bool SweepAccumulatorApplies();
+
+/// Sweeps sum[lo, hi) (nothing when hi ≤ lo), 8 doubles a step: appends
+/// every slot with a sum ≥ `theta` to *hits in ascending slot order,
+/// stores +0.0 in every slot, and returns the number of slots whose sum
+/// was nonzero (`!= 0.0`). Requires SweepAccumulatorApplies() and
+/// hi ≤ 2^31.
+size_t SweepAccumulator(double* sum, size_t lo, size_t hi, double theta,
+                        std::vector<AccumulatorHit>* hits);
 
 // ---------------------------------------------------------------------------
 // Bit-parallel edit distance.

@@ -1,8 +1,12 @@
 #include "common/execution_context.h"
 
+#include <atomic>
 #include <chrono>
 #include <limits>
+#include <optional>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/fault_injection.h"
 #include "common/thread_pool.h"
@@ -90,6 +94,52 @@ TEST(ExecutionContextTest, FirstStopCauseWins) {
   EXPECT_TRUE(ctx.StopRequested());
   EXPECT_EQ(ctx.stop_reason(), StopReason::kCancelled)
       << "the sticky first cause must not be overwritten";
+}
+
+TEST(ExecutionContextTest, EveryThreadThatSeesAStopReadsItsReason) {
+  // Threads poll one context while three causes race to stop it: one
+  // thread cancels the token, the deadline expires, and the
+  // execution.deadline fault fires; the cancel's poll, the fault's and
+  // the deadline move with the round, so each cause wins some rounds.
+  // Whichever wins, every thread that sees the stop must read that same
+  // cause, a non-Ok status and a degraded context, never kNone and Ok.
+  constexpr int kThreads = 6;
+  for (int round = 0; round < 60; ++round) {
+    ScopedFaultClear clear;
+    FaultSpec spec;
+    spec.after = 3 * (round % 20);
+    FaultInjector::Default().Arm(faults::kDeadline, spec);
+    CancellationToken token;
+    std::optional<ExecutionContext> ctx;  // Armed once every thread waits.
+    std::atomic<bool> go{false};
+    std::vector<StopReason> seen(kThreads, StopReason::kNone);
+    std::vector<char> ok_status(kThreads, 1);
+    std::vector<char> degraded(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        while (!go.load(std::memory_order_acquire)) {
+        }
+        for (int polls = 0; !ctx->StopRequested(); ++polls) {
+          if (t == 0 && polls == 2 * (round % 30)) token.Cancel();
+        }
+        seen[static_cast<size_t>(t)] = ctx->stop_reason();
+        ok_status[static_cast<size_t>(t)] = ctx->ToStatus().ok() ? 1 : 0;
+        degraded[static_cast<size_t>(t)] = ctx->degraded() ? 1 : 0;
+      });
+    }
+    ctx.emplace(/*deadline_ms=*/0.01 * (round % 10 + 1), token, 0, 0);
+    go.store(true, std::memory_order_release);
+    for (std::thread& thread : threads) thread.join();
+    for (int t = 0; t < kThreads; ++t) {
+      const size_t i = static_cast<size_t>(t);
+      const std::string where = "round " + std::to_string(round) + ", thread " + std::to_string(t);
+      EXPECT_NE(seen[i], StopReason::kNone) << where;
+      EXPECT_EQ(seen[i], seen[0]) << where << ": the first cause is everyone's";
+      EXPECT_EQ(ok_status[i], 0) << where;
+      EXPECT_EQ(degraded[i], 1) << where;
+    }
+  }
 }
 
 TEST(ExecutionContextTest, InjectedDeadlineFaultStops) {

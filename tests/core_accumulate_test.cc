@@ -13,7 +13,9 @@
 // thread's accumulator exact across calls that fail, stop or change
 // corpus, decides no graph after a stop between probe records, and runs
 // concurrent queries and a parallel arrival batch (the thread-sanitizer
-// job runs this binary).
+// job runs this binary). ctest runs it twice: at the machine's tier, where
+// pass 2 of the kernel sweeps the accumulator when that is AVX2, and as
+// core_accumulate_force_scalar, where pass 2 walks the postings.
 #include "core/accumulate.h"
 
 #include <gtest/gtest.h>
@@ -566,10 +568,12 @@ TEST(AccumulateSelfJoinTest, BucketGraphsMatchTheCosineMatrixAtAnyThreadCount) {
       std::unique_ptr<ThreadPool> pool;
       if (threads > 1) pool = std::make_unique<ThreadPool>(static_cast<size_t>(threads));
       RunReport report;
-      const auto joined = AccumulateSelfJoin(*snapshot, snapshot->record_vectors(), kTheta,
-                                             pool.get(), nullptr, &report);
-      ASSERT_TRUE(joined.ok()) << context;
-      ExpectSelfJoinMatchesBruteForce(*snapshot, scenario.seed, *joined, report, context,
+      JoinBuckets joined;
+      ASSERT_TRUE(AccumulateSelfJoin(*snapshot, snapshot->record_vectors(), kTheta, pool.get(),
+                                     nullptr, &report, &joined)
+                      .ok())
+          << context;
+      ExpectSelfJoinMatchesBruteForce(*snapshot, scenario.seed, joined, report, context,
                                       &compared);
       if (threads == 1) {
         reference = report;
@@ -606,13 +610,13 @@ TEST(AccumulateSelfJoinTest, AJoinThatSkipsRecordsKeepsOnlyCompleteBuckets) {
   ASSERT_TRUE(FaultInjector::Default().ArmFromSpec("execution.deadline:after=9").ok());
   ExecutionContext ctx;
   RunReport report;
-  const auto joined = AccumulateSelfJoin(*snapshot, vectors, kTheta, nullptr, &ctx, &report);
-  ASSERT_TRUE(joined.ok());
+  JoinBuckets joined;
+  ASSERT_TRUE(AccumulateSelfJoin(*snapshot, vectors, kTheta, nullptr, &ctx, &report, &joined).ok());
   EXPECT_TRUE(ctx.degraded());
   EXPECT_EQ(report.StageCounter("join", "probes_skipped"), 24 - 8);
-  ASSERT_EQ(joined->buckets.size(), 1u);
-  EXPECT_EQ(std::make_pair(joined->buckets[0].g1, joined->buckets[0].g2), std::make_pair(0, 1));
-  ExpectSameGraph(joined->Graph(0), BuildSimilarityGraph(seed, 0, 1, sim, kTheta), "bucket 0,1");
+  ASSERT_EQ(joined.buckets.size(), 1u);
+  EXPECT_EQ(std::make_pair(joined.buckets[0].g1, joined.buckets[0].g2), std::make_pair(0, 1));
+  ExpectSameGraph(joined.Graph(0), BuildSimilarityGraph(seed, 0, 1, sim, kTheta), "bucket 0,1");
 }
 
 TEST(AccumulateSelfJoinTest, EdgeJoinLinksEqualAllPairsWithAndWithoutBounds) {
@@ -728,11 +732,12 @@ TEST(AccumulateTest, EveryCallLeavesTheThreadsAccumulatorAtZero) {
   query_small("after a DataLoss");
 
   RunReport report;
-  const auto joined =
-      AccumulateSelfJoin(*large, large->record_vectors(), kTheta, nullptr, nullptr, &report);
-  ASSERT_TRUE(joined.ok());
+  JoinBuckets joined;
+  ASSERT_TRUE(AccumulateSelfJoin(*large, large->record_vectors(), kTheta, nullptr, nullptr,
+                                 &report, &joined)
+                  .ok());
   size_t compared = 0;
-  ExpectSelfJoinMatchesBruteForce(*large, large_set, *joined, report, "larger self-join",
+  ExpectSelfJoinMatchesBruteForce(*large, large_set, joined, report, "larger self-join",
                                   &compared);
   EXPECT_GT(compared, 0u);
   query_small("after a larger self-join");

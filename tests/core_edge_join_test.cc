@@ -1,6 +1,7 @@
 #include "core/edge_join.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -8,11 +9,18 @@
 
 #include "common/fault_injection.h"
 #include "common/metrics.h"
+#include "core/group_measures.h"
 #include "core/incremental.h"
 #include "core/linkage_engine.h"
+#include "core/snapshot.h"
 #include "data/bibliographic_generator.h"
 #include "data/household_generator.h"
 #include "eval/metrics.h"
+#include "storage/page_file.h"
+#include "storage/snapshot_store.h"
+#include "storage/stored_corpus.h"
+#include "text/tfidf.h"
+#include "text/tokenizer.h"
 
 namespace grouplink {
 namespace {
@@ -353,6 +361,105 @@ TEST(EdgeJoinHostileTest, RefreshEqualsAllPairsAndDegradesToASubset) {
     slow->Refresh();
     EXPECT_EQ(degraded_refreshes.Value(), before + 1) << name;
     EXPECT_TRUE(IsSubset(slow->linked_pairs(), linker->linked_pairs())) << name;
+  }
+}
+
+// The groups `probe` links to by exact BM over the full cosine matrix of
+// every live group of `snapshot`, the probe vectorized as a link query
+// vectorizes it: no postings, no bounds.
+std::vector<int32_t> BruteForceQueryLinks(const CorpusSnapshot& snapshot,
+                                          const GroupArrival& probe) {
+  const TfIdfVectorizer vectorizer(&snapshot.epoch_vocab());
+  std::vector<SparseVector> right;
+  for (const std::string& text : probe.record_texts) {
+    right.push_back(vectorizer.Vectorize(Tokenize(text)));
+  }
+  const LinkageConfig& config = snapshot.engine_config();
+  std::vector<int32_t> linked;
+  for (int32_t g = 0; g < snapshot.num_groups(); ++g) {
+    if (!snapshot.IsAlive(g)) continue;
+    const std::vector<int32_t>& members = snapshot.group_records()[static_cast<size_t>(g)];
+    BipartiteGraph graph(static_cast<int32_t>(members.size()),
+                         static_cast<int32_t>(right.size()));
+    for (size_t i = 0; i < members.size(); ++i) {
+      const SparseVector& left = snapshot.record_vectors()[static_cast<size_t>(members[i])];
+      for (size_t j = 0; j < right.size(); ++j) {
+        const double s = PrenormalizedCosineSimilarity(left, right[j]);
+        if (s >= config.theta) graph.AddEdge(static_cast<int32_t>(i), static_cast<int32_t>(j), s);
+      }
+    }
+    if (EvaluateGroupMeasure(GroupMeasureKind::kBm, graph, graph.num_left(),
+                             graph.num_right()) >= config.group_threshold) {
+      linked.push_back(g);
+    }
+  }
+  return linked;
+}
+
+TEST(EdgeJoinHostileTest, QueriesAndArrivalsEqualExactBmAndDegradeToASubset) {
+  // The snapshot LinkQuery, StoredCorpus::LinkQuery and an AddGroups
+  // arrival on each hostile corpus, probed with copies of its first,
+  // middle and last groups. A token in every record makes the slots each
+  // probe record accumulates span the whole corpus. Unconstrained, each
+  // answer is the brute-force exact-BM link set; stopped by the
+  // execution.deadline fault after k polls (during accumulation or among
+  // the decisions), each is a subset of it, and degraded when it stopped.
+  for (const auto& [name, dataset] : HostileCorpora()) {
+    auto linker = IncrementalLinker::Create(dataset, EdgeJoinLinkage());
+    ASSERT_TRUE(linker.ok()) << name;
+    const auto snapshot = CorpusSnapshot::Capture(*linker);
+    const std::string path = ::testing::TempDir() + "/" + std::to_string(::getpid()) +
+                             "_hostile_" + name + ".glsnap";
+    ASSERT_TRUE(storage::SnapshotStore::Persist(*snapshot, path).ok()) << name;
+    auto stored = storage::StoredCorpus::Open(path);
+    ASSERT_TRUE(stored.ok()) << name << ": " << stored.status().message();
+
+    for (const int32_t g : {0, dataset.num_groups() / 2, dataset.num_groups() - 1}) {
+      GroupArrival probe{"probe", {}};
+      for (const int32_t r : dataset.groups[static_cast<size_t>(g)].record_ids) {
+        probe.record_texts.push_back(dataset.records[static_cast<size_t>(r)].text);
+      }
+      const std::string context = name + " probe " + std::to_string(g);
+      const std::vector<int32_t> exact = BruteForceQueryLinks(*snapshot, probe);
+      EXPECT_FALSE(exact.empty()) << context << ": a copy of a group links to it";
+
+      const auto answer = [&](int path_kind) {
+        if (path_kind == 0) return snapshot->LinkQuery(probe);
+        if (path_kind == 1) {
+          auto paged = (*stored)->LinkQuery(probe);
+          EXPECT_TRUE(paged.ok()) << context << ": " << paged.status().message();
+          return paged.ok() ? *paged : CorpusSnapshot::QueryResult();
+        }
+        const auto added = linker->Clone()->AddGroups({probe});
+        CorpusSnapshot::QueryResult arrival;
+        arrival.linked_to = added.at(0).linked_to;
+        arrival.degraded = added.at(0).degraded;
+        return arrival;
+      };
+      for (const int path_kind : {0, 1, 2}) {
+        const std::string where = context + " path " + std::to_string(path_kind);
+        const CorpusSnapshot::QueryResult full = answer(path_kind);
+        EXPECT_FALSE(full.degraded) << where;
+        EXPECT_EQ(full.linked_to, exact) << where;
+        const size_t polls = probe.record_texts.size();
+        for (const size_t after : {size_t{0}, polls / 2, polls + 1, polls + 3}) {
+          ScopedFaultClear clear;
+          ASSERT_TRUE(FaultInjector::Default()
+                          .ArmFromSpec("execution.deadline:after=" + std::to_string(after))
+                          .ok());
+          const CorpusSnapshot::QueryResult stopped = answer(path_kind);
+          const std::string at = where + " stopped after " + std::to_string(after);
+          EXPECT_TRUE(std::includes(exact.begin(), exact.end(), stopped.linked_to.begin(),
+                                    stopped.linked_to.end()))
+              << at;
+          EXPECT_TRUE(stopped.degraded || stopped.linked_to == exact) << at;
+          if (after == 0) {
+            EXPECT_TRUE(stopped.degraded) << at;
+          }
+        }
+      }
+    }
+    ASSERT_TRUE(storage::RemoveFile(path).ok()) << name;
   }
 }
 

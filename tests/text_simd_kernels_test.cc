@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -218,6 +221,81 @@ TEST(VectorStoreTest, PairAndScoresMatchPrenormalizedCosine) {
       }
     }
   }
+}
+
+// ------------------------------------------------- Accumulator sweep.
+
+// SweepAccumulator's contract, one slot at a time.
+size_t ReferenceSweep(std::vector<double>& sum, size_t lo, size_t hi, double theta,
+                      std::vector<AccumulatorHit>* hits) {
+  size_t nonzero = 0;
+  for (size_t i = lo; i < hi; ++i) {
+    if (sum[i] >= theta) hits->push_back({static_cast<int32_t>(i), sum[i]});
+    nonzero += sum[i] != 0.0 ? 1 : 0;
+    sum[i] = 0.0;
+  }
+  return nonzero;
+}
+
+TEST(SweepAccumulatorTest, AppliesAtTheAvx2TierOnly) {
+  for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kSse42}) {
+    ScopedSimdLevel scoped(level);
+    EXPECT_FALSE(SweepAccumulatorApplies()) << SimdLevelName(level);
+  }
+  ScopedSimdLevel scoped(SimdLevel::kAvx2);
+  EXPECT_EQ(SweepAccumulatorApplies(), ActiveSimdLevel() == SimdLevel::kAvx2);
+}
+
+TEST(SweepAccumulatorTest, RandomizedDifferentialAgainstTheReference) {
+  // Ranges of 0-17 slots (the 8-slot step, its tail, both) at any offset,
+  // so most start unaligned, a third ending at the array's end. A slot
+  // holds 0.0, exactly θ, the double just below θ, a subnormal nonzero
+  // sum, or a random sum; some ranges are all zeros. Half the trials
+  // fence the range with nonzero slots the sweep must not touch.
+  ScopedSimdLevel scoped(SimdLevel::kAvx2);
+  if (!SweepAccumulatorApplies()) GTEST_SKIP() << "no AVX2 tier on this CPU or build";
+  constexpr double kTheta = 0.35;
+  const double shapes[] = {kTheta, std::nextafter(kTheta, 0.0),
+                           3 * std::numeric_limits<double>::denorm_min()};
+  Rng rng(2026);
+  size_t hits_seen = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const size_t size = 1 + rng.Uniform(40);
+    const size_t length = std::min<size_t>(rng.Uniform(18), size);
+    const size_t lo = trial % 3 == 0 ? size - length : rng.Uniform(size - length + 1);
+    const size_t hi = lo + length;
+    const double fence = trial % 2 == 0 ? 0.0 : 7.0;
+    const bool all_zero = trial % 5 == 0;
+    std::vector<double> sum(size, fence);
+    for (size_t i = lo; i < hi; ++i) {
+      const uint64_t pick = rng.Uniform(6);
+      sum[i] = all_zero || pick < 2 ? 0.0
+               : pick < 5           ? shapes[pick - 2]
+                                    : rng.UniformDouble(1e-3, 1.0);
+    }
+    std::vector<double> want_sum = sum;
+    std::vector<AccumulatorHit> want{{-1, 1.0}};  // Both append after it.
+    std::vector<AccumulatorHit> got = want;
+    const size_t want_nonzero = ReferenceSweep(want_sum, lo, hi, kTheta, &want);
+    const size_t got_nonzero = SweepAccumulator(sum.data(), lo, hi, kTheta, &got);
+
+    const std::string context = "trial " + std::to_string(trial) + " [" + std::to_string(lo) +
+                                ", " + std::to_string(hi) + ") of " + std::to_string(size);
+    EXPECT_EQ(got_nonzero, want_nonzero) << context;
+    ASSERT_EQ(got.size(), want.size()) << context;
+    for (size_t h = 0; h < want.size(); ++h) {
+      EXPECT_EQ(got[h].record, want[h].record) << context << " hit " << h;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got[h].sum), std::bit_cast<uint64_t>(want[h].sum))
+          << context << " hit " << h;
+    }
+    for (size_t i = 0; i < size; ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(sum[i]),
+                std::bit_cast<uint64_t>(i >= lo && i < hi ? 0.0 : fence))
+          << context << " slot " << i;
+    }
+    hits_seen += want.size() - 1;
+  }
+  EXPECT_GT(hits_seen, 0u) << "the differential must not hold vacuously";
 }
 
 // ------------------------------------------------- Bit-parallel edits.
