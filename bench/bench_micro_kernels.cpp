@@ -1,8 +1,8 @@
 // E18 — Microbenchmarks of the batched SIMD kernels (text/simd_kernels.h):
 // sorted-set intersection, scatter/gather TF-IDF cosine (scalar reference,
-// forced-scalar dispatch, and the full dispatched tier), batched
-// VectorStore::Scores vs per-pair Pair, and Myers bit-parallel edit
-// distance vs the classic DP.
+// forced-scalar dispatch, and the full dispatched tier), one probe scatter
+// with many ScatterDot gathers vs per-pair PrenormalizedCosineSimilarity,
+// and Myers bit-parallel edit distance vs the classic DP.
 //
 // Every timed comparison doubles as a differential check: the scalar and
 // vectorized answers are asserted bit-identical before the numbers are
@@ -27,7 +27,6 @@
 #include "text/simd_kernels.h"
 #include "text/tfidf.h"
 #include "text/tokenizer.h"
-#include "text/vector_store.h"
 #include "text/vocabulary.h"
 
 namespace {
@@ -182,13 +181,9 @@ int main(int argc, char** argv) {
     timings.push_back(dispatched);
   }
 
-  // ------------------------- Batched VectorStore::Scores vs per-pair.
+  // ------------- One scatter, many gathers vs per-pair cosine (the
+  // per-pair pipeline's graph build, BuildSimilarityGraphBatched).
   {
-    const VectorStore store = VectorStore::Build(corpus.vectors, corpus.dimension);
-    std::vector<int32_t> candidates;
-    for (size_t i = 0; i < n; ++i) candidates.push_back(static_cast<int32_t>(i));
-    std::vector<double> scores(n);
-
     KernelTiming per_pair{"batch_cosine", "per_pair", 0, 0.0, 0.0};
     {
       double total = 0.0;
@@ -196,7 +191,8 @@ int main(int argc, char** argv) {
       for (size_t pass = 0; pass < repeat; ++pass) {
         for (size_t probe = 0; probe < n; probe += stride) {
           for (size_t i = 0; i < n; ++i) {
-            total += store.Pair(static_cast<int32_t>(probe), candidates[i]);
+            total += PrenormalizedCosineSimilarity(corpus.vectors[probe],
+                                                   corpus.vectors[i]);
             ++per_pair.ops;
           }
         }
@@ -207,14 +203,20 @@ int main(int argc, char** argv) {
 
     KernelTiming batched{"batch_cosine", "batched", 0, 0.0, 0.0};
     {
+      std::vector<double> dense(corpus.dimension, 0.0);
       double total = 0.0;
-      VectorStore::Scratch scratch;
       WallTimer timer;
       for (size_t pass = 0; pass < repeat; ++pass) {
         for (size_t probe = 0; probe < n; probe += stride) {
-          store.Scores(scratch, static_cast<int32_t>(probe), candidates.data(),
-                       candidates.size(), scores.data());
-          for (const double s : scores) total += s;
+          const SparseVector& v = corpus.vectors[probe];
+          for (size_t k = 0; k < v.size(); ++k) {
+            dense[static_cast<size_t>(v.ids[k])] = v.weights[k];
+          }
+          for (const SparseVector& cand : corpus.vectors) {
+            total += ScatterDot(dense.data(), cand.ids.data(), cand.weights.data(),
+                                cand.size());
+          }
+          for (const int32_t id : v.ids) dense[static_cast<size_t>(id)] = 0.0;
           batched.ops += n;
         }
       }
@@ -222,7 +224,7 @@ int main(int argc, char** argv) {
       batched.checksum = total;
     }
     GL_CHECK_EQ(per_pair.checksum, batched.checksum)
-        << "batched Scores diverged from per-pair Pair";
+        << "scatter-dot gathers diverged from per-pair cosine";
     timings.push_back(per_pair);
     timings.push_back(batched);
   }

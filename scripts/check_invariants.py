@@ -41,6 +41,12 @@ Rules (ids usable in suppressions):
                   it; move the slow work outside the critical section, or
                   suppress with a reason when serializing the slow work is
                   exactly the lock's job.
+  unreached-header  A header under src/ that no file under src/ (apart
+                  from its own .cc), examples/ or perfbench/ includes: only
+                  tests or benches reach it, so it is library code nothing
+                  shipped needs. Move it into a test or bench support
+                  target, or put `// gl-lint: allow(unreached-header) <why>`
+                  anywhere in the header.
   suppression-reason  NOLINT / gl-lint escapes must carry a reason:
                   `// NOLINT(check): why` or `// gl-lint: allow(rule) why`.
 
@@ -84,6 +90,9 @@ LOCK_DECL_RE = re.compile(
 BLOCKING_CALL_RE = re.compile(
     r"\bsleep_for\s*\(|\bPersist\w*\s*\(|\bfopen\s*\(|\bstd::(?:i|o)?fstream\b")
 GUARD_RE = re.compile(r"^\s*#ifndef\s+(\w+)")
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
+# Trees whose includes make a src/ header reachable, beside src/ itself.
+REACHING_TREES = ("examples", "perfbench")
 
 
 def strip_code(text):
@@ -152,6 +161,9 @@ class Report:
     def __init__(self):
         self.findings = []
         self.suppressions = []
+        # src/ headers linted, as (path, its src/ directory, path below
+        # it, carries an unreached-header allow).
+        self.src_headers = []
 
     def add(self, path, line, rule, message):
         self.findings.append((path, line, rule, message))
@@ -318,6 +330,12 @@ def lint_cxx(path, report):
 
     check_lock_blocking(code_lines, flag)
 
+    if path.endswith(".h") and root == "src":
+        src_dir = os.path.normpath(path)[:-len(rel) - 1] or os.sep
+        report.src_headers.append(
+            (path, src_dir, rel,
+             any("unreached-header" in rules for rules in allows.values())))
+
     if path.endswith(".h"):
         guard = None
         for line in code_lines:
@@ -335,6 +353,49 @@ def lint_cxx(path, report):
             report.add(path, 1, "bench-exit-code",
                        "bench main must exit via `return bench::ExitCode(...)` "
                        "so Status failures become non-zero exits")
+
+
+def quoted_includes(path):
+    """The `#include "..."` targets of one C++ file, comments skipped."""
+    with open(path, encoding="utf-8", errors="replace") as f:
+        text = f.read()
+    targets = set()
+    for raw, code in zip(text.split("\n"), strip_code(text).split("\n")):
+        m = INCLUDE_RE.match(raw)
+        if m and code.lstrip().startswith("#"):
+            targets.add(m.group(1))
+    return targets
+
+
+def check_reachability(report):
+    """unreached-header over every linted src/ header (see the docstring).
+
+    Includers are every C++ file under the header's src/ tree and under
+    examples/ and perfbench/ beside it, whether or not they were linted.
+    """
+    includers = {}  # src/ directory -> include target -> including files
+    for path, root, rel, allowed in report.src_headers:
+        if root not in includers:
+            trees = [root] + [os.path.join(os.path.dirname(root), tree)
+                              for tree in REACHING_TREES]
+            targets = {}
+            for tree in trees:
+                if not os.path.isdir(tree):
+                    continue
+                for f in iter_files([tree]):
+                    if f.endswith(CXX_EXTENSIONS):
+                        for target in quoted_includes(f):
+                            targets.setdefault(target, set()).add(
+                                os.path.normpath(f))
+            includers[root] = targets
+        own_cc = os.path.normpath(path[:-len(".h")] + ".cc")
+        if includers[root].get(rel, set()) - {own_cc} or allowed:
+            continue
+        report.add(path, 1, "unreached-header",
+                   "no file under src/ (apart from its own .cc), examples/ or "
+                   "perfbench/ includes %s; move it into a test or bench "
+                   "support target, or suppress with the reason it stays"
+                   % rel)
 
 
 def lint_script(path, report):
@@ -368,6 +429,7 @@ def main(argv):
             lint_cxx(path, report)
         elif path.endswith(SCRIPT_EXTENSIONS):
             lint_script(path, report)
+    check_reachability(report)
     for path, line, rule, message in report.findings:
         print("%s:%d: [%s] %s" % (path, line, rule, message))
     print("check_invariants: %d finding(s), %d suppression(s) with reasons"

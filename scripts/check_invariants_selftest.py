@@ -32,6 +32,7 @@ EXPECTED = [
     ("raw-file-io", "raw_file_io.cc"),
     ("raw-mutex", "raw_mutex.cc"),
     ("lock-blocking-call", "lock_blocking_call.cc"),
+    ("unreached-header", "unreached.h"),
 ]
 
 
@@ -66,8 +67,8 @@ def main():
         return fail("ok fixtures should exit 0, got %d" % code, out)
     if "0 finding(s)" not in out:
         return fail("ok fixtures should have zero findings", out)
-    if "5 suppression(s)" not in out:
-        return fail("ok fixtures should count 5 reasoned suppressions", out)
+    if "6 suppression(s)" not in out:
+        return fail("ok fixtures should count 6 reasoned suppressions", out)
 
     code, out = run([])  # Default roots: the real src/ and bench/ trees.
     if code != 0:

@@ -10,15 +10,16 @@
 namespace grouplink {
 namespace {
 
-// Sorted-unique union of the vector-store token ids of one group's
-// records, as unsigned ids for the set-intersection kernel (ids are dense
-// and non-negative). Zero intersection between two groups' unions means no
+// Sorted-unique union of the TF-IDF token ids of one group's records, as
+// unsigned ids for the set-intersection kernel (ids are dense and
+// non-negative). Zero intersection between two groups' unions means no
 // record pair shares a weighted token, so every default-sim record
 // similarity is 0 and the θ-thresholded graph is provably empty.
-std::vector<uint32_t> GroupTokenUnion(const Group& group, const VectorStore& store) {
+std::vector<uint32_t> GroupTokenUnion(const Group& group,
+                                      const std::vector<SparseVector>& vectors) {
   std::vector<uint32_t> tokens;
   for (const int32_t record : group.record_ids) {
-    for (const int32_t id : store.TokenIds(record)) {
+    for (const int32_t id : vectors[static_cast<size_t>(record)].ids) {
       tokens.push_back(static_cast<uint32_t>(id));
     }
   }
@@ -55,23 +56,24 @@ class PhaseTimer {
   Clock::time_point start_;
 };
 
-// Batched-scoring context of one FilterRefineLink call: the engine's
-// vector store plus the per-group token unions for the zero-overlap
-// precheck. Null `store` means the generic `sim`-driven path.
+// Batched-scoring context of one FilterRefineLink call: the records'
+// TF-IDF vectors plus the per-group token unions for the zero-overlap
+// precheck. Null `vectors` means the generic `sim`-driven path.
 struct BatchContext {
-  const VectorStore* store = nullptr;
+  const std::vector<SparseVector>* vectors = nullptr;
   std::vector<std::vector<uint32_t>> group_tokens;
 };
 
-// Builds the pair's similarity graph — batched through the store when one
-// is available, per-pair `sim` calls otherwise. Bit-identical results.
+// Builds the pair's similarity graph — batched over the vectors when they
+// are given, per-pair `sim` calls otherwise. Bit-identical results.
 BipartiteGraph BuildGraph(const Dataset& dataset, const RecordSimFn& sim,
                           int32_t g1, int32_t g2, double theta,
                           const BatchContext& batch) {
-  if (batch.store != nullptr) {
-    // One scratch per worker thread, reused across pairs (self-cleaning).
-    thread_local VectorStore::Scratch scratch;
-    return BuildSimilarityGraphBatched(dataset, g1, g2, *batch.store, scratch, theta);
+  if (batch.vectors != nullptr) {
+    // One scratch per worker thread, reused across pairs (all +0.0
+    // between calls).
+    thread_local std::vector<double> scratch;
+    return BuildSimilarityGraphBatched(dataset, g1, g2, *batch.vectors, scratch, theta);
   }
   return BuildSimilarityGraph(dataset, g1, g2, sim, theta);
 }
@@ -84,11 +86,11 @@ LinkRung DecidePair(const Dataset& dataset, const RecordSimFn& sim, int32_t g1,
                     StageStats* timing, const ExecutionContext* ctx,
                     const BatchContext& batch) {
   PhaseTimer timer(timing);
-  // Zero-overlap precheck (store path): groups sharing no weighted token
+  // Zero-overlap precheck (batched path): groups sharing no weighted token
   // cannot produce a single edge, so the pair classifies as an empty
   // graph without touching a record pair — the exact outcome the full
   // graph build would reach.
-  if (batch.store != nullptr) {
+  if (batch.vectors != nullptr) {
     const std::vector<uint32_t>& ta = batch.group_tokens[static_cast<size_t>(g1)];
     const std::vector<uint32_t>& tb = batch.group_tokens[static_cast<size_t>(g2)];
     if (SortedIntersectCount(ta.data(), ta.size(), tb.data(), tb.size()) == 0) {
@@ -128,7 +130,7 @@ std::vector<std::pair<int32_t, int32_t>> FilterRefineLink(
     const Dataset& dataset, const RecordSimFn& sim,
     const std::vector<std::pair<int32_t, int32_t>>& candidates,
     const FilterRefineConfig& config, StageStats* stage, ThreadPool* pool,
-    ExecutionContext* ctx, const VectorStore* store) {
+    ExecutionContext* ctx, const std::vector<SparseVector>* vectors) {
   StageStats local_stage;
   StageStats& s = stage != nullptr ? *stage : local_stage;
   s.AddCounter("candidates", static_cast<int64_t>(candidates.size()));
@@ -140,11 +142,11 @@ std::vector<std::pair<int32_t, int32_t>> FilterRefineLink(
   // Batched-scoring setup: per-group token unions for the zero-overlap
   // precheck (independent per group, so the build parallelizes).
   BatchContext batch;
-  batch.store = store;
-  if (store != nullptr) {
+  batch.vectors = vectors;
+  if (vectors != nullptr) {
     batch.group_tokens.resize(dataset.groups.size());
     ParallelFor(parallel ? pool : nullptr, dataset.groups.size(), [&](size_t g) {
-      batch.group_tokens[g] = GroupTokenUnion(dataset.groups[g], *store);
+      batch.group_tokens[g] = GroupTokenUnion(dataset.groups[g], *vectors);
     });
   }
 
@@ -276,16 +278,6 @@ bool DecideGraphLinked(const BipartiteGraph& graph, int32_t size_left,
     ctx->NoteDegraded();
   }
   return RungLinks(rung);
-}
-
-std::vector<std::pair<int32_t, int32_t>> BruteForceBmLink(
-    const Dataset& dataset, const RecordSimFn& sim,
-    const std::vector<std::pair<int32_t, int32_t>>& candidates,
-    const FilterRefineConfig& config, StageStats* stage) {
-  FilterRefineConfig no_bounds = config;
-  no_bounds.use_upper_bound_filter = false;
-  no_bounds.use_lower_bound_accept = false;
-  return FilterRefineLink(dataset, sim, candidates, no_bounds, stage);
 }
 
 }  // namespace grouplink

@@ -53,20 +53,21 @@ struct FilterRefineConfig {
 /// Every degraded decision can only *remove* links relative to the
 /// unconstrained run, so the output is always a subset of it.
 ///
-/// With a non-null `store` (the engine passes its VectorStore when `sim`
-/// is the default TF-IDF similarity), similarity graphs are built through
-/// the batched scatter-dot kernel (one VectorStore::Scores call per left
-/// record) and a sorted-set-intersection precheck on the groups' token
-/// unions classifies zero-overlap pairs as empty graphs without scoring a
-/// single record pair. Both are exact for the default sim — decisions,
-/// counters, and links are identical to the `sim`-driven path bit for bit.
-/// Callers overriding `sim` must pass store = nullptr.
+/// With non-null `vectors` (the engine passes its records' TF-IDF vectors
+/// when `sim` is the default similarity), similarity graphs are built by
+/// BuildSimilarityGraphBatched (one scatter per left record, one
+/// scatter-dot gather per right record) and a sorted-set-intersection
+/// precheck on the groups' token unions classifies zero-overlap pairs as
+/// empty graphs without scoring a single record pair. Both are exact for
+/// the default sim — decisions, counters, and links are identical to the
+/// `sim`-driven path bit for bit. Callers overriding `sim` must pass
+/// vectors = nullptr.
 [[nodiscard]] std::vector<std::pair<int32_t, int32_t>> FilterRefineLink(
     const Dataset& dataset, const RecordSimFn& sim,
     const std::vector<std::pair<int32_t, int32_t>>& candidates,
     const FilterRefineConfig& config, StageStats* stage = nullptr,
     ThreadPool* pool = nullptr, ExecutionContext* ctx = nullptr,
-    const VectorStore* store = nullptr);
+    const std::vector<SparseVector>* vectors = nullptr);
 
 /// The rung of the filter-and-refine ladder that decided one candidate
 /// pair. kSkipped is the default of a preallocated slot, so a pair a stop
@@ -129,13 +130,6 @@ void AddRungCounters(const std::vector<LinkRung>& rungs, StageStats* stage);
                                      int32_t size_left, int32_t size_right,
                                      const FilterRefineConfig& config,
                                      const ExecutionContext* ctx = nullptr);
-
-/// Reference path: exact BM on every candidate, no bounds. Same output
-/// contract as FilterRefineLink.
-[[nodiscard]] std::vector<std::pair<int32_t, int32_t>> BruteForceBmLink(
-    const Dataset& dataset, const RecordSimFn& sim,
-    const std::vector<std::pair<int32_t, int32_t>>& candidates,
-    const FilterRefineConfig& config, StageStats* stage = nullptr);
 
 }  // namespace grouplink
 

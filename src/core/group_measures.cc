@@ -4,11 +4,13 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/metrics.h"
 #include "matching/greedy.h"
 #include "matching/hopcroft_karp.h"
 #include "matching/hungarian.h"
 #include "matching/semi_matching.h"
 #include "matching/ssp_matching.h"
+#include "text/simd_kernels.h"
 
 namespace grouplink {
 
@@ -32,8 +34,9 @@ BipartiteGraph BuildSimilarityGraph(const Dataset& dataset, int32_t g1, int32_t 
 }
 
 BipartiteGraph BuildSimilarityGraphBatched(const Dataset& dataset, int32_t g1,
-                                           int32_t g2, const VectorStore& store,
-                                           VectorStore::Scratch& scratch,
+                                           int32_t g2,
+                                           const std::vector<SparseVector>& vectors,
+                                           std::vector<double>& scratch,
                                            double theta) {
   GL_CHECK_GT(theta, 0.0);
   const Group& left = dataset.groups[static_cast<size_t>(g1)];
@@ -41,18 +44,46 @@ BipartiteGraph BuildSimilarityGraphBatched(const Dataset& dataset, int32_t g1,
   BipartiteGraph graph(static_cast<int32_t>(left.record_ids.size()),
                        static_cast<int32_t>(right.record_ids.size()));
   if (right.record_ids.empty()) return graph;
-  std::vector<double> scores(right.record_ids.size());
-  for (size_t i = 0; i < left.record_ids.size(); ++i) {
-    // One batch per left record: Group::record_ids is already the
-    // contiguous candidate array the kernel wants.
-    store.Scores(scratch, left.record_ids[i], right.record_ids.data(),
-                 right.record_ids.size(), scores.data());
-    for (size_t j = 0; j < right.record_ids.size(); ++j) {
-      GL_DCHECK(scores[j] >= 0.0 && scores[j] <= 1.0 + 1e-9);
-      if (scores[j] >= theta) {
-        graph.AddEdge(static_cast<int32_t>(i), static_cast<int32_t>(j), scores[j]);
+  // One batch per left record, |g2| pairs each.
+  static Counter& m_batches =
+      MetricsRegistry::Default().CounterRef("simd.cosine_batches");
+  static Counter& m_pairs =
+      MetricsRegistry::Default().CounterRef("simd.cosine_batch_pairs");
+  m_batches.Increment(left.record_ids.size());
+  m_pairs.Increment(left.record_ids.size() * right.record_ids.size());
+
+  // The gathers read the slot of every right token id, so the scratch
+  // must cover the largest id of either side (ids ascend in a vector).
+  size_t dimension = scratch.size();
+  for (const Group* group : {&left, &right}) {
+    for (const int32_t record : group->record_ids) {
+      const SparseVector& v = vectors[static_cast<size_t>(record)];
+      if (!v.empty()) {
+        dimension = std::max(dimension, static_cast<size_t>(v.ids.back()) + 1);
       }
     }
+  }
+  scratch.resize(dimension, 0.0);
+
+  for (size_t i = 0; i < left.record_ids.size(); ++i) {
+    const SparseVector& probe = vectors[static_cast<size_t>(left.record_ids[i])];
+    // A token-less record scores 0 against everything: no edge.
+    if (probe.empty()) continue;
+    for (size_t k = 0; k < probe.size(); ++k) {
+      scratch[static_cast<size_t>(probe.ids[k])] = probe.weights[k];
+    }
+    for (size_t j = 0; j < right.record_ids.size(); ++j) {
+      const SparseVector& candidate = vectors[static_cast<size_t>(right.record_ids[j])];
+      const double s = ScatterDot(scratch.data(), candidate.ids.data(),
+                                  candidate.weights.data(), candidate.size());
+      GL_DCHECK(s >= 0.0 && s <= 1.0 + 1e-9);
+      if (s >= theta) {
+        graph.AddEdge(static_cast<int32_t>(i), static_cast<int32_t>(j), s);
+      }
+    }
+    // Every other slot is +0.0, which the bitwise equality of ScatterDot
+    // with the merge dot depends on, so the scratch goes back that way.
+    for (const int32_t id : probe.ids) scratch[static_cast<size_t>(id)] = 0.0;
   }
   return graph;
 }

@@ -3,10 +3,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "core/group.h"
 #include "matching/bipartite_graph.h"
-#include "text/vector_store.h"
+#include "text/tfidf.h"
 
 namespace grouplink {
 
@@ -24,15 +25,20 @@ BipartiteGraph BuildSimilarityGraph(const Dataset& dataset, int32_t g1, int32_t 
                                     const RecordSimFn& sim, double theta);
 
 /// Batched counterpart of BuildSimilarityGraph for the default TF-IDF
-/// similarity: each left record scores the whole right group in one
-/// VectorStore::Scores call (dispatched scatter-dot kernel) instead of one
-/// std::function call per cross pair. Scores is bitwise-equal to the
-/// default sim and edges are added in the same (i, j) order, so the graph
-/// — and every measure computed from it — is identical at every SIMD tier.
-/// `scratch` is reused across calls (one per worker).
+/// similarity over `vectors`, the records' unit vectors indexed by record
+/// id: each left record is scattered once into the dense `scratch`, every
+/// right record is one ScatterDot gather against it (the dispatched
+/// kernel), and the scattered slots are zeroed again. ScatterDot is
+/// bitwise-equal to PrenormalizedCosineSimilarity and edges are added in
+/// the same (i, j) order, so the graph — and every measure computed from
+/// it — is identical to BuildSimilarityGraph over the default sim at every
+/// SIMD tier. `scratch` must be all +0.0 on entry and is again on return;
+/// it grows to the largest token id it meets, so one per worker serves
+/// every call.
 BipartiteGraph BuildSimilarityGraphBatched(const Dataset& dataset, int32_t g1,
-                                           int32_t g2, const VectorStore& store,
-                                           VectorStore::Scratch& scratch,
+                                           int32_t g2,
+                                           const std::vector<SparseVector>& vectors,
+                                           std::vector<double>& scratch,
                                            double theta);
 
 /// A group-level similarity score together with the matching statistics

@@ -149,8 +149,6 @@ Status LinkageEngine::Prepare() {
     // multiset is what TF-IDF should see.
     record_vectors_[r] = vectorizer.Vectorize(raw_tokens[r]);
   });
-  // Flat SoA mirror of the vectors for the batched scoring kernels.
-  vector_store_ = VectorStore::Build(record_vectors_, vocabulary_.size());
   record_group_ = dataset_->RecordToGroup();
   prepare_seconds_ = prepare_timer.ElapsedSeconds();
   return Status::Ok();
@@ -168,7 +166,7 @@ double LinkageEngine::DefaultRecordSimilarity(int32_t a, int32_t b) const {
   // mathematical "empty == empty -> 1" convention would link every group
   // containing a blank record); for everything else Vectorize already
   // L2-normalized, so the cosine is the plain dot product — the same value
-  // VectorStore::Pair/Scores computes in the batched kernels, bit for bit.
+  // BuildSimilarityGraphBatched's scatter-dot computes, bit for bit.
   return PrenormalizedCosineSimilarity(record_vectors_[static_cast<size_t>(a)],
                                        record_vectors_[static_cast<size_t>(b)]);
 }
@@ -218,10 +216,10 @@ std::vector<ScoredPair> LinkageEngine::ScoreCandidates(GroupMeasureKind measure)
                                     : config_.theta;
   std::vector<ScoredPair> scored;
   scored.reserve(candidates.size());
-  VectorStore::Scratch scratch;
+  std::vector<double> scratch;
   for (const auto& [g1, g2] : candidates) {
     const BipartiteGraph graph = BuildSimilarityGraphBatched(
-        *dataset_, g1, g2, vector_store_, scratch, edge_threshold);
+        *dataset_, g1, g2, record_vectors_, scratch, edge_threshold);
     if (graph.edges().empty()) continue;
     scored.push_back({g1, g2,
                       EvaluateGroupMeasure(measure, graph, dataset_->GroupSize(g1),
@@ -235,11 +233,11 @@ LinkageResult LinkageEngine::Run() {
   // std::function is only kept for code paths that still score per pair.
   return RunInternal(
       [this](int32_t a, int32_t b) { return DefaultRecordSimilarity(a, b); },
-      &vector_store_);
+      &record_vectors_);
 }
 
 LinkageResult LinkageEngine::Run(const RecordSimFn& sim) {
-  return RunInternal(sim, /*store=*/nullptr);
+  return RunInternal(sim, /*vectors=*/nullptr);
 }
 
 void LinkageEngine::FillRunFacts(bool edge_join, RunReport& report) const {
@@ -280,7 +278,7 @@ void FinishResilienceFacts(const ExecutionContext& ctx, RunReport* report) {
 }  // namespace
 
 LinkageResult LinkageEngine::RunInternal(const RecordSimFn& sim,
-                                         const VectorStore* store) {
+                                         const std::vector<SparseVector>* vectors) {
   GL_TRACE_SPAN("linkage.run");
   static Counter& runs = MetricsRegistry::Default().CounterRef("engine.runs");
   runs.Increment();
@@ -292,8 +290,8 @@ LinkageResult LinkageEngine::RunInternal(const RecordSimFn& sim,
                        config_.max_candidate_pairs, config_.max_matcher_cost);
 
   // The edge join accumulates over the TF-IDF postings, so only the
-  // default similarity (the one with a store) can take it.
-  const bool edge_join = store != nullptr && config_.use_edge_join &&
+  // default similarity (the one passing its vectors) can take it.
+  const bool edge_join = vectors != nullptr && config_.use_edge_join &&
                          config_.measure == GroupMeasureKind::kBm;
   LinkageResult result;
   RunReport& report = result.mutable_report();
@@ -336,7 +334,7 @@ LinkageResult LinkageEngine::RunInternal(const RecordSimFn& sim,
     if (config_.measure == GroupMeasureKind::kBm) {
       result.linked_pairs = FilterRefineLink(*dataset_, sim, candidates,
                                              config_.Ladder(), &score, pool(),
-                                             &ctx, store);
+                                             &ctx, vectors);
     } else {
       // Baseline measures: direct evaluation per candidate. The binary
       // Jaccard baseline builds its graph at the (stricter) equality cutoff.
@@ -350,7 +348,7 @@ LinkageResult LinkageEngine::RunInternal(const RecordSimFn& sim,
       const size_t shed = candidates.size() - cap;
       size_t skipped = 0;
       int64_t empty_graphs = 0;
-      VectorStore::Scratch scratch;
+      std::vector<double> scratch;
       for (size_t i = 0; i < cap; ++i) {
         if (ctx.StopRequested()) {
           skipped = cap - i;
@@ -358,8 +356,8 @@ LinkageResult LinkageEngine::RunInternal(const RecordSimFn& sim,
         }
         const auto [g1, g2] = candidates[i];
         const BipartiteGraph graph =
-            store != nullptr
-                ? BuildSimilarityGraphBatched(*dataset_, g1, g2, *store, scratch,
+            vectors != nullptr
+                ? BuildSimilarityGraphBatched(*dataset_, g1, g2, *vectors, scratch,
                                               edge_threshold)
                 : BuildSimilarityGraph(*dataset_, g1, g2, sim, edge_threshold);
         if (graph.edges().empty()) {

@@ -17,7 +17,6 @@
 #include "index/blocking.h"
 #include "index/candidates.h"
 #include "text/tfidf.h"
-#include "text/vector_store.h"
 #include "text/vocabulary.h"
 
 namespace grouplink {
@@ -185,9 +184,10 @@ class LinkageEngine {
                                                     const LinkageConfig& config);
 
   /// Runs candidate generation, scoring, and clustering. Scoring goes
-  /// through the batched SIMD kernels (the engine's VectorStore), which
-  /// are bitwise-equal to DefaultRecordSimilarity per pair — same links
-  /// as the per-call path, at every dispatch tier and thread count. With
+  /// through the batched scatter-dot kernel over the records' TF-IDF
+  /// vectors, which is bitwise-equal to DefaultRecordSimilarity per pair —
+  /// same links as the per-call path, at every dispatch tier and thread
+  /// count. With
   /// use_edge_join the run transposes the vectors into weighted postings
   /// and runs the accumulation join over them instead.
   LinkageResult Run();
@@ -217,10 +217,11 @@ class LinkageEngine {
   /// Validates the dataset and config, then precomputes token sets and
   /// TF-IDF vectors (Create's second half).
   Status Prepare();
-  /// Shared implementation of both Run overloads. `store` is the engine's
-  /// VectorStore for the default similarity (batched scoring), null for a
-  /// caller-supplied sim (per-pair scoring through `sim`).
-  LinkageResult RunInternal(const RecordSimFn& sim, const VectorStore* store);
+  /// Shared implementation of both Run overloads. `vectors` is
+  /// record_vectors_ for the default similarity (batched scoring), null
+  /// for a caller-supplied sim (per-pair scoring through `sim`).
+  LinkageResult RunInternal(const RecordSimFn& sim,
+                            const std::vector<SparseVector>* vectors);
   /// Candidate group pairs of the configured method; `record_pairs`
   /// (nullable) receives the record-level pairs a record join inspected.
   std::vector<std::pair<int32_t, int32_t>> GenerateCandidates(size_t* record_pairs);
@@ -238,8 +239,6 @@ class LinkageEngine {
   Vocabulary vocabulary_;
   std::vector<std::vector<int32_t>> record_token_ids_;  // Sorted-unique per record.
   std::vector<SparseVector> record_vectors_;
-  /// Flat SoA mirror of record_vectors_ feeding the batched kernels.
-  VectorStore vector_store_;
   std::vector<int32_t> record_group_;
 };
 

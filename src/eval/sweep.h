@@ -1,6 +1,8 @@
 #ifndef GROUPLINK_EVAL_SWEEP_H_
 #define GROUPLINK_EVAL_SWEEP_H_
 
+// gl-lint: allow(unreached-header) E2 sweeps Θ with it; no shipped path does.
+
 #include <cstdint>
 #include <utility>
 #include <vector>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/arena.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 
@@ -38,12 +37,12 @@ bool DocumentsAreSortedSets(const std::vector<std::vector<int32_t>>& documents) 
 }
 
 // CSR form of the ascending-postings contract: every [offsets[t],
-// offsets[t+1]) span of the flat posting pool must be sorted.
+// offsets[t+1]) span of the flat posting array must be sorted.
 bool PostingSpansAscending(const std::vector<size_t>& offsets,
-                           Span<const int32_t> postings) {
+                           const std::vector<int32_t>& postings) {
   for (size_t t = 0; t + 1 < offsets.size(); ++t) {
-    if (!std::is_sorted(postings.begin() + offsets[t],
-                        postings.begin() + offsets[t + 1])) {
+    if (!std::is_sorted(postings.data() + offsets[t],
+                        postings.data() + offsets[t + 1])) {
       return false;
     }
   }
@@ -115,15 +114,14 @@ std::vector<std::pair<int32_t, int32_t>> PrefixFilterSelfJoin(
   GL_CHECK_GE(num_tokens, 0);
   const std::vector<int32_t> rank = RarityRanks(documents, num_tokens);
 
-  // Rank-space documents in one flat arena pool (CSR: doc_offsets + one
-  // contiguous id array) instead of a vector-of-vectors — one allocation,
-  // and probe loops walk contiguous memory.
-  ArenaPool arena;
+  // Rank-space documents as CSR (doc_offsets + one contiguous id array)
+  // instead of a vector-of-vectors — one allocation, and probe loops walk
+  // contiguous memory.
   std::vector<size_t> doc_offsets(n + 1, 0);
   for (size_t d = 0; d < n; ++d) {
     doc_offsets[d + 1] = doc_offsets[d] + documents[d].size();
   }
-  const Span<int32_t> ranked = arena.AllocateArray<int32_t>(doc_offsets[n]);
+  std::vector<int32_t> ranked(doc_offsets[n]);
   for (size_t d = 0; d < n; ++d) {
     int32_t* out = ranked.data() + doc_offsets[d];
     const std::vector<int32_t>& doc = documents[d];
@@ -149,8 +147,7 @@ std::vector<std::pair<int32_t, int32_t>> PrefixFilterSelfJoin(
   for (size_t t = 1; t < posting_offsets.size(); ++t) {
     posting_offsets[t] += posting_offsets[t - 1];
   }
-  const Span<int32_t> postings =
-      arena.AllocateArray<int32_t>(posting_offsets.back());
+  std::vector<int32_t> postings(posting_offsets.back());
   {
     std::vector<size_t> cursor(posting_offsets.begin(), posting_offsets.end() - 1);
     for (size_t d = 0; d < n; ++d) {

@@ -1,6 +1,8 @@
 #ifndef GROUPLINK_MATCHING_AUCTION_H_
 #define GROUPLINK_MATCHING_AUCTION_H_
 
+// gl-lint: allow(unreached-header) E7 compares it with Hungarian, the engine's matcher.
+
 #include "matching/bipartite_graph.h"
 
 namespace grouplink {

@@ -1,6 +1,8 @@
 #ifndef GROUPLINK_RELATIONAL_LINKAGE_PLANS_H_
 #define GROUPLINK_RELATIONAL_LINKAGE_PLANS_H_
 
+// gl-lint: allow(unreached-header) E14 runs linkage as relational plans with it.
+
 #include <cstdint>
 #include <utility>
 #include <vector>

@@ -1,6 +1,8 @@
 #ifndef GROUPLINK_SERVICE_RESILIENCE_SUPERVISED_SERVICE_H_
 #define GROUPLINK_SERVICE_RESILIENCE_SUPERVISED_SERVICE_H_
 
+// gl-lint: allow(unreached-header) E18 and resilience tests; ROADMAP item 4 may fold it.
+
 #include <cstdint>
 #include <memory>
 #include <string>

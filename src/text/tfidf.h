@@ -37,9 +37,9 @@ void L2Normalize(SparseVector& v);
 /// the cosine IS the dot product, so the two per-call norm passes of
 /// CosineSimilarity are skipped. Token-less records score 0 — the engine's
 /// convention (no co-reference evidence), shared with the streaming
-/// linker. VectorStore::Pair/Scores (text/vector_store.h) reproduce this
-/// value bit for bit, which is what keeps the per-pair, edge-join, and
-/// batched-SIMD paths on one link set.
+/// linker. The scatter-dot graphs of BuildSimilarityGraphBatched
+/// (core/group_measures.h) reproduce this value bit for bit, which is what
+/// keeps the per-pair, edge-join, and batched-SIMD paths on one link set.
 [[nodiscard]] double PrenormalizedCosineSimilarity(const SparseVector& a,
                                                    const SparseVector& b);
 

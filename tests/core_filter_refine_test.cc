@@ -53,6 +53,13 @@ RandomInstance MakeInstance(Rng& rng, int32_t num_groups, int32_t max_size) {
   return instance;
 }
 
+// The reference path: exact BM on every candidate, both bounds off.
+FilterRefineConfig NoBounds(FilterRefineConfig config) {
+  config.use_upper_bound_filter = false;
+  config.use_lower_bound_accept = false;
+  return config;
+}
+
 TEST(FilterRefineTest, EquivalentToBruteForceAcrossSeeds) {
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
@@ -67,8 +74,8 @@ TEST(FilterRefineTest, EquivalentToBruteForceAcrossSeeds) {
     const auto fast = FilterRefineLink(instance.dataset, instance.SimFn(), candidates,
                                        config, &fast_stage);
     StageStats slow_stage;
-    const auto slow = BruteForceBmLink(instance.dataset, instance.SimFn(), candidates,
-                                       config, &slow_stage);
+    const auto slow = FilterRefineLink(instance.dataset, instance.SimFn(), candidates,
+                                       NoBounds(config), &slow_stage);
     EXPECT_EQ(fast, slow) << "seed " << seed;
     EXPECT_EQ(fast_stage.Counter("linked"), slow_stage.Counter("linked"));
     EXPECT_EQ(slow_stage.Counter("ub_pruned"), 0);
@@ -219,8 +226,8 @@ TEST_P(FilterRefineThresholdSweep, EquivalenceAtEveryTheta) {
   config.group_threshold = GetParam();
   const auto fast =
       FilterRefineLink(instance.dataset, instance.SimFn(), candidates, config);
-  const auto slow =
-      BruteForceBmLink(instance.dataset, instance.SimFn(), candidates, config);
+  const auto slow = FilterRefineLink(instance.dataset, instance.SimFn(), candidates,
+                                     NoBounds(config));
   EXPECT_EQ(fast, slow);
 }
 

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/random.h"
-#include "matching/brute_force.h"
+#include "support/brute_force.h"
 
 namespace grouplink {
 namespace {

@@ -103,11 +103,11 @@ TEST_F(SimdDifferentialTest, EveryTierAgreesOnEveryStrategy) {
 
 TEST_F(SimdDifferentialTest, BatchedPathMatchesCustomSimPath) {
   // Run(sim) scores per pair through the std::function; Run() scores
-  // through the batched VectorStore kernels. Passing the engine's own
-  // default similarity as the custom sim must yield identical links —
-  // the strongest per-pair vs batched equivalence we can assert. (A
-  // custom sim never takes the edge join, whose postings only compute
-  // the default similarity.)
+  // through BuildSimilarityGraphBatched's scatter-dot gathers over the
+  // engine's TF-IDF vectors. Passing the engine's own default similarity
+  // as the custom sim must yield identical links — the strongest per-pair
+  // vs batched equivalence we can assert. (A custom sim never takes the
+  // edge join, whose postings only compute the default similarity.)
   const Dataset dataset = GenerateBibliographic(E5ShapedConfig());
   auto batched_or = LinkageEngine::Create(&dataset, E5Linkage(false, 1));
   ASSERT_TRUE(batched_or.ok());

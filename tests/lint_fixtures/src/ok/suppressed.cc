@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "common/mutex.h"
+#include "ok/clean.h"  // Reaches clean.h: no unreached-header finding there.
 
 namespace grouplink {
 

@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "matching/brute_force.h"
 #include "matching/hopcroft_karp.h"
 #include "matching/hungarian.h"
+#include "support/brute_force.h"
 
 namespace grouplink {
 namespace {

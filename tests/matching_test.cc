@@ -5,11 +5,11 @@
 
 #include "common/random.h"
 #include "matching/bipartite_graph.h"
-#include "matching/brute_force.h"
 #include "matching/greedy.h"
 #include "matching/hopcroft_karp.h"
 #include "matching/hungarian.h"
 #include "matching/semi_matching.h"
+#include "support/brute_force.h"
 
 namespace grouplink {
 namespace {

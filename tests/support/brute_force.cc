@@ -1,4 +1,4 @@
-#include "matching/brute_force.h"
+#include "support/brute_force.h"
 
 #include <vector>
 

@@ -1,5 +1,5 @@
-#ifndef GROUPLINK_MATCHING_BRUTE_FORCE_H_
-#define GROUPLINK_MATCHING_BRUTE_FORCE_H_
+#ifndef GROUPLINK_TESTS_SUPPORT_BRUTE_FORCE_H_
+#define GROUPLINK_TESTS_SUPPORT_BRUTE_FORCE_H_
 
 #include "matching/bipartite_graph.h"
 
@@ -18,4 +18,4 @@ namespace grouplink {
 
 }  // namespace grouplink
 
-#endif  // GROUPLINK_MATCHING_BRUTE_FORCE_H_
+#endif  // GROUPLINK_TESTS_SUPPORT_BRUTE_FORCE_H_

@@ -12,9 +12,10 @@
 
 #include "common/random.h"
 #include "common/simd_dispatch.h"
+#include "core/group.h"
+#include "core/group_measures.h"
 #include "text/edit_distance.h"
 #include "text/tfidf.h"
-#include "text/vector_store.h"
 
 namespace grouplink {
 namespace {
@@ -180,47 +181,85 @@ TEST(ScatterDotTest, MatchesSortedMergeDotProduct) {
   }
 }
 
-TEST(VectorStoreTest, PairAndScoresMatchPrenormalizedCosine) {
+// ------------------------------------------------- Batched graph build.
+
+// BuildSimilarityGraphBatched against BuildSimilarityGraph over
+// PrenormalizedCosineSimilarity: the same edges in the same order with the
+// same weight bits at every tier, and the one scratch shared by every call
+// all +0.0 after each. The corpus has token-less records, one-record
+// groups and the vocabulary's top id.
+TEST(BatchedGraphTest, MatchesPerPairCosineAndLeavesScratchZero) {
   Rng rng(4242);
-  const size_t dimension = 128;
+  constexpr int32_t kDimension = 96;
+  constexpr int32_t kGroups = 24;
+  std::vector<int32_t> record_group;
+  for (int32_t g = 0; g < kGroups; ++g) {
+    const int64_t size = g < 4 ? 1 : rng.UniformInt(1, 5);
+    for (int64_t i = 0; i < size; ++i) record_group.push_back(g);
+  }
   std::vector<SparseVector> vectors;
-  for (int r = 0; r < 40; ++r) {
+  for (size_t r = 0; r < record_group.size(); ++r) {
     SparseVector v;
-    const auto ids = SortedUniqueSet(
-        rng, static_cast<size_t>(rng.UniformInt(0, 20)),
-        static_cast<uint32_t>(dimension));
+    // Every fifth record is token-less; record 1 and some others hold
+    // the top id.
+    const size_t size = r % 5 == 0 ? 0 : static_cast<size_t>(rng.UniformInt(1, 14));
+    std::vector<uint32_t> ids = SortedUniqueSet(rng, size, kDimension);
+    if (size > 0 && (r == 1 || rng.Bernoulli(0.2)) && ids.back() != kDimension - 1) {
+      ids.push_back(kDimension - 1);
+    }
     for (const uint32_t id : ids) {
       v.ids.push_back(static_cast<int32_t>(id));
       v.weights.push_back(rng.UniformDouble(1e-3, 1.0));
     }
+    L2Normalize(v);
     vectors.push_back(std::move(v));
   }
-  const VectorStore store = VectorStore::Build(vectors, dimension);
-  ASSERT_EQ(store.size(), vectors.size());
+  std::vector<Record> records(record_group.size());
+  for (size_t r = 0; r < records.size(); ++r) records[r].id = std::to_string(r);
+  auto dataset_or = MakeDataset(std::move(records), record_group, kGroups);
+  ASSERT_TRUE(dataset_or.ok());
+  const Dataset& dataset = *dataset_or;
+  const RecordSimFn cosine = [&vectors](int32_t a, int32_t b) {
+    return PrenormalizedCosineSimilarity(vectors[static_cast<size_t>(a)],
+                                         vectors[static_cast<size_t>(b)]);
+  };
 
-  std::vector<int32_t> candidates;
-  for (int32_t r = 0; r < static_cast<int32_t>(vectors.size()); ++r) {
-    candidates.push_back(r);
-  }
-  std::vector<double> scores(candidates.size());
+  std::vector<double> scratch;
   for (const SimdLevel level :
        {SimdLevel::kScalar, SimdLevel::kSse42, SimdLevel::kAvx2}) {
     ScopedSimdLevel scoped(level);
-    VectorStore::Scratch scratch;
-    for (int32_t probe = 0; probe < static_cast<int32_t>(vectors.size());
-         ++probe) {
-      store.Scores(scratch, probe, candidates.data(), candidates.size(),
-                   scores.data());
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        const double expected = PrenormalizedCosineSimilarity(
-            vectors[static_cast<size_t>(probe)], vectors[i]);
-        ASSERT_EQ(scores[i], expected)
-            << "probe " << probe << " cand " << i << " level "
-            << SimdLevelName(level);
-        ASSERT_EQ(store.Pair(probe, candidates[i]), expected);
+    size_t edges = 0;
+    for (const double theta : {1e-12, 0.3}) {
+      for (int32_t g1 = 0; g1 < kGroups; ++g1) {
+        for (int32_t g2 = 0; g2 < kGroups; ++g2) {
+          const BipartiteGraph batched =
+              BuildSimilarityGraphBatched(dataset, g1, g2, vectors, scratch, theta);
+          const BipartiteGraph per_pair =
+              BuildSimilarityGraph(dataset, g1, g2, cosine, theta);
+          SCOPED_TRACE(::testing::Message() << SimdLevelName(level) << " theta "
+                                            << theta << " pair " << g1 << "," << g2);
+          ASSERT_EQ(batched.num_left(), per_pair.num_left());
+          ASSERT_EQ(batched.num_right(), per_pair.num_right());
+          ASSERT_EQ(batched.edges().size(), per_pair.edges().size());
+          for (size_t e = 0; e < per_pair.edges().size(); ++e) {
+            const BipartiteEdge& got = batched.edges()[e];
+            const BipartiteEdge& want = per_pair.edges()[e];
+            ASSERT_EQ(got.left, want.left) << "edge " << e;
+            ASSERT_EQ(got.right, want.right) << "edge " << e;
+            ASSERT_EQ(std::bit_cast<uint64_t>(got.weight),
+                      std::bit_cast<uint64_t>(want.weight))
+                << "edge " << e;
+          }
+          edges += per_pair.edges().size();
+          ASSERT_TRUE(std::all_of(scratch.begin(), scratch.end(), [](double x) {
+            return std::bit_cast<uint64_t>(x) == 0;
+          })) << "scratch not all +0.0 after the call";
+        }
       }
     }
+    EXPECT_GT(edges, 0u) << SimdLevelName(level);
   }
+  EXPECT_EQ(scratch.size(), static_cast<size_t>(kDimension));
 }
 
 // ------------------------------------------------- Accumulator sweep.
