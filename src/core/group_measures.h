@@ -27,12 +27,12 @@ BipartiteGraph BuildSimilarityGraph(const Dataset& dataset, int32_t g1, int32_t 
 /// Batched counterpart of BuildSimilarityGraph for the default TF-IDF
 /// similarity over `vectors`, the records' unit vectors indexed by record
 /// id: each left record is scattered once into the dense `scratch`, every
-/// right record is one ScatterDot gather against it (the dispatched
-/// kernel), and the scattered slots are zeroed again. ScatterDot is
-/// bitwise-equal to PrenormalizedCosineSimilarity and edges are added in
-/// the same (i, j) order, so the graph — and every measure computed from
-/// it — is identical to BuildSimilarityGraph over the default sim at every
-/// SIMD tier. `scratch` must be all +0.0 on entry and is again on return;
+/// right record is one ScatterDot gather against it, and the scattered
+/// slots are zeroed again. ScatterDot is bitwise-equal to
+/// PrenormalizedCosineSimilarity and edges are added in the same (i, j)
+/// order, so the graph — and every measure computed from it — is
+/// identical to BuildSimilarityGraph over the default sim at every SIMD
+/// tier. `scratch` must be all +0.0 on entry and is again on return;
 /// it grows to the largest token id it meets, so one per worker serves
 /// every call.
 BipartiteGraph BuildSimilarityGraphBatched(const Dataset& dataset, int32_t g1,

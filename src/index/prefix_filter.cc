@@ -49,27 +49,6 @@ bool PostingSpansAscending(const std::vector<size_t>& offsets,
   return true;
 }
 
-// Jaccard over sorted-unique int vectors.
-double JaccardInt(const std::vector<int32_t>& a, const std::vector<int32_t>& b) {
-  if (a.empty() && b.empty()) return 1.0;
-  size_t i = 0;
-  size_t j = 0;
-  size_t inter = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      ++inter;
-      ++i;
-      ++j;
-    }
-  }
-  const size_t uni = a.size() + b.size() - inter;
-  return uni == 0 ? 1.0 : static_cast<double>(inter) / static_cast<double>(uni);
-}
-
 }  // namespace
 
 size_t JaccardPrefixLength(size_t size, double t) {
@@ -193,20 +172,6 @@ std::vector<std::pair<int32_t, int32_t>> PrefixFilterSelfJoin(
   // documented sorted-and-deduplicated output.
   std::sort(candidates.begin(), candidates.end());
   return candidates;
-}
-
-std::vector<std::pair<int32_t, int32_t>> BruteForceJaccardSelfJoin(
-    const std::vector<std::vector<int32_t>>& documents, double threshold) {
-  GL_DCHECK(DocumentsAreSortedSets(documents));
-  std::vector<std::pair<int32_t, int32_t>> result;
-  for (size_t i = 0; i < documents.size(); ++i) {
-    for (size_t j = i + 1; j < documents.size(); ++j) {
-      if (JaccardInt(documents[i], documents[j]) >= threshold) {
-        result.emplace_back(static_cast<int32_t>(i), static_cast<int32_t>(j));
-      }
-    }
-  }
-  return result;
 }
 
 }  // namespace grouplink

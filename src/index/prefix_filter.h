@@ -45,11 +45,6 @@ namespace grouplink {
     const std::vector<std::vector<int32_t>>& documents, int32_t num_tokens,
     double threshold);
 
-/// Reference implementation: all pairs with exact Jaccard >= threshold.
-/// O(n²); used by tests and as the no-index baseline in benchmarks.
-[[nodiscard]] std::vector<std::pair<int32_t, int32_t>> BruteForceJaccardSelfJoin(
-    const std::vector<std::vector<int32_t>>& documents, double threshold);
-
 }  // namespace grouplink
 
 #endif  // GROUPLINK_INDEX_PREFIX_FILTER_H_

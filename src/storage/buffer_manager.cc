@@ -84,52 +84,79 @@ Result<PageHandle> BufferManager::Pin(uint64_t page_id) {
                               " out of range (store has " +
                               std::to_string(num_pages_) + " pages)");
   }
+  size_t victim = 0;
+  uint8_t* bytes = nullptr;
+  {
+    MutexLock lock(&mu_);
+    for (auto it = page_map_.find(page_id); it != page_map_.end();
+         it = page_map_.find(page_id)) {
+      Frame& frame = frames_[it->second];
+      if (frame.loading) {
+        // Another Pin is reading this page. Wait for that read to end, then
+        // look again: a failed read has unmapped the page.
+        load_done_.Wait(&mu_);
+        continue;
+      }
+      ++frame.pins;
+      frame.referenced = true;
+      ++stats_.hits;
+      StorageMetrics::Get().buffer_hits.Increment();
+      return PageHandle(this, it->second, frame.data.data() + kPageHeaderBytes,
+                        frame.payload_len, frame.type);
+    }
+
+    victim = FindVictimLocked();
+    if (victim == pool_pages_) {
+      return Status::FailedPrecondition(
+          "buffer pool exhausted: all " + std::to_string(pool_pages_) +
+          " frames pinned");
+    }
+    Frame& frame = frames_[victim];
+    if (frame.valid) {
+      page_map_.erase(frame.page_id);
+      frame.valid = false;
+      ++stats_.evictions;
+      StorageMetrics::Get().evictions.Increment();
+    }
+    // Map the page as loading, pinned by this Pin: no other Pin evicts the
+    // frame or reads its bytes until LoadUnlocked publishes or frees it.
+    frame.page_id = page_id;
+    frame.pins = 1;
+    frame.loading = true;
+    frame.data.resize(page_bytes_);
+    bytes = frame.data.data();
+    page_map_.emplace(page_id, victim);
+  }
+  return LoadUnlocked(page_id, victim, bytes);
+}
+
+Result<PageHandle> BufferManager::LoadUnlocked(uint64_t page_id, size_t victim,
+                                               uint8_t* bytes) {
+  // The disk read and the checksum run without the pool lock, on the
+  // frame this Pin alone owns until it publishes it.
+  Result<PageView> view = [&]() -> Result<PageView> {
+    GL_RETURN_IF_ERROR(file_->ReadAt(page_id * static_cast<uint64_t>(page_bytes_),
+                                     page_bytes_, bytes));
+    return VerifyPageFrame(bytes, page_bytes_, page_id);
+  }();
+
   MutexLock lock(&mu_);
-  const auto it = page_map_.find(page_id);
-  if (it != page_map_.end()) {
-    Frame& frame = frames_[it->second];
-    ++frame.pins;
-    frame.referenced = true;
-    ++stats_.hits;
-    StorageMetrics::Get().buffer_hits.Increment();
-    return PageHandle(this, it->second, frame.data.data() + kPageHeaderBytes,
-                      frame.payload_len, frame.type);
-  }
-
-  const size_t victim = FindVictimLocked();
-  if (victim == pool_pages_) {
-    return Status::FailedPrecondition(
-        "buffer pool exhausted: all " + std::to_string(pool_pages_) +
-        " frames pinned");
-  }
   Frame& frame = frames_[victim];
-  if (frame.valid) {
-    page_map_.erase(frame.page_id);
-    frame.valid = false;
-    ++stats_.evictions;
-    StorageMetrics::Get().evictions.Increment();
+  frame.loading = false;
+  load_done_.SignalAll();
+  if (!view.ok()) {
+    page_map_.erase(page_id);
+    frame.pins = 0;
+    return view.status();
   }
-
-  // Miss path: disk read + checksum verification under the pool lock
-  // (v1 simplification, see class comment).
-  frame.data.resize(page_bytes_);
-  const Status read_status = file_->ReadAt(
-      page_id * static_cast<uint64_t>(page_bytes_), page_bytes_, frame.data.data());
-  if (!read_status.ok()) return read_status;
-  Result<PageView> view = VerifyPageFrame(frame.data.data(), page_bytes_, page_id);
-  if (!view.ok()) return view.status();
-
   ++stats_.misses;
   StorageMetrics::Get().pages_read.Increment();
-  frame.page_id = page_id;
-  frame.pins = 1;
   frame.valid = true;
   frame.referenced = true;
   frame.type = view->type;
   frame.payload_len = view->payload_len;
-  page_map_.emplace(page_id, victim);
-  return PageHandle(this, victim, frame.data.data() + kPageHeaderBytes,
-                    frame.payload_len, frame.type);
+  return PageHandle(this, victim, bytes + kPageHeaderBytes, frame.payload_len,
+                    frame.type);
 }
 
 void BufferManager::Unpin(size_t frame_index) {
@@ -148,34 +175,47 @@ SegmentReader::SegmentReader(BufferManager* buffer, uint64_t first_page,
                              uint64_t length)
     : buffer_(buffer), first_page_(first_page), length_(length) {}
 
-Status SegmentReader::ReadAt(uint64_t offset, size_t n, uint8_t* out) const {
-  if (n == 0) return Status::Ok();
-  GL_CHECK(buffer_ != nullptr);
-  if (offset + n > length_ || offset + n < offset) {
-    return Status::DataLoss("segment read past end (offset " +
-                            std::to_string(offset) + " + " + std::to_string(n) +
-                            " > " + std::to_string(length_) + ")");
-  }
-  const uint64_t cap = PagePayloadCapacity(buffer_->page_bytes());
-  size_t done = 0;
-  while (done < n) {
-    const uint64_t at = offset + done;
-    const uint64_t page = first_page_ + at / cap;
-    const uint64_t within = at % cap;
-    GL_ASSIGN_OR_RETURN(const PageHandle handle, buffer_->Pin(page));
-    if (handle.type() != PageType::kSegment) {
-      return Status::DataLoss("segment page has wrong type at page " +
-                              std::to_string(page));
+Status SegmentReader::ReadRanges(std::span<const ByteRange> ranges,
+                                 uint8_t* out) const {
+  PageHandle handle;
+  uint64_t pinned = 0;
+  uint64_t previous_end = 0;
+  for (const ByteRange& range : ranges) {
+    if (range.n == 0) continue;
+    GL_CHECK(buffer_ != nullptr);
+    GL_DCHECK_GE(range.offset, previous_end) << "ranges must ascend and not overlap";
+    const uint64_t cap = PagePayloadCapacity(buffer_->page_bytes());
+    if (range.offset + range.n > length_ || range.offset + range.n < range.offset) {
+      return Status::DataLoss("segment read past end (offset " +
+                              std::to_string(range.offset) + " + " +
+                              std::to_string(range.n) + " > " +
+                              std::to_string(length_) + ")");
     }
-    if (within >= handle.payload_len()) {
-      return Status::DataLoss("segment page underflow at page " +
-                              std::to_string(page));
+    previous_end = range.offset + range.n;
+    for (size_t done = 0; done < range.n;) {
+      const uint64_t at = range.offset + done;
+      const uint64_t page = first_page_ + at / cap;
+      const uint64_t within = at % cap;
+      if (!handle.valid() || page != pinned) {
+        // At most one page is pinned per reader: release before pinning.
+        handle = PageHandle();
+        GL_ASSIGN_OR_RETURN(handle, buffer_->Pin(page));
+        pinned = page;
+        if (handle.type() != PageType::kSegment) {
+          return Status::DataLoss("segment page has wrong type at page " +
+                                  std::to_string(page));
+        }
+      }
+      if (within >= handle.payload_len()) {
+        return Status::DataLoss("segment page underflow at page " +
+                                std::to_string(page));
+      }
+      const size_t take = static_cast<size_t>(
+          std::min<uint64_t>(handle.payload_len() - within, range.n - done));
+      std::memcpy(out, handle.payload() + within, take);
+      out += take;
+      done += take;
     }
-    const size_t take = static_cast<size_t>(
-        std::min<uint64_t>(handle.payload_len() - within, n - done));
-    std::memcpy(out + done, handle.payload() + within, take);
-    done += take;
-    // The handle unpins here: at most one page is pinned per reader.
   }
   return Status::Ok();
 }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -65,15 +66,20 @@ class PageHandle {
 /// data no matter how large the store is.
 ///
 /// Thread safety: fully internally synchronized; any number of threads
-/// may Pin/unpin concurrently. v1 keeps one global mutex and performs
-/// the miss I/O under it — correctness first; the differential and TSan
-/// stress suites pin the behavior so a later lock split can't drift.
+/// may Pin/unpin concurrently. One mutex guards the frame table, and a
+/// miss reads and checksums its page outside it: the miss maps its
+/// victim frame as *loading*, pinned by the loader, so no other Pin can
+/// evict it or see its bytes. A Pin of a page that is still loading
+/// waits for that one read; the loader waits on nothing, so no wait
+/// cycle can form. A failed read unmaps and frees its frame, and each
+/// waiter then does its own miss.
 ///
 /// Eviction: clock hand over the frames; pinned frames are skipped,
 /// recently-hit frames get a second chance. When every frame is pinned,
-/// Pin returns FailedPrecondition("buffer pool exhausted") instead of
-/// blocking — callers hold at most one pin at a time (SegmentReader's
-/// contract), so a pool of >= num_threads frames can never see it.
+/// Pin returns FailedPrecondition("buffer pool exhausted") at once
+/// instead of blocking — callers hold at most one pin at a time
+/// (SegmentReader's contract), so a pool of >= num_threads frames can
+/// never see it.
 class BufferManager {
  public:
   /// `num_pages` bounds the valid page-id range; `pool_pages` (>= 1) is
@@ -87,7 +93,7 @@ class BufferManager {
   /// Pins `page_id`, reading and checksum-verifying it on a miss.
   /// Errors: OutOfRange (bad page id), DataLoss (checksum/format),
   /// IoError (read failure), FailedPrecondition (all frames pinned).
-  [[nodiscard]] Result<PageHandle> Pin(uint64_t page_id);
+  [[nodiscard]] Result<PageHandle> Pin(uint64_t page_id) GL_EXCLUDES(mu_);
 
   [[nodiscard]] size_t pool_pages() const { return pool_pages_; }
   [[nodiscard]] uint32_t page_bytes() const { return page_bytes_; }
@@ -100,16 +106,21 @@ class BufferManager {
   struct Frame {
     uint64_t page_id = 0;
     int64_t pins = 0;
-    bool valid = false;
+    bool valid = false;       // Mapped and verified.
+    bool loading = false;     // Mapped; its loader is reading it unlocked.
     bool referenced = false;  // Clock second-chance bit.
     PageType type = PageType::kSegment;
     uint32_t payload_len = 0;
     std::vector<uint8_t> data;  // page_bytes once loaded.
   };
 
-  void Unpin(size_t frame_index);
+  void Unpin(size_t frame_index) GL_EXCLUDES(mu_);
   /// Clock sweep for an unpinned victim; pool_pages_ marks failure.
   size_t FindVictimLocked() GL_REQUIRES(mu_);
+  /// Reads and verifies `page_id` into the loading frame `victim`, whose
+  /// bytes start at `bytes`, then publishes or frees the frame.
+  Result<PageHandle> LoadUnlocked(uint64_t page_id, size_t victim, uint8_t* bytes)
+      GL_EXCLUDES(mu_);
 
   const std::shared_ptr<const PageFile> file_;
   const uint32_t page_bytes_;
@@ -117,10 +128,18 @@ class BufferManager {
   const size_t pool_pages_;  // == frames_.size(), fixed at construction.
 
   mutable Mutex mu_;
+  /// Signalled whenever a load ends, verified or failed.
+  CondVar load_done_;
   std::vector<Frame> frames_ GL_GUARDED_BY(mu_);
   std::unordered_map<uint64_t, size_t> page_map_ GL_GUARDED_BY(mu_);
   size_t clock_hand_ GL_GUARDED_BY(mu_) = 0;
   BufferStats stats_ GL_GUARDED_BY(mu_);
+};
+
+/// `n` bytes of a segment from byte `offset`.
+struct ByteRange {
+  uint64_t offset = 0;
+  size_t n = 0;
 };
 
 /// Byte-addressed view of one segment (a logical byte stream spanning
@@ -133,8 +152,16 @@ class SegmentReader {
   SegmentReader() = default;
   SegmentReader(BufferManager* buffer, uint64_t first_page, uint64_t length);
 
+  /// Copies `ranges`, which ascend and do not overlap, back to back into
+  /// `out` in one ascending pass: each page they span is pinned once, and
+  /// its pin is released before the next page is pinned.
+  [[nodiscard]] Status ReadRanges(std::span<const ByteRange> ranges, uint8_t* out) const;
+
   /// Copies `[offset, offset + n)` of the segment into `out`.
-  [[nodiscard]] Status ReadAt(uint64_t offset, size_t n, uint8_t* out) const;
+  [[nodiscard]] Status ReadAt(uint64_t offset, size_t n, uint8_t* out) const {
+    const ByteRange range{offset, n};
+    return ReadRanges({&range, 1}, out);
+  }
 
   [[nodiscard]] uint64_t length() const { return length_; }
 

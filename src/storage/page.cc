@@ -91,7 +91,7 @@ void PutString(std::vector<uint8_t>& out, const std::string& value) {
   out.insert(out.end(), value.begin(), value.end());
 }
 
-Result<uint64_t> ByteReader::ReadVarint() {
+Result<uint64_t> ByteReader::ReadLongVarint() {
   uint64_t value = 0;
   int shift = 0;
   while (pos_ < size_) {

@@ -80,7 +80,12 @@ class ByteReader {
  public:
   ByteReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
 
-  [[nodiscard]] Result<uint64_t> ReadVarint();
+  /// Inline for a one-byte varint, which most posting entries are; a
+  /// longer, truncated or overflowing varint takes the out-of-line path.
+  [[nodiscard]] Result<uint64_t> ReadVarint() {
+    if (pos_ < size_ && data_[pos_] < 0x80u) return uint64_t{data_[pos_++]};
+    return ReadLongVarint();
+  }
   [[nodiscard]] Result<uint32_t> ReadFixed32();
   [[nodiscard]] Result<uint64_t> ReadFixed64();
   [[nodiscard]] Result<double> ReadDouble();
@@ -93,6 +98,8 @@ class ByteReader {
   [[nodiscard]] bool AtEnd() const { return pos_ == size_; }
 
  private:
+  [[nodiscard]] Result<uint64_t> ReadLongVarint();
+
   const uint8_t* data_;
   size_t size_;
   size_t pos_ = 0;

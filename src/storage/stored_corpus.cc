@@ -48,29 +48,36 @@ Result<std::unique_ptr<StoredCorpus>> StoredCorpus::Open(
 
 Status StoredCorpus::FetchPostings(std::span<const int32_t> tokens,
                                    FetchedPostings* out) const {
-  // Every entry takes at least one byte, so reserving the lists' byte
-  // count up front keeps each list's span valid while later lists append.
+  // The lists' byte ranges ascend with the token ids, so one read copies
+  // them all back to back into a per-thread buffer, pinning each page
+  // once. Its last pin is released before the lists are decoded.
+  thread_local std::vector<ByteRange> ranges;
+  thread_local std::vector<uint8_t> bytes;
+  ranges.clear();
   uint64_t total_bytes = 0;
   for (const int32_t token : tokens) {
     const size_t t = static_cast<size_t>(token);
-    total_bytes += postings_offsets_[t + 1] - postings_offsets_[t];
+    const uint64_t begin = postings_offsets_[t];
+    ranges.push_back({begin, static_cast<size_t>(postings_offsets_[t + 1] - begin)});
+    total_bytes += ranges.back().n;
   }
+  bytes.resize(static_cast<size_t>(total_bytes));
+  GL_RETURN_IF_ERROR(postings_reader_.ReadRanges(ranges, bytes.data()));
+
+  // Every entry takes at least one byte, so reserving the lists' byte
+  // count up front keeps each list's span valid while later lists append.
+  // The decoded weights are bit for bit the in-RAM ones, so every
+  // accumulated similarity equals the in-RAM one.
   out->lists.clear();
   out->decoded.clear();
   out->decoded.reserve(static_cast<size_t>(total_bytes));
-  // One paged read per token, into a per-thread buffer. The decoded
-  // weights are bit for bit the in-RAM ones, so every accumulated
-  // similarity equals the in-RAM one.
-  thread_local std::vector<uint8_t> bytes;
-  for (const int32_t token : tokens) {
-    const size_t t = static_cast<size_t>(token);
-    const uint64_t begin = postings_offsets_[t];
-    const size_t n_bytes = static_cast<size_t>(postings_offsets_[t + 1] - begin);
-    bytes.resize(n_bytes);
-    GL_RETURN_IF_ERROR(postings_reader_.ReadAt(begin, n_bytes, bytes.data()));
+  const uint8_t* list_bytes = bytes.data();
+  for (size_t i = 0; i < tokens.size(); ++i) {
     const size_t first = out->decoded.size();
-    GL_RETURN_IF_ERROR(DecodePostingList(bytes.data(), n_bytes, idf_table_[t],
+    GL_RETURN_IF_ERROR(DecodePostingList(list_bytes, ranges[i].n,
+                                         idf_table_[static_cast<size_t>(tokens[i])],
                                          meta_.record_norm, &out->decoded));
+    list_bytes += ranges[i].n;
     out->lists.emplace_back(out->decoded.data() + first, out->decoded.size() - first);
   }
   GL_DCHECK_LE(out->decoded.size(), total_bytes) << "a decoded list outgrew the reserve";

@@ -73,9 +73,9 @@ class StoredCorpus final : public QueryCorpus {
   [[nodiscard]] BufferStats buffer_stats() const { return buffer_->stats(); }
   [[nodiscard]] size_t pool_pages() const { return buffer_->pool_pages(); }
 
-  // QueryCorpus, served through the buffer pool: the lists are read page
-  // by page in store order and decoded into out->decoded, their record
-  // ids and norms checked (DataLoss).
+  // QueryCorpus, served through the buffer pool: the lists are read in one
+  // pass in store order, each page pinned once, and decoded into
+  // out->decoded, their record ids and norms checked (DataLoss).
   [[nodiscard]] const Vocabulary& epoch_vocab() const override {
     return epoch_vocab_;
   }

@@ -75,66 +75,6 @@ __attribute__((target("sse4.2"))) size_t SortedIntersectCountSse42(
   return count + SortedIntersectCountScalar(a + i, na - i, b + j, nb - j);
 }
 
-// Two-lane scatter dot: gather dense values for a pair of candidate
-// tokens, skip the (common) all-zero case with one mask test, and add the
-// matched products in lane order — ascending token order, exactly the
-// scalar accumulation sequence.
-__attribute__((target("sse4.2"))) double ScatterDotSse42(const double* dense,
-                                                         const int32_t* ids,
-                                                         const double* weights,
-                                                         size_t n) {
-  double sum = 0.0;
-  size_t k = 0;
-  for (; k + 2 <= n; k += 2) {
-    const __m128d gathered =
-        _mm_set_pd(dense[ids[k + 1]], dense[ids[k]]);  // lane0 = k, lane1 = k+1
-    const int mask = _mm_movemask_pd(_mm_cmpneq_pd(gathered, _mm_setzero_pd()));
-    if (mask == 0) continue;
-    const __m128d products = _mm_mul_pd(gathered, _mm_loadu_pd(weights + k));
-    alignas(16) double lanes[2];
-    _mm_store_pd(lanes, products);
-    if ((mask & 1) != 0) sum += lanes[0];
-    if ((mask & 2) != 0) sum += lanes[1];
-  }
-  for (; k < n; ++k) sum += dense[ids[k]] * weights[k];
-  return sum;
-}
-
-// Four-lane gather via AVX2: one vgatherdpd + one mask test skips four
-// non-matching tokens per iteration.
-__attribute__((target("avx2"))) double ScatterDotAvx2(const double* dense,
-                                                      const int32_t* ids,
-                                                      const double* weights,
-                                                      size_t n) {
-  double sum = 0.0;
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m128i index =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ids + k));
-    // Masked gather with an explicit zero source: the plain gather
-    // intrinsic reads GCC's _mm256_undefined_pd and trips
-    // -Wmaybe-uninitialized under -Werror.
-    const __m256d gathered = _mm256_mask_i32gather_pd(
-        _mm256_setzero_pd(), dense, index,
-        _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
-    int mask = _mm256_movemask_pd(
-        _mm256_cmp_pd(gathered, _mm256_setzero_pd(), _CMP_NEQ_OQ));
-    if (mask == 0) continue;
-    const __m256d products =
-        _mm256_mul_pd(gathered, _mm256_loadu_pd(weights + k));
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, products);
-    // Lowest set lane first: ascending token order = canonical order.
-    while (mask != 0) {
-      const int lane = __builtin_ctz(static_cast<unsigned>(mask));
-      sum += lanes[lane];
-      mask &= mask - 1;
-    }
-  }
-  for (; k < n; ++k) sum += dense[ids[k]] * weights[k];
-  return sum;
-}
-
 // The accumulator sweep, two 4-lane blocks a step. A true compare is -1
 // in each 64-bit lane, so subtracting the nonzero masks counts the nonzero
 // slots in four lane counters with no branch; the rare slots ≥ θ are
@@ -212,23 +152,13 @@ size_t SortedIntersectCount(const uint32_t* a, size_t na, const uint32_t* b,
   return SortedIntersectCountScalar(a, na, b, nb);
 }
 
-double ScatterDotScalar(const double* dense, const int32_t* ids,
-                        const double* weights, size_t n) {
+double ScatterDot(const double* dense, const int32_t* ids, const double* weights,
+                  size_t n) {
   double sum = 0.0;
   for (size_t k = 0; k < n; ++k) {
     sum += dense[ids[k]] * weights[k];
   }
   return sum;
-}
-
-double ScatterDot(const double* dense, const int32_t* ids, const double* weights,
-                  size_t n) {
-#if defined(GROUPLINK_SIMD_X86)
-  const SimdLevel level = ActiveSimdLevel();
-  if (level >= SimdLevel::kAvx2) return ScatterDotAvx2(dense, ids, weights, n);
-  if (level >= SimdLevel::kSse42) return ScatterDotSse42(dense, ids, weights, n);
-#endif
-  return ScatterDotScalar(dense, ids, weights, n);
 }
 
 bool SweepAccumulatorApplies() {

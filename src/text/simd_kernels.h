@@ -11,17 +11,16 @@ namespace grouplink {
 /// Batched, branch-light kernels behind the verify/score hot path:
 /// sorted-set intersection (Jaccard overlap), scatter/gather TF-IDF
 /// cosine, the score accumulator's sweep, and bit-parallel edit distance.
-/// Each has a scalar path and vectorized tiers selected by
-/// ActiveSimdLevel() (common/simd_dispatch.h); the sweep's scalar path is
-/// the postings walk it replaces, in core/accumulate.cc.
+/// Intersection and the sweep have a scalar path and faster tiers
+/// selected by ActiveSimdLevel() (common/simd_dispatch.h); the sweep's
+/// scalar path is the postings walk it replaces, in core/accumulate.cc.
+/// The cosine and the edit distance are one path at every tier.
 ///
 /// THE contract (PR 1 determinism, extended in DESIGN.md §10): every
 /// kernel returns a bit-identical result at every dispatch tier. The
-/// integer kernels are exact by nature; ScatterDot commits to one
-/// canonical accumulation order — ascending candidate-token position —
-/// that the vector tiers reproduce exactly by adding only the (provably
-/// non-zero-preserving) matched products in lane order, never reassociating
-/// and never fusing multiply-adds.
+/// integer kernels are exact by nature; ScatterDot is one scalar loop in
+/// one canonical accumulation order — ascending candidate-token position —
+/// compiled without fused multiply-adds.
 
 // ---------------------------------------------------------------------------
 // Sorted-set intersection (Jaccard overlap numerator).
@@ -49,13 +48,9 @@ namespace grouplink {
 // classic sorted-merge DotProduct bit for bit (DESIGN.md §10 carries the
 // full argument).
 
-/// Reference: sum over k of dense[ids[k]] * weights[k], in index order.
-[[nodiscard]] double ScatterDotScalar(const double* dense, const int32_t* ids,
-                                      const double* weights, size_t n);
-
-/// Dispatched scatter dot. AVX2 gathers 4 lanes and skips all-zero
-/// blocks with one mask test; matched products are added in lane order,
-/// which is ascending token order — bit-identical to the scalar path.
+/// The sum over k of dense[ids[k]] * weights[k], in index order, at
+/// every tier: AVX2 gathers and SSE4.2 pairs were measured slower than
+/// this loop (bench_micro_kernels) and are not built.
 [[nodiscard]] double ScatterDot(const double* dense, const int32_t* ids,
                                 const double* weights, size_t n);
 

@@ -5,7 +5,7 @@
 #include <set>
 
 #include "common/random.h"
-#include "index/prefix_filter.h"
+#include "support/brute_force.h"
 
 namespace grouplink {
 namespace {

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/random.h"
+#include "support/brute_force.h"
 
 namespace grouplink {
 namespace {

@@ -3,13 +3,17 @@
 // segment reads, and deliberate pool exhaustion. Every read must return
 // verified bytes identical to the file, stats must balance, and a
 // fully-pinned pool must fail cleanly with FailedPrecondition rather
-// than deadlock.
+// than deadlock. Concurrent pins of one page still being read must read
+// it once, or each fail cleanly when it is corrupt. Every wait is
+// bounded (RunTogether), so a lost wake-up fails the suite instead of
+// hanging it.
 #include "storage/buffer_manager.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,6 +22,7 @@
 
 #include "storage/page.h"
 #include "storage/page_file.h"
+#include "support/run_together.h"
 
 namespace grouplink {
 namespace storage {
@@ -75,43 +80,38 @@ TEST(BufferStressTest, ManyThreadsFourFramesEveryByteVerified) {
   std::atomic<int> bad_bytes{0};
   std::atomic<int> errors{0};
   std::atomic<uint64_t> successful_pins{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      // Deterministic per-thread page walk with plenty of cross-thread
-      // overlap; far more distinct pages than frames, so eviction churns
-      // constantly under contention.
-      uint64_t state = static_cast<uint64_t>(t) * 2654435761u + 1;
-      for (int i = 0; i < kPinsPerThread; ++i) {
-        state = state * 6364136223846793005ull + 1442695040888963407ull;
-        const uint64_t page = (state >> 33) % kNumPages;
-        // 8 threads each briefly holding one pin can transiently exceed
-        // the 4-frame budget; exhaustion is the documented clean-failure
-        // mode (see ExhaustedPoolFailsCleanlyAndRecovers), so retry it.
-        // Anything else — I/O error, corruption — is a real failure.
-        auto handle = fixture.buffer->Pin(page);
-        int spins = 0;
-        while (!handle.ok() &&
-               handle.status().code() == StatusCode::kFailedPrecondition &&
-               ++spins < 10000) {
-          std::this_thread::yield();
-          handle = fixture.buffer->Pin(page);
-        }
-        if (!handle.ok()) {
-          ++errors;
-          continue;
-        }
-        ++successful_pins;
-        const size_t probe = static_cast<size_t>(state % handle->payload_len());
-        if (handle->payload()[probe] != ExpectedByte(page, probe) ||
-            handle->payload_len() != PagePayloadCapacity(kPageBytes)) {
-          ++bad_bytes;
-        }
+  RunTogether(kThreads, [&](int t) {
+    // Deterministic per-thread page walk with plenty of cross-thread
+    // overlap; far more distinct pages than frames, so eviction churns
+    // constantly under contention.
+    uint64_t state = static_cast<uint64_t>(t) * 2654435761u + 1;
+    for (int i = 0; i < kPinsPerThread; ++i) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      const uint64_t page = (state >> 33) % kNumPages;
+      // 8 threads each briefly holding one pin can transiently exceed
+      // the 4-frame budget; exhaustion is the documented clean-failure
+      // mode (see ExhaustedPoolFailsCleanlyAndRecovers), so retry it.
+      // Anything else — I/O error, corruption — is a real failure.
+      auto handle = fixture.buffer->Pin(page);
+      int spins = 0;
+      while (!handle.ok() &&
+             handle.status().code() == StatusCode::kFailedPrecondition &&
+             ++spins < 10000) {
+        std::this_thread::yield();
+        handle = fixture.buffer->Pin(page);
       }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
+      if (!handle.ok()) {
+        ++errors;
+        continue;
+      }
+      ++successful_pins;
+      const size_t probe = static_cast<size_t>(state % handle->payload_len());
+      if (handle->payload()[probe] != ExpectedByte(page, probe) ||
+          handle->payload_len() != PagePayloadCapacity(kPageBytes)) {
+        ++bad_bytes;
+      }
+    }
+  });
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(bad_bytes.load(), 0);
   EXPECT_EQ(successful_pins.load(),
@@ -140,29 +140,25 @@ TEST(BufferStressTest, ConcurrentSegmentReadersSeeTheWholeStream) {
   const SegmentReader reader(fixture.buffer.get(), 0, length);
 
   std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kReaders; ++t) {
-    threads.emplace_back([&, t] {
-      // Each thread scans the stream with its own misaligned stride.
-      const size_t n = 97 + static_cast<size_t>(t) * 13;
-      std::vector<uint8_t> got(n);
-      for (uint64_t offset = static_cast<uint64_t>(t) * 31; offset + n <= length;
-           offset += 211) {
-        if (!reader.ReadAt(offset, n, got.data()).ok()) {
+  RunTogether(kReaders, [&](int t) {
+    // Each thread scans the stream with its own misaligned stride.
+    const size_t n = 97 + static_cast<size_t>(t) * 13;
+    std::vector<uint8_t> got(n);
+    for (uint64_t offset = static_cast<uint64_t>(t) * 31; offset + n <= length;
+         offset += 211) {
+      if (!reader.ReadAt(offset, n, got.data()).ok()) {
+        ++failures;
+        continue;
+      }
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t pos = offset + i;
+        if (got[i] != ExpectedByte(pos / capacity, pos % capacity)) {
           ++failures;
-          continue;
-        }
-        for (size_t i = 0; i < n; ++i) {
-          const uint64_t pos = offset + i;
-          if (got[i] != ExpectedByte(pos / capacity, pos % capacity)) {
-            ++failures;
-            break;
-          }
+          break;
         }
       }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
+    }
+  });
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(fixture.buffer->stats().evictions, 0u);
 }
@@ -195,21 +191,87 @@ TEST(BufferStressTest, OutOfRangeAndCorruptPagesFailUnderConcurrency) {
   constexpr uint64_t kNumPages = 8;
   Fixture fixture(kNumPages, 4);
   std::atomic<int> wrong_code{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 100; ++i) {
-        const auto bad = fixture.buffer->Pin(kNumPages + 1);
-        if (bad.ok() || bad.status().code() != StatusCode::kOutOfRange) {
-          ++wrong_code;
-        }
-        const auto good = fixture.buffer->Pin(static_cast<uint64_t>(i) % kNumPages);
-        if (!good.ok()) ++wrong_code;
+  RunTogether(4, [&](int) {
+    for (int i = 0; i < 100; ++i) {
+      const auto bad = fixture.buffer->Pin(kNumPages + 1);
+      if (bad.ok() || bad.status().code() != StatusCode::kOutOfRange) {
+        ++wrong_code;
       }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
+      const auto good = fixture.buffer->Pin(static_cast<uint64_t>(i) % kNumPages);
+      if (!good.ok()) ++wrong_code;
+    }
+  });
   EXPECT_EQ(wrong_code.load(), 0);
+}
+
+TEST(BufferStressTest, ConcurrentPinsOfOneColdPageReadItOnce) {
+  // 8 threads pin the same cold page at once: one of them reads it, the
+  // others wait for that read (or arrive after it) and hit. Each round
+  // races on a page no round has read, so most rounds see waiters.
+  constexpr uint64_t kNumPages = 16;
+  constexpr size_t kPoolPages = 4;
+  constexpr int kThreads = 8;
+  Fixture fixture(kNumPages, kPoolPages);
+  std::atomic<int> failed_pins{0};
+  std::atomic<int> bad_bytes{0};
+  for (uint64_t page = 0; page < kNumPages; ++page) {
+    const BufferStats before = fixture.buffer->stats();
+    RunTogether(kThreads, [&](int) {
+      const auto handle = fixture.buffer->Pin(page);
+      if (!handle.ok()) {
+        ++failed_pins;
+        return;
+      }
+      for (size_t i = 0; i < handle->payload_len(); ++i) {
+        if (handle->payload()[i] != ExpectedByte(page, i)) ++bad_bytes;
+      }
+      if (handle->payload_len() != PagePayloadCapacity(kPageBytes)) ++bad_bytes;
+    });
+    const BufferStats after = fixture.buffer->stats();
+    EXPECT_EQ(after.misses - before.misses, 1u) << "page " << page;
+    EXPECT_EQ(after.hits - before.hits, static_cast<uint64_t>(kThreads - 1))
+        << "page " << page;
+  }
+  EXPECT_EQ(failed_pins.load(), 0);
+  EXPECT_EQ(bad_bytes.load(), 0);
+  EXPECT_EQ(fixture.buffer->stats().evictions, kNumPages - kPoolPages);
+}
+
+TEST(BufferStressTest, ConcurrentPinsOfOneCorruptPageEachFailAndFreeTheFrame) {
+  // The same on a page whose checksum no longer matches, on a one-frame
+  // pool: every pin is DataLoss, a failed read counts as no miss, and the
+  // frame is free again afterwards, so a good page still pins.
+  constexpr uint64_t kNumPages = 8;
+  constexpr uint64_t kPage = 5;
+  constexpr int kThreads = 8;
+  Fixture fixture(kNumPages, 1);
+  {
+    // Flip one payload bit on disk; the open PageFile reads the new bytes.
+    std::fstream file(fixture.path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(file.good());
+    const auto at = static_cast<std::streamoff>(kPage * kPageBytes + kPageHeaderBytes + 9);
+    file.seekg(at);
+    const char byte = static_cast<char>(file.get() ^ 0x10);
+    file.seekp(at);
+    file.put(byte);
+    ASSERT_TRUE(file.good());
+  }
+  std::atomic<int> wrong_code{0};
+  RunTogether(kThreads, [&](int) {
+    const auto handle = fixture.buffer->Pin(kPage);
+    if (handle.ok() || handle.status().code() != StatusCode::kDataLoss) ++wrong_code;
+  });
+  EXPECT_EQ(wrong_code.load(), 0);
+  BufferStats stats = fixture.buffer->stats();
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.hits, 0u);
+
+  const auto good = fixture.buffer->Pin(kPage + 1);
+  ASSERT_TRUE(good.ok()) << good.status().message();
+  EXPECT_EQ(good->payload()[0], ExpectedByte(kPage + 1, 0));
+  stats = fixture.buffer->stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.evictions, 0u);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "support/brute_force.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/logging.h"
@@ -48,6 +49,27 @@ Enumerator MakeEnumerator(const BipartiteGraph& graph,
   return e;
 }
 
+// Jaccard over sorted-unique int vectors.
+double JaccardInt(const std::vector<int32_t>& a, const std::vector<int32_t>& b) {
+  if (a.empty() && b.empty()) return 1.0;
+  size_t i = 0;
+  size_t j = 0;
+  size_t inter = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (b[j] < a[i]) {
+      ++j;
+    } else {
+      ++inter;
+      ++i;
+      ++j;
+    }
+  }
+  const size_t uni = a.size() + b.size() - inter;
+  return uni == 0 ? 1.0 : static_cast<double>(inter) / static_cast<double>(uni);
+}
+
 }  // namespace
 
 Matching BruteForceMaxWeightMatching(const BipartiteGraph& graph) {
@@ -94,6 +116,23 @@ double BruteForceMaxNormalizedScore(const BipartiteGraph& graph) {
         best = std::max(best, weight / denominator);
       });
   return best;
+}
+
+std::vector<std::pair<int32_t, int32_t>> BruteForceJaccardSelfJoin(
+    const std::vector<std::vector<int32_t>>& documents, double threshold) {
+  for (const std::vector<int32_t>& doc : documents) {
+    GL_DCHECK(std::is_sorted(doc.begin(), doc.end()) &&
+              std::adjacent_find(doc.begin(), doc.end()) == doc.end());
+  }
+  std::vector<std::pair<int32_t, int32_t>> result;
+  for (size_t i = 0; i < documents.size(); ++i) {
+    for (size_t j = i + 1; j < documents.size(); ++j) {
+      if (JaccardInt(documents[i], documents[j]) >= threshold) {
+        result.emplace_back(static_cast<int32_t>(i), static_cast<int32_t>(j));
+      }
+    }
+  }
+  return result;
 }
 
 }  // namespace grouplink

@@ -1,6 +1,10 @@
 #ifndef GROUPLINK_TESTS_SUPPORT_BRUTE_FORCE_H_
 #define GROUPLINK_TESTS_SUPPORT_BRUTE_FORCE_H_
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "matching/bipartite_graph.h"
 
 namespace grouplink {
@@ -15,6 +19,12 @@ namespace grouplink {
 /// variant). Used to validate the soundness of the greedy lower bound.
 /// Returns 1.0 when both sides are empty and 0.0 when exactly one is.
 [[nodiscard]] double BruteForceMaxNormalizedScore(const BipartiteGraph& graph);
+
+/// All pairs (i < j), ascending, of sorted-unique token-id documents with
+/// exact Jaccard >= `threshold`. O(n²) — reference oracle for the prefix
+/// filter and MinHash candidate generators.
+[[nodiscard]] std::vector<std::pair<int32_t, int32_t>> BruteForceJaccardSelfJoin(
+    const std::vector<std::vector<int32_t>>& documents, double threshold);
 
 }  // namespace grouplink
 

@@ -113,38 +113,6 @@ TEST(SortedIntersectTest, RandomizedDifferential) {
 
 // ------------------------------------------------------- Scatter dot.
 
-TEST(ScatterDotTest, BitIdenticalAcrossTiersRandomized) {
-  Rng rng(77);
-  const size_t dimension = 512;
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<double> dense(dimension, 0.0);
-    // Scatter a random strictly-positive probe (TF-IDF weights are > 0).
-    const size_t probe_terms = static_cast<size_t>(rng.UniformInt(0, 40));
-    for (size_t i = 0; i < probe_terms; ++i) {
-      dense[rng.Uniform(dimension)] = rng.UniformDouble(1e-3, 2.0);
-    }
-    // Candidate: sorted unique ids, sizes straddling the 2/4/8 widths.
-    const size_t n = static_cast<size_t>(rng.UniformInt(0, 33));
-    auto id_set = SortedUniqueSet(rng, n, static_cast<uint32_t>(dimension));
-    std::vector<int32_t> ids(id_set.begin(), id_set.end());
-    std::vector<double> weights(ids.size());
-    for (double& w : weights) w = rng.UniformDouble(1e-3, 2.0);
-
-    const double reference =
-        ScatterDotScalar(dense.data(), ids.data(), weights.data(), ids.size());
-    for (const SimdLevel level :
-         {SimdLevel::kScalar, SimdLevel::kSse42, SimdLevel::kAvx2}) {
-      ScopedSimdLevel scoped(level);
-      const double got =
-          ScatterDot(dense.data(), ids.data(), weights.data(), ids.size());
-      // EXPECT_EQ on doubles: the contract is bitwise equality, not
-      // tolerance.
-      ASSERT_EQ(got, reference)
-          << "trial " << trial << " level " << SimdLevelName(level);
-    }
-  }
-}
-
 TEST(ScatterDotTest, MatchesSortedMergeDotProduct) {
   // The full bit-identity chain: scatter dot over a dense probe equals the
   // canonical sorted-merge DotProduct of the sparse vectors.
